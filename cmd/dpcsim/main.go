@@ -52,7 +52,6 @@ import (
 
 	"diskreuse/internal/disk"
 	"diskreuse/internal/exp"
-	"diskreuse/internal/interp"
 	"diskreuse/internal/metrics"
 	"diskreuse/internal/obs"
 	"diskreuse/internal/sim"
@@ -70,7 +69,6 @@ type options struct {
 	perDisk                bool
 	timeline               int
 	jobs                   int
-	engine                 string
 	jsonOut                bool
 	report                 string
 	traceOut               string
@@ -95,7 +93,6 @@ func main() {
 	flag.BoolVar(&o.perDisk, "perdisk", false, "print per-disk statistics")
 	flag.IntVar(&o.timeline, "timeline", 0, "render an ASCII disk-activity timeline this many columns wide")
 	flag.IntVar(&o.jobs, "jobs", 0, "max concurrent policy simulations and per-disk replay workers (0 = GOMAXPROCS)")
-	flag.StringVar(&o.engine, "engine", "compiled", "front-end execution engine (accepted for CLI uniformity with dpcc/dpcbench; dpcsim consumes pre-generated traces, so both engines behave identically here)")
 	flag.BoolVar(&o.jsonOut, "json", false, "emit per-policy results as JSON on stdout (human output moves to stderr)")
 	flag.StringVar(&o.report, "report", "", "render the energy/idle-locality report to stdout: text, json, or csv")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write simulation spans as Chrome trace_event JSON to this file (load in Perfetto)")
@@ -159,12 +156,6 @@ type policyJSON struct {
 }
 
 func run(o options) (err error) {
-	// dpcsim has no DRL front end — the trace is already generated — but the
-	// flag value is validated so scripts can pass a uniform -engine to all
-	// three binaries and still get typo errors.
-	if _, err := interp.ParseEngine(o.engine); err != nil {
-		return err
-	}
 	pols, err := parsePolicies(o.policy)
 	if err != nil {
 		return err

@@ -41,7 +41,15 @@ type Meter struct {
 func NewMeter(m disk.Model) *Meter { return &Meter{M: m} }
 
 // IdlePowerAt returns the idle (spinning, not servicing) power at rpm.
-func IdlePowerAt(m disk.Model, rpm int) float64 {
+func IdlePowerAt(m disk.Model, rpm int) float64 { return idlePower(&m, rpm) }
+
+// ActivePowerAt returns the servicing power at rpm: idle power at that
+// speed plus the constant activity delta from the data sheet.
+func ActivePowerAt(m disk.Model, rpm int) float64 { return activePower(&m, rpm) }
+
+// idlePower and activePower take the model by pointer so the Meter's
+// per-request charges read it in place instead of copying it per call.
+func idlePower(m *disk.Model, rpm int) float64 {
 	if rpm <= 0 {
 		rpm = m.RPMMax
 	}
@@ -49,10 +57,8 @@ func IdlePowerAt(m disk.Model, rpm int) float64 {
 	return m.PowerStandby + (m.PowerIdle-m.PowerStandby)*f*f
 }
 
-// ActivePowerAt returns the servicing power at rpm: idle power at that
-// speed plus the constant activity delta from the data sheet.
-func ActivePowerAt(m disk.Model, rpm int) float64 {
-	return IdlePowerAt(m, rpm) + (m.PowerActive - m.PowerIdle)
+func activePower(m *disk.Model, rpm int) float64 {
+	return idlePower(m, rpm) + (m.PowerActive - m.PowerIdle)
 }
 
 // ShiftTime returns the time to move between two RPM levels, scaled
@@ -94,7 +100,7 @@ func (e *Meter) Active(dt float64, rpm int) {
 		return
 	}
 	e.ActiveTime += dt
-	e.ActiveEnergy += ActivePowerAt(e.M, rpm) * dt
+	e.ActiveEnergy += activePower(&e.M, rpm) * dt
 }
 
 // Idle charges dt seconds of request-free spinning at rpm.
@@ -103,7 +109,7 @@ func (e *Meter) Idle(dt float64, rpm int) {
 		return
 	}
 	e.IdleTime += dt
-	e.IdleEnergy += IdlePowerAt(e.M, rpm) * dt
+	e.IdleEnergy += idlePower(&e.M, rpm) * dt
 }
 
 // Standby charges dt seconds spun down.

@@ -1,0 +1,212 @@
+package sim
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"runtime"
+	"strconv"
+
+	"diskreuse/internal/conc"
+	"diskreuse/internal/obs"
+	"diskreuse/internal/power"
+	"diskreuse/internal/trace"
+)
+
+// The open-loop replay kernel. The open-loop model is feedback-free across
+// disks: a policy-induced stall delays that disk's queue but never the
+// issue stream, so a disk's trajectory — and its energy — is a pure
+// function of the arrival-ordered subsequence of requests attributed to
+// it. Disks meet only in the final makespan, which bills every disk's idle
+// tail. Every open-loop replay (RunPrepared, RunStream, EnergyScorer)
+// therefore takes the same three steps: carve the requests into per-disk
+// index lists (diskCarve), replay each list on that disk's reducer
+// (diskReducer.replay, fanned out over Config.Jobs by replayPass), and fold
+// the reducers in disk order before running the finish tail (foldDisks).
+// The fold fixes the float summation order and the interval order, so
+// results are bit-identical at every worker count and every chunking.
+
+// minParallelRequests is the auto-mode (Jobs 0) cutoff below which a
+// replay pass stays serial: spawning a worker per disk costs more than
+// replaying a tiny run. An explicit Jobs >= 2 always shards, so tests can
+// pin the parallel path on small inputs; the result is bit-identical
+// either way.
+const minParallelRequests = 4096
+
+// diskCarve partitions a run of arrival-ordered requests by disk:
+// perDisk[d] lists, in arrival order, the positions of the requests disk d
+// services, carved out of one flat backing sized by a counting pass. A
+// build reuses the previous build's scratch.
+type diskCarve struct {
+	perDisk [][]int32
+	back    []int32
+	disk    []int32 // disk of each position, between the two passes
+	counts  []int
+}
+
+// build carves n requests onto numDisks disks; diskOf(i) attributes the
+// request at position i, or rejects it.
+func (c *diskCarve) build(n, numDisks int, diskOf func(i int) (int, error)) error {
+	if numDisks <= 0 {
+		return fmt.Errorf("sim: NumDisks must be a positive disk count (got %d)", numDisks)
+	}
+	if n > math.MaxInt32 {
+		return fmt.Errorf("sim: %d requests exceed the replay limit of %d per trace", n, math.MaxInt32)
+	}
+	if cap(c.back) < n {
+		c.back = make([]int32, n)
+		c.disk = make([]int32, n)
+	}
+	if cap(c.counts) < numDisks {
+		c.counts = make([]int, numDisks)
+		c.perDisk = make([][]int32, numDisks)
+	}
+	counts, disk := c.counts[:numDisks], c.disk[:n]
+	clear(counts)
+	for i := range disk {
+		d, err := diskOf(i)
+		if err != nil {
+			return err
+		}
+		if d < 0 || d >= numDisks {
+			return fmt.Errorf("sim: request %d maps to disk %d outside 0..%d", i, d, numDisks-1)
+		}
+		disk[i] = int32(d)
+		counts[d]++
+	}
+	c.perDisk = c.perDisk[:numDisks]
+	off := 0
+	for d, k := range counts {
+		c.perDisk[d] = c.back[off : off : off+k]
+		off += k
+	}
+	for i, d := range disk {
+		c.perDisk[d] = append(c.perDisk[d], int32(i))
+	}
+	return nil
+}
+
+// diskReducer is one disk's open-loop replay state: the disk simulator,
+// its stats, and the partial response-time sum and makespan the fold
+// combines. ivs buffers the disk's recorded intervals until the fold
+// replays them in disk order. A reducer is a value, so a copy is a
+// snapshot — except ds.sub, which a copy must clone before replaying.
+type diskReducer struct {
+	ds       diskSim
+	st       DiskStats
+	resp     float64
+	makespan float64
+	ivs      []Interval
+}
+
+// newReducers builds one reducer per disk for a run under cfg. Each I/O
+// node's meter accounts for all of its physical disks (the RAID-level
+// striping of Fig. 1), so power draws and transition energies scale with
+// cfg.RAIDWidth while the timing model stays per physical disk. When
+// cfg.Record is set, an open-loop run buffers each disk's intervals for
+// the fold; the closed-loop replay is one goroutine and emits directly.
+func newReducers(cfg Config) []diskReducer {
+	meterModel := cfg.Model
+	if w := float64(cfg.RAIDWidth); w > 1 {
+		meterModel.PowerActive *= w
+		meterModel.PowerIdle *= w
+		meterModel.PowerStandby *= w
+		meterModel.SpinDownEnergy *= w
+		meterModel.SpinUpEnergy *= w
+	}
+	lm := newLiveMetrics(cfg.Metrics, cfg.NumDisks)
+	reds := make([]diskReducer, cfg.NumDisks)
+	for d := range reds {
+		r := &reds[d]
+		r.ds = *newDiskSim(cfg)
+		r.ds.id = d
+		r.ds.lm = lm
+		r.st.Meter = *power.NewMeter(meterModel)
+		if cfg.Record != nil && !cfg.ClosedLoop {
+			buf := &r.ivs
+			r.ds.cfg.Record = func(iv Interval) { *buf = append(*buf, iv) }
+		}
+	}
+	for _, h := range cfg.Hints {
+		reds[h.Disk].ds.hints = append(reds[h.Disk].ds.hints, h.Time)
+	}
+	return reds
+}
+
+// replay services reqs[idx[k]] for each k in order — a run of this disk's
+// requests in arrival order — continuing from the reducer's state.
+func (r *diskReducer) replay(reqs []trace.Request, idx []int32, attr *obs.ProcAttribution) {
+	var served reqCounter
+	if r.ds.lm != nil {
+		served.c = r.ds.lm.requests
+	}
+	resp, makespan := r.resp, r.makespan
+	for _, i := range idx {
+		q := &reqs[i]
+		busy0 := r.st.BusyTime
+		completion, rt := r.ds.service(q.Arrival, q.Size, &r.st)
+		served.inc()
+		resp += rt
+		if completion > makespan {
+			makespan = completion
+		}
+		if attr != nil {
+			attr.Observe(r.ds.id, q.Proc, r.st.BusyTime-busy0, rt)
+		}
+	}
+	r.resp, r.makespan = resp, makespan
+	served.flush()
+}
+
+// replayPass replays one arrival-ordered run of requests, carved per disk,
+// on the reducers, fanning the disks out over cfg.Jobs workers; auto mode
+// (Jobs 0) stays serial below minParallelRequests or on a single CPU. Each
+// reducer is touched by one worker only, so the pass needs no locking. A
+// non-nil parent gets one "disk-replay" child span per disk.
+func replayPass(cfg *Config, reds []diskReducer, reqs []trace.Request, perDisk [][]int32, parent *obs.Span) error {
+	jobs := cfg.Jobs
+	if jobs == 0 && (len(reqs) < minParallelRequests || runtime.GOMAXPROCS(0) == 1) {
+		jobs = 1
+	}
+	return conc.ForEach(context.Background(), len(reds), jobs, func(_ context.Context, d int) error {
+		sp := parent.Child("disk-replay")
+		if sp != nil {
+			sp.SetAttr("disk", strconv.Itoa(d))
+			sp.SetAttr("requests", strconv.Itoa(len(perDisk[d])))
+		}
+		reds[d].replay(reqs, perDisk[d], cfg.Attribution)
+		sp.End()
+		return nil
+	})
+}
+
+// foldDisks folds the reducers into res in disk order — partial response
+// sums, makespans, and buffered intervals — then runs the finish tail:
+// every disk stays powered until the last request completes, with the
+// policy applied to the final gap (no spin-up at the end), and the
+// per-disk stats and energies fold into res. The telemetry's still-open
+// request-free tail periods close last.
+func foldDisks(cfg *Config, reds []diskReducer, res *Result) {
+	for d := range reds {
+		r := &reds[d]
+		res.ResponseTime += r.resp
+		if r.makespan > res.Makespan {
+			res.Makespan = r.makespan
+		}
+		for _, iv := range r.ivs {
+			cfg.Record(iv)
+		}
+	}
+	for d := range reds {
+		r := &reds[d]
+		r.ds.cfg.Record = cfg.Record // the tail emits directly
+		r.ds.finish(res.Makespan-r.ds.clock, &r.st)
+		res.PerDisk[d] = r.st
+		res.Energy += r.st.Meter.Total()
+		res.IOTime += r.st.BusyTime
+	}
+	if len(reds) > 0 && reds[0].ds.lm != nil {
+		reds[0].ds.lm.energy.Set(res.Energy)
+	}
+	cfg.Telemetry.Finish()
+}

@@ -105,14 +105,14 @@ func (lm *liveMetrics) observeInterval(disk int, kind StateKind, dt float64) {
 }
 
 // publishEnergy sets the energy-so-far gauge from the per-disk meters. Safe
-// to call between (not during) sharded passes. No-op on nil.
-func (lm *liveMetrics) publishEnergy(per []DiskStats) {
+// to call between (not during) replay passes. No-op on nil.
+func (lm *liveMetrics) publishEnergy(reds []diskReducer) {
 	if lm == nil {
 		return
 	}
 	tot := 0.0
-	for d := range per {
-		tot += per[d].Meter.Total()
+	for d := range reds {
+		tot += reds[d].st.Meter.Total()
 	}
 	lm.energy.Set(tot)
 }

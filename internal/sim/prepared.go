@@ -1,17 +1,13 @@
 package sim
 
-import (
-	"fmt"
-
-	"diskreuse/internal/trace"
-)
+import "diskreuse/internal/trace"
 
 // PreparedTrace is the replay-ready form of a request trace against a
 // fixed block-to-disk mapping: the arrival sort, per-request disk
-// attribution, flat-backed per-disk carve, and per-processor grouping are
-// all done once by PrepareTrace, so any number of policy or parameter
-// variants can replay the same trace through RunPrepared without repeating
-// the bucketing work — bucket once, replay many. The experiment harness
+// attribution, per-disk index carve, and per-processor grouping are all
+// done once by PrepareTrace, so any number of policy or parameter variants
+// can replay the same trace through RunPrepared without repeating the
+// bucketing work — bucket once, replay many. The experiment harness
 // prepares each execution's trace once and shares it read-only across all
 // of an application's version simulations.
 //
@@ -24,13 +20,11 @@ type PreparedTrace struct {
 	// arrivals keep their input order (stable sort), matching the serial
 	// replay exactly.
 	sorted []trace.Request
-	// diskIdx[i] is the disk servicing sorted[i] — the attribution the
-	// closed-loop issue loop reads instead of calling diskOf per request.
-	diskIdx []int
-	// perDisk[d] is disk d's subsequence of sorted, carved out of one flat
-	// backing array sized by a counting pass. Subsequences of an
-	// arrival-ordered slice are arrival-ordered, so each is replay-ready.
-	perDisk [][]trace.Request
+	// perDisk[d] lists, in arrival order, the indices into sorted of the
+	// requests disk d services: the diskCarve the open-loop replay walks,
+	// 4 bytes per request. The closed-loop replay rebuilds its per-request
+	// disk table from it per run.
+	perDisk [][]int32
 	// procIDs lists processor ids in first-appearance order; procReqs[k]
 	// holds the indices into sorted of the requests procIDs[k] issued,
 	// carved from one flat backing (see trace.ProcStreams).
@@ -57,51 +51,27 @@ func (pt *PreparedTrace) Source() trace.Source {
 }
 
 // PrepareTrace attributes every request of reqs to its disk and buckets the
-// trace for replay: one counting pass, one flat per-disk carve, one stable
-// arrival sort (skipped when reqs is already sorted, the common case for
-// generated traces), and one per-processor grouping. diskOf maps a
-// request's block number to its disk using the striping information,
-// exactly as the paper's simulator consumes externally provided striping
-// parameters. reqs is never mutated.
+// trace for replay: one stable arrival sort (skipped when reqs is already
+// sorted, the common case for generated traces), one per-disk index carve,
+// and one per-processor grouping. diskOf maps a request's block number to
+// its disk using the striping information, exactly as the paper's
+// simulator consumes externally provided striping parameters. reqs is
+// never mutated.
 func PrepareTrace(reqs []trace.Request, diskOf func(block int64) (int, error), numDisks int) (*PreparedTrace, error) {
-	if numDisks <= 0 {
-		return nil, fmt.Errorf("sim: NumDisks must be positive")
-	}
 	sorted := reqs
 	if !trace.SortedByArrival(reqs) {
 		sorted = append([]trace.Request(nil), reqs...)
 		trace.SortByArrival(sorted)
 	}
-	diskIdx := make([]int, len(sorted))
-	counts := make([]int, numDisks)
-	for i, r := range sorted {
-		d, err := diskOf(r.Block)
-		if err != nil {
-			return nil, err
-		}
-		if d < 0 || d >= numDisks {
-			return nil, fmt.Errorf("sim: block %d maps to disk %d outside 0..%d", r.Block, d, numDisks-1)
-		}
-		diskIdx[i] = d
-		counts[d]++
-	}
-	backing := make([]trace.Request, len(sorted))
-	perDisk := make([][]trace.Request, numDisks)
-	off := 0
-	for d, n := range counts {
-		perDisk[d] = backing[off : off : off+n]
-		off += n
-	}
-	for i, r := range sorted {
-		d := diskIdx[i]
-		perDisk[d] = append(perDisk[d], r)
+	var c diskCarve
+	if err := c.build(len(sorted), numDisks, func(i int) (int, error) { return diskOf(sorted[i].Block) }); err != nil {
+		return nil, err
 	}
 	procIDs, procReqs := trace.ProcStreams(sorted)
 	return &PreparedTrace{
 		numDisks: numDisks,
 		sorted:   sorted,
-		diskIdx:  diskIdx,
-		perDisk:  perDisk,
+		perDisk:  c.perDisk,
 		procIDs:  procIDs,
 		procReqs: procReqs,
 	}, nil

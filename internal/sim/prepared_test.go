@@ -147,10 +147,9 @@ func TestPrepareTraceNotMutatedByRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	sorted := append([]trace.Request(nil), pt.sorted...)
-	diskIdx := append([]int(nil), pt.diskIdx...)
-	perDisk := make([][]trace.Request, len(pt.perDisk))
+	perDisk := make([][]int32, len(pt.perDisk))
 	for d := range pt.perDisk {
-		perDisk[d] = append([]trace.Request(nil), pt.perDisk[d]...)
+		perDisk[d] = append([]int32(nil), pt.perDisk[d]...)
 	}
 	procIDs := append([]int(nil), pt.procIDs...)
 	procReqs := make([][]int, len(pt.procReqs))
@@ -170,14 +169,14 @@ func TestPrepareTraceNotMutatedByRun(t *testing.T) {
 		}
 	}
 
+	if pt.numDisks != disks {
+		t.Error("Run mutated the prepared disk count")
+	}
 	if !reflect.DeepEqual(pt.sorted, sorted) {
 		t.Error("Run mutated the prepared arrival order")
 	}
-	if !reflect.DeepEqual(pt.diskIdx, diskIdx) {
-		t.Error("Run mutated the prepared disk attribution")
-	}
 	if !reflect.DeepEqual(pt.perDisk, perDisk) {
-		t.Error("Run mutated the prepared per-disk queues")
+		t.Error("Run mutated the prepared per-disk carve")
 	}
 	if !reflect.DeepEqual(pt.procIDs, procIDs) || !reflect.DeepEqual(pt.procReqs, procReqs) {
 		t.Error("Run mutated the prepared processor streams")

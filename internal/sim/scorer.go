@@ -2,8 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
-	"diskreuse/internal/power"
 	"diskreuse/internal/trace"
 )
 
@@ -26,68 +26,37 @@ type EnergySummary struct {
 // the O(requests) carve. The zero value is ready; Build reuses the backing
 // across candidates of any size.
 type Attribution struct {
-	n        int
-	numDisks int
-	hashes   []uint64
-	counts   []int
-	idxBack  []int32
-	perDisk  [][]int32
+	n      int
+	carve  diskCarve
+	hashes []uint64
 }
 
 // Build fills the attribution for a stream of n requests mapped by
 // diskOf(i) onto numDisks disks.
 func (a *Attribution) Build(n int, diskOf func(i int) int, numDisks int) error {
-	if numDisks <= 0 {
-		return fmt.Errorf("sim: attribution needs a positive disk count (got %d)", numDisks)
+	a.n = -1
+	if err := a.carve.build(n, numDisks, func(i int) (int, error) { return diskOf(i), nil }); err != nil {
+		return err
 	}
-	if cap(a.counts) < numDisks {
-		a.counts = make([]int, numDisks)
-		a.hashes = make([]uint64, numDisks)
-		a.perDisk = make([][]int32, numDisks)
-	}
-	if cap(a.idxBack) < n {
-		a.idxBack = make([]int32, n)
-	}
-	a.n, a.numDisks = n, numDisks
-	counts := a.counts[:numDisks]
-	hashes := a.hashes[:numDisks]
-	for d := range counts {
-		counts[d] = 0
-		hashes[d] = fnvOffset
-	}
-	perDisk := a.perDisk[:numDisks]
-	off := 0
-	// Two passes: count, carve disjoint sub-slices out of the flat backing,
-	// then scatter — the same carve PrepareTrace performs over requests.
-	for i := 0; i < n; i++ {
-		d := diskOf(i)
-		if d < 0 || d >= numDisks {
-			return fmt.Errorf("sim: request %d maps to disk %d outside 0..%d", i, d, numDisks-1)
+	a.n = n
+	a.hashes = a.hashes[:0]
+	for _, idx := range a.carve.perDisk {
+		h := uint64(fnvOffset)
+		for _, i := range idx {
+			h = (h ^ uint64(uint32(i))) * fnvPrime
 		}
-		counts[d]++
-	}
-	for d, c := range counts {
-		perDisk[d] = a.idxBack[off:off : off+c]
-		off += c
-	}
-	for i := 0; i < n; i++ {
-		d := diskOf(i)
-		perDisk[d] = append(perDisk[d], int32(i))
-		hashes[d] = (hashes[d] ^ uint64(uint32(i))) * fnvPrime
+		a.hashes = append(a.hashes, h)
 	}
 	return nil
 }
 
-// diskReplayEntry caches one disk's replay of one request subsequence: the
-// simulator and stats state at the end of the subsequence, plus the
-// partial folds runOpenLoop computes per disk. idx pins the exact
-// subsequence so a hash collision can never return a wrong entry.
+// diskReplayEntry caches one disk's replay of one request subsequence: a
+// snapshot of the disk's reducer at the end of the subsequence. idx pins
+// the exact subsequence so a hash collision can never return a wrong
+// entry.
 type diskReplayEntry struct {
-	idx      []int32
-	ds       diskSim
-	st       DiskStats
-	resp     float64
-	makespan float64
+	idx []int32
+	red diskReducer
 }
 
 // EnergyScorer scores many disk attributions of one fixed request stream
@@ -96,13 +65,13 @@ type diskReplayEntry struct {
 // The open-loop replay is feedback-free across disks: a disk's busy/idle
 // trajectory — and therefore its energy — is a pure function of the
 // subsequence of requests attributed to it. Disks interact only through
-// the final makespan, which finishRun uses to bill every disk's idle tail.
+// the final makespan, which foldDisks uses to bill every disk's idle tail.
 // Neighboring layout candidates move only the requests of the arrays they
 // re-stripe, so most disks receive a subsequence the scorer has already
 // replayed: Score then skips the replay entirely and re-runs only the
-// cheap finish tail against the candidate's makespan, on a copy of the
-// cached state. Cache hits are verified by comparing the full index
-// subsequence, never just its hash, so results are exact, not
+// cheap fold and finish tail against the candidate's makespan, on a copy
+// of the cached reducer. Cache hits are verified by comparing the full
+// index subsequence, never just its hash, so results are exact, not
 // probabilistically exact.
 //
 // An EnergyScorer is not safe for concurrent use; parallel searches give
@@ -115,7 +84,9 @@ type EnergyScorer struct {
 	bytes   int // cached index bytes, for the flush bound
 	empty   *diskReplayEntry
 
-	att Attribution // scratch for the Score convenience path
+	att  Attribution   // scratch for the Score convenience path
+	reds []diskReducer // scratch copies of the entries the fold consumes
+	res  Result        // scratch fold target
 }
 
 // scorerCacheBytes bounds the memory the subsequence cache may hold before
@@ -143,28 +114,12 @@ func NewEnergyScorer(sorted []trace.Request, cfg Config) (*EnergyScorer, error) 
 	if err != nil {
 		return nil, err
 	}
-	s := &EnergyScorer{
+	return &EnergyScorer{
 		sorted:  sorted,
 		cfg:     norm,
 		entries: make(map[uint64][]*diskReplayEntry),
-	}
-	s.empty = &diskReplayEntry{ds: *newDiskSim(norm)}
-	s.empty.st.Meter = *newMeterFor(norm)
-	return s, nil
-}
-
-// newMeterFor builds the per-disk meter newStates would, including the
-// RAID-width power scaling.
-func newMeterFor(cfg Config) *power.Meter {
-	meterModel := cfg.Model
-	if w := float64(cfg.RAIDWidth); w > 1 {
-		meterModel.PowerActive *= w
-		meterModel.PowerIdle *= w
-		meterModel.PowerStandby *= w
-		meterModel.SpinDownEnergy *= w
-		meterModel.SpinUpEnergy *= w
-	}
-	return power.NewMeter(meterModel)
+		empty:   &diskReplayEntry{red: newReducers(norm)[0]},
+	}, nil
 }
 
 // Clone returns a scorer over the same stream and configuration with an
@@ -201,32 +156,27 @@ func (s *EnergyScorer) ScoreAttribution(att *Attribution) (EnergySummary, error)
 	if att.n != len(s.sorted) {
 		return EnergySummary{}, fmt.Errorf("sim: attribution built over %d requests, stream has %d", att.n, len(s.sorted))
 	}
-	numDisks := att.numDisks
-
-	// Resolve each disk's entry, replaying subsequences seen for the first
-	// time, then fold partials and run the finish tail exactly as
-	// runOpenLoop + finishRun do: response times and makespan in disk
-	// order, then per-disk finish and energy sum in disk order.
-	ents := make([]*diskReplayEntry, numDisks)
-	sum := EnergySummary{Requests: len(s.sorted)}
-	for d := 0; d < numDisks; d++ {
-		en := s.lookupOrReplay(att.hashes[d], att.perDisk[d])
-		ents[d] = en
-		sum.ResponseTime += en.resp
-		if en.makespan > sum.Makespan {
-			sum.Makespan = en.makespan
-		}
+	perDisk := att.carve.perDisk
+	if cap(s.reds) < len(perDisk) {
+		s.reds = make([]diskReducer, len(perDisk))
+		s.res.PerDisk = make([]DiskStats, len(perDisk))
 	}
-	for d := 0; d < numDisks; d++ {
-		en := ents[d]
-		ds := en.ds
-		ds.sub = append([]float64(nil), en.ds.sub...)
-		st := en.st
-		ds.finish(sum.Makespan-ds.clock, &st)
-		sum.Energy += st.Meter.Total()
-		sum.IOTime += st.BusyTime
+	reds := s.reds[:len(perDisk)]
+	for d, idx := range perDisk {
+		en := s.lookupOrReplay(att.hashes[d], idx)
+		sub := reds[d].ds.sub
+		reds[d] = en.red
+		reds[d].ds.sub = append(sub[:0], en.red.ds.sub...)
 	}
-	return sum, nil
+	s.res = Result{PerDisk: s.res.PerDisk[:len(perDisk)]}
+	foldDisks(&s.cfg, reds, &s.res)
+	return EnergySummary{
+		Energy:       s.res.Energy,
+		IOTime:       s.res.IOTime,
+		ResponseTime: s.res.ResponseTime,
+		Makespan:     s.res.Makespan,
+		Requests:     len(s.sorted),
+	}, nil
 }
 
 // lookupOrReplay returns the cached entry for the subsequence, verifying
@@ -236,31 +186,13 @@ func (s *EnergyScorer) lookupOrReplay(h uint64, idx []int32) *diskReplayEntry {
 		return s.empty
 	}
 	for _, en := range s.entries[h] {
-		if len(en.idx) != len(idx) {
-			continue
-		}
-		same := true
-		for k := range idx {
-			if en.idx[k] != idx[k] {
-				same = false
-				break
-			}
-		}
-		if same {
+		if slices.Equal(en.idx, idx) {
 			return en
 		}
 	}
-	en := &diskReplayEntry{idx: append([]int32(nil), idx...)}
-	en.ds = *newDiskSim(s.cfg)
-	en.st.Meter = *newMeterFor(s.cfg)
-	for _, i := range idx {
-		r := &s.sorted[i]
-		completion, rt := en.ds.service(r.Arrival, r.Size, &en.st)
-		en.resp += rt
-		if completion > en.makespan {
-			en.makespan = completion
-		}
-	}
+	en := &diskReplayEntry{idx: slices.Clone(idx), red: s.empty.red}
+	en.red.ds.sub = slices.Clone(s.empty.red.ds.sub)
+	en.red.replay(s.sorted, idx, nil)
 	if s.bytes += 4 * len(idx); s.bytes > scorerCacheBytes {
 		s.entries = make(map[uint64][]*diskReplayEntry)
 		s.bytes = 4 * len(idx)

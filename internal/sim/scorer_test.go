@@ -10,15 +10,19 @@ import (
 
 // TestEnergyScorerMatchesPrepared pins the memoizing scorer's exactness:
 // every summary field equals the corresponding Result field of the full
-// prepared replay, bit for bit, across policies and disk counts — both on
-// the first (replaying) pass and on a second (fully cached) pass, and
-// after interleaving other candidates so cached entries are re-folded
-// against different makespans.
+// prepared replay, bit for bit, across policies, RAID widths, and disk
+// counts — both on the first (replaying) pass and on a second (fully
+// cached) pass, and after interleaving other candidates so cached entries
+// are re-folded against different makespans.
 func TestEnergyScorerMatchesPrepared(t *testing.T) {
 	model := disk.Ultrastar36Z15()
 	reqs := randomTrace(42, 800, 6, 3)
-	for _, pol := range []Policy{NoPM, TPM, DRPM} {
-		sc, err := NewEnergyScorer(reqs, Config{Model: model, Policy: pol})
+	for _, c := range []struct {
+		pol  Policy
+		raid int
+	}{{NoPM, 0}, {TPM, 0}, {DRPM, 0}, {NoPM, 2}, {TPM, 2}, {DRPM, 2}} {
+		pol := c.pol
+		sc, err := NewEnergyScorer(reqs, Config{Model: model, Policy: pol, RAIDWidth: c.raid})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,15 +39,15 @@ func TestEnergyScorerMatchesPrepared(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := RunPrepared(pt, Config{Model: model, NumDisks: disks, Policy: pol})
+			want, err := RunPrepared(pt, Config{Model: model, NumDisks: disks, Policy: pol, RAIDWidth: c.raid})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Energy != want.Energy || got.IOTime != want.IOTime ||
 				got.ResponseTime != want.ResponseTime || got.Makespan != want.Makespan ||
 				got.Requests != want.Requests {
-				t.Fatalf("pol=%v disks=%d shift=%d %s: scorer diverged\ngot  %+v\nwant %+v",
-					pol, disks, shift, pass, got, want)
+				t.Fatalf("pol=%v raid=%d disks=%d shift=%d %s: scorer diverged\ngot  %+v\nwant %+v",
+					pol, c.raid, disks, shift, pass, got, want)
 			}
 		}
 		// First passes replay, repeats hit the per-disk cache; candidates

@@ -18,11 +18,8 @@ package sim
 
 import (
 	"container/heap"
-	"context"
 	"fmt"
-	"strconv"
 
-	"diskreuse/internal/conc"
 	"diskreuse/internal/disk"
 	"diskreuse/internal/metrics"
 	"diskreuse/internal/obs"
@@ -101,8 +98,10 @@ type Config struct {
 	Telemetry *obs.SimTelemetry
 
 	// Span, when non-nil, receives one "disk-replay" child span per disk
-	// shard of the open-loop replay (or one "closed-replay" child for the
-	// closed-loop model), so a trace export shows the simulator's fan-out.
+	// of an in-memory open-loop replay, so a trace export shows the
+	// simulator's fan-out; RunStream opens one "stream-replay" child
+	// instead, with no per-disk or per-chunk children, and the closed-loop
+	// model one "closed-replay" child.
 	Span *obs.Span
 
 	// Attribution, when non-nil, accumulates per-(disk, processor)
@@ -347,64 +346,20 @@ func RunPrepared(pt *PreparedTrace, cfg Config) (*Result, error) {
 		Requests: len(pt.sorted),
 		Policy:   cfg.Policy,
 	}
-	states := newStates(cfg, res)
+	reds := newReducers(cfg)
 	if cfg.ClosedLoop {
 		sp := cfg.Span.Child("closed-replay")
-		runClosedLoop(pt, cfg, states, res)
+		runClosedLoop(pt, cfg, reds, res)
 		sp.End()
 	} else {
-		if err := runOpenLoop(pt, cfg, states, res); err != nil {
+		// The open-loop replay is RunStream's per-chunk pass, fed the
+		// whole prepared trace at once over its stored carve.
+		if err := replayPass(&cfg, reds, pt.sorted, pt.perDisk, cfg.Span); err != nil {
 			return nil, err
 		}
 	}
-	finishRun(cfg, states, res)
+	foldDisks(&cfg, reds, res)
 	return res, nil
-}
-
-// newStates builds the per-disk simulators and their energy meters for one
-// run: per-disk state plus the meter model scaling for RAID-level striping
-// (Fig. 1) — each I/O node's meter accounts for all of its physical disks,
-// so power draws and transition energies scale with the width while the
-// timing model stays per physical disk.
-func newStates(cfg Config, res *Result) []*diskSim {
-	meterModel := cfg.Model
-	if w := float64(cfg.RAIDWidth); w > 1 {
-		meterModel.PowerActive *= w
-		meterModel.PowerIdle *= w
-		meterModel.PowerStandby *= w
-		meterModel.SpinDownEnergy *= w
-		meterModel.SpinUpEnergy *= w
-	}
-	lm := newLiveMetrics(cfg.Metrics, cfg.NumDisks)
-	states := make([]*diskSim, cfg.NumDisks)
-	for d := 0; d < cfg.NumDisks; d++ {
-		res.PerDisk[d].Meter = *power.NewMeter(meterModel)
-		states[d] = newDiskSim(cfg)
-		states[d].id = d
-		states[d].lm = lm
-	}
-	for _, h := range cfg.Hints {
-		states[h.Disk].hints = append(states[h.Disk].hints, h.Time)
-	}
-	return states
-}
-
-// finishRun accounts the tail after the replay: every disk stays powered
-// until the application's last request completes, with the policy applied
-// to the final gap (no spin-up at the end), then the per-disk energies
-// fold into the totals and the telemetry's still-open request-free tail
-// periods close.
-func finishRun(cfg Config, states []*diskSim, res *Result) {
-	for d := 0; d < cfg.NumDisks; d++ {
-		st := &res.PerDisk[d]
-		states[d].finish(res.Makespan-states[d].clock, st)
-		res.Energy += st.Meter.Total()
-		res.IOTime += st.BusyTime
-	}
-	if len(states) > 0 && states[0].lm != nil {
-		states[0].lm.energy.Set(res.Energy)
-	}
-	cfg.Telemetry.Finish()
 }
 
 // normalize validates the configuration and fills defaults, returning the
@@ -506,106 +461,25 @@ func (cfg Config) normalize(traceDisks int) (Config, error) {
 	return cfg, nil
 }
 
-// minParallelRequests is the auto-mode (Jobs 0) cutoff below which the
-// open-loop replay stays serial: spawning a worker per disk costs more
-// than replaying a tiny trace. An explicit Jobs >= 2 always shards, so
-// tests can pin the parallel path on small inputs; the result is
-// bit-identical either way.
-const minParallelRequests = 4096
-
-// runOpenLoop replays the trace with fixed arrival times: each disk
-// services its requests FIFO in arrival order (the paper's trace-driven
-// methodology). The open-loop model is feedback-free across disks — a
-// policy-induced stall delays that disk's queue but never the issue
-// stream — so the per-disk replays are independent and fan out over a
-// bounded worker pool (Config.Jobs): the same disk-level independence the
-// paper exploits for power management, reused for simulation speed.
-//
-// Each worker replays one disk's prepared subsequence, writing its own
-// DiskStats slot and producing a partial response-time sum, a partial
-// makespan, and (when a recorder is configured) a buffered interval log.
-// The reducer folds the partials in disk order — the same float summation
-// order and the same interval order as the serial disk-major loop — so
-// the Result and the Record stream are bit-identical at any worker count.
-func runOpenLoop(pt *PreparedTrace, cfg Config, states []*diskSim, res *Result) error {
-	type partial struct {
-		resp     float64
-		makespan float64
-		ivs      []Interval
-	}
-	parts := make([]partial, pt.numDisks)
-	record := cfg.Record
-	attr := cfg.Attribution
-	jobs := cfg.Jobs
-	if jobs == 0 && len(pt.sorted) < minParallelRequests {
-		jobs = 1
-	}
-	err := conc.ForEach(context.Background(), pt.numDisks, jobs, func(_ context.Context, d int) error {
-		sp := cfg.Span.Child("disk-replay")
-		sp.SetAttr("disk", strconv.Itoa(d))
-		sp.SetAttr("requests", strconv.Itoa(len(pt.perDisk[d])))
-		defer sp.End()
-		ds := states[d]
-		if record != nil {
-			// Buffer this disk's intervals; the reducer replays the
-			// buffers in disk order, so the recorder sees the exact
-			// serial stream from a single goroutine.
-			buf := &parts[d].ivs
-			ds.cfg.Record = func(iv Interval) { *buf = append(*buf, iv) }
-		}
-		st := &res.PerDisk[d]
-		var resp, makespan float64
-		var served reqCounter
-		if ds.lm != nil {
-			served.c = ds.lm.requests
-		}
-		for _, r := range pt.perDisk[d] {
-			busy0 := st.BusyTime
-			completion, rt := ds.service(r.Arrival, r.Size, st)
-			served.inc()
-			resp += rt
-			if completion > makespan {
-				makespan = completion
-			}
-			if attr != nil {
-				attr.Observe(d, r.Proc, st.BusyTime-busy0, rt)
-			}
-		}
-		served.flush()
-		parts[d].resp = resp
-		parts[d].makespan = makespan
-		if record != nil {
-			// The tail accounting after the replay emits directly.
-			ds.cfg.Record = record
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for d := range parts {
-		res.ResponseTime += parts[d].resp
-		if parts[d].makespan > res.Makespan {
-			res.Makespan = parts[d].makespan
-		}
-		for _, iv := range parts[d].ivs {
-			record(iv)
-		}
-	}
-	return nil
-}
-
 // runClosedLoop replays the trace with per-processor feedback: each
 // processor issues its next request only after its compute gap and subject
 // to the AsyncDepth outstanding-request window. Stalls propagate through
 // the shared issue heap and can cascade across disks, so this path stays
 // sequential — but it reuses the prepared attribution: the issue loop
-// reads disks from the precomputed index and processor streams from the
-// prepared grouping, with no diskOf calls or map lookups per request.
-func runClosedLoop(pt *PreparedTrace, cfg Config, states []*diskSim, res *Result) {
+// reads disks from a table rebuilt from the prepared carve and processor
+// streams from the prepared grouping, with no diskOf calls or map lookups
+// per request. Response times and the makespan fold straight into res in
+// issue order; the reducers' open-loop partials stay zero.
+func runClosedLoop(pt *PreparedTrace, cfg Config, reds []diskReducer, res *Result) {
 	sorted := pt.sorted
-	// Think times depend on cfg.ThinkEstimate, so they are recovered per
-	// run — into one flat backing carved per stream, reusing the prepared
+	diskIdx := make([]int32, len(sorted))
+	for d, idx := range pt.perDisk {
+		for _, i := range idx {
+			diskIdx[i] = int32(d)
+		}
+	}
+	// Think times depend on cfg.ThinkEstimate, so they too are recovered
+	// per run — into one flat backing carved per stream, reusing the prepared
 	// per-processor index lists.
 	streams := make([]procStream, len(pt.procIDs))
 	thinkBacking := make([]float64, len(sorted))
@@ -641,19 +515,19 @@ func runClosedLoop(pt *PreparedTrace, cfg Config, states []*diskSim, res *Result
 		heap.Push(h, &streams[k])
 	}
 	var served reqCounter
-	if len(states) > 0 && states[0].lm != nil {
-		served.c = states[0].lm.requests
+	if lm := reds[0].ds.lm; lm != nil {
+		served.c = lm.requests
 	}
 	defer served.flush()
 	for h.Len() > 0 {
 		ps := heap.Pop(h).(*procStream)
 		k := ps.next
 		i := ps.idx[k]
-		r, d := sorted[i], pt.diskIdx[i]
+		r, d := sorted[i], int(diskIdx[i])
 		issue := ps.ready
-		st := &res.PerDisk[d]
+		st := &reds[d].st
 		busy0 := st.BusyTime
-		completion, resp := states[d].service(issue, r.Size, st)
+		completion, resp := reds[d].ds.service(issue, r.Size, st)
 		served.inc()
 		if attr := cfg.Attribution; attr != nil {
 			attr.Observe(d, r.Proc, st.BusyTime-busy0, resp)
@@ -749,7 +623,7 @@ func diskStateOf(k StateKind) obs.DiskState {
 // recorder or telemetry sink is configured, emit the corresponding
 // interval. Telemetry is fed directly — even from sharded replays, since
 // its state is per disk — while Record may be swapped for a per-disk
-// buffer by the parallel open-loop path.
+// buffer by the open-loop kernel.
 
 func (ds *diskSim) emit(kind StateKind, from, to float64, rpm int) {
 	if to <= from {

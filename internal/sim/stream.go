@@ -1,14 +1,11 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"strconv"
 
-	"diskreuse/internal/conc"
 	"diskreuse/internal/obs"
 	"diskreuse/internal/trace"
 )
@@ -21,13 +18,14 @@ import (
 // boundaries too) and the replay is open-loop only — the closed-loop model
 // needs every processor's full request stream in memory.
 //
-// The per-disk shards of the open-loop replay become streaming reducers:
-// each chunk is partitioned per disk and the per-disk subsequences fan out
-// over cfg.Jobs workers against persistent per-disk simulator state, with
-// per-disk partial response-time sums and makespans folded in disk order
-// at the end — the same float summation order as RunPrepared's disk-major
-// fold, so the Result, the Record stream, the telemetry, and the
-// attribution are bit-identical to the in-memory path at any Jobs count.
+// Each chunk is one pass of the open-loop kernel: carved per disk, then
+// replayed over cfg.Jobs workers against persistent per-disk reducers,
+// which fold in disk order at the end. RunPrepared is the same loop fed
+// its whole trace as one pass, so the Result, the Record stream, the
+// telemetry, and the attribution are bit-identical to the in-memory path
+// at any Jobs count and any chunking. The run emits one "stream-replay"
+// span and no per-chunk or per-disk spans, so the tracer does not grow
+// with the trace.
 //
 // cfg.NumDisks must be set explicitly (there is no prepared trace to
 // adopt it from). When cfg.Record is set, intervals are buffered per disk
@@ -43,42 +41,13 @@ func RunStream(src trace.Source, diskOf func(block int64) (int, error), cfg Conf
 		return nil, fmt.Errorf("sim: the streaming replay is open-loop only (the closed-loop model needs the whole trace in memory; decode it and use Run)")
 	}
 
-	res := &Result{
-		PerDisk: make([]DiskStats, cfg.NumDisks),
-		Policy:  cfg.Policy,
-	}
-	states := newStates(cfg, res)
-
 	sp := cfg.Span.Child("stream-replay")
 	defer sp.End()
 
-	// Per-disk streaming reducer state: the partial folds RunPrepared's
-	// workers keep, plus this chunk's request indices. The scratch index
-	// lists are reused across chunks, so the steady state allocates
-	// nothing per chunk once they reach their high-water marks.
-	type shard struct {
-		resp     float64
-		makespan float64
-		idx      []int
-		ivs      []Interval
-	}
-	shards := make([]shard, cfg.NumDisks)
-	record := cfg.Record
-	if record != nil {
-		for d := range states {
-			buf := &shards[d].ivs
-			states[d].cfg.Record = func(iv Interval) { *buf = append(*buf, iv) }
-		}
-	}
+	reds := newReducers(cfg)
 	attr := cfg.Attribution
-	// Live metrics update at chunk granularity: the requests counter and
-	// energy gauge move once per chunk (between sharded passes, so the
-	// meter reads are race-free), which is what a monitoring scrape of a
-	// long out-of-core replay watches.
-	lm := states[0].lm
-	touched := make([]int, 0, cfg.NumDisks)
+	var carve diskCarve
 	lastArrival := math.Inf(-1)
-	maxprocs := runtime.GOMAXPROCS(0)
 	var total, chunks int64
 	for {
 		chunk, err := src.Next()
@@ -91,141 +60,41 @@ func RunStream(src trace.Source, diskOf func(block int64) (int, error), cfg Conf
 		if len(chunk) == 0 {
 			continue
 		}
-		jobs := cfg.Jobs
-		if jobs == 0 && (len(chunk) < minParallelRequests || maxprocs == 1) {
-			jobs = 1
-		}
-		if jobs == 1 {
-			// Fused serial path: when the replay is effectively serial
-			// there is nothing to fan out, so one pass does validation,
-			// disk attribution, and replay together — no scratch index
-			// lists and no second walk over the chunk. The per-disk
-			// accumulation order (each disk's requests in arrival order)
-			// is the same as the sharded path's, so the two are
-			// bit-identical.
-			for i := range chunk {
-				r := &chunk[i]
-				if r.Arrival < lastArrival {
-					return nil, fmt.Errorf("sim: streaming replay requires an arrival-sorted trace: request %d arrives at %v after %v",
-						total+int64(i), r.Arrival, lastArrival)
-				}
-				lastArrival = r.Arrival
-				d, err := diskOf(r.Block)
-				if err != nil {
-					return nil, err
-				}
-				if d < 0 || d >= cfg.NumDisks {
-					return nil, fmt.Errorf("sim: block %d maps to disk %d outside 0..%d", r.Block, d, cfg.NumDisks-1)
-				}
-				if attr != nil && (r.Proc < 0 || r.Proc >= attr.NumProcs()) {
-					return nil, fmt.Errorf("sim: Attribution sized for %d processors but the trace has processor id %d (size it with obs.NewProcAttribution)",
-						attr.NumProcs(), r.Proc)
-				}
-				sh := &shards[d]
-				st := &res.PerDisk[d]
-				busy0 := st.BusyTime
-				completion, rt := states[d].service(r.Arrival, r.Size, st)
-				sh.resp += rt
-				if completion > sh.makespan {
-					sh.makespan = completion
-				}
-				if attr != nil {
-					attr.Observe(d, r.Proc, st.BusyTime-busy0, rt)
-				}
-			}
-			total += int64(len(chunk))
-			chunks++
-			if lm != nil {
-				lm.requests.Add(float64(len(chunk)))
-				lm.publishEnergy(res.PerDisk)
-			}
-			continue
-		}
-		touched = touched[:0]
-		if shards[0].idx == nil {
-			// Pre-size the scratch index lists for a uniform spread of this
-			// chunk size, so the first chunk doesn't pay growth reallocs;
-			// skewed disks still grow to their high-water mark once.
-			presize := 2*len(chunk)/cfg.NumDisks + 16
-			for d := range shards {
-				shards[d].idx = make([]int, 0, presize)
-			}
-		}
-		for i := range chunk {
+		err = carve.build(len(chunk), cfg.NumDisks, func(i int) (int, error) {
 			r := &chunk[i]
 			if r.Arrival < lastArrival {
-				return nil, fmt.Errorf("sim: streaming replay requires an arrival-sorted trace: request %d arrives at %v after %v",
+				return 0, fmt.Errorf("sim: streaming replay requires an arrival-sorted trace: request %d arrives at %v after %v",
 					total+int64(i), r.Arrival, lastArrival)
 			}
 			lastArrival = r.Arrival
-			d, err := diskOf(r.Block)
-			if err != nil {
-				return nil, err
-			}
-			if d < 0 || d >= cfg.NumDisks {
-				return nil, fmt.Errorf("sim: block %d maps to disk %d outside 0..%d", r.Block, d, cfg.NumDisks-1)
-			}
 			if attr != nil && (r.Proc < 0 || r.Proc >= attr.NumProcs()) {
-				return nil, fmt.Errorf("sim: Attribution sized for %d processors but the trace has processor id %d (size it with obs.NewProcAttribution)",
+				return 0, fmt.Errorf("sim: Attribution sized for %d processors but the trace has processor id %d (size it with obs.NewProcAttribution)",
 					attr.NumProcs(), r.Proc)
 			}
-			if len(shards[d].idx) == 0 {
-				touched = append(touched, d)
-			}
-			shards[d].idx = append(shards[d].idx, i)
+			return diskOf(r.Block)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("sim: stream chunk at request %d: %w", total, err)
+		}
+		if err := replayPass(&cfg, reds, chunk, carve.perDisk, nil); err != nil {
+			return nil, err
 		}
 		total += int64(len(chunk))
 		chunks++
-		err = conc.ForEach(context.Background(), len(touched), jobs, func(_ context.Context, k int) error {
-			d := touched[k]
-			sh := &shards[d]
-			ds := states[d]
-			st := &res.PerDisk[d]
-			for _, i := range sh.idx {
-				r := &chunk[i]
-				busy0 := st.BusyTime
-				completion, rt := ds.service(r.Arrival, r.Size, st)
-				sh.resp += rt
-				if completion > sh.makespan {
-					sh.makespan = completion
-				}
-				if attr != nil {
-					attr.Observe(d, r.Proc, st.BusyTime-busy0, rt)
-				}
-			}
-			sh.idx = sh.idx[:0]
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if lm != nil {
-			lm.requests.Add(float64(len(chunk)))
-			lm.publishEnergy(res.PerDisk)
-		}
+		// A monitoring scrape of a long replay watches the energy gauge
+		// move once per chunk, between passes, so the meter reads are
+		// race-free.
+		reds[0].ds.lm.publishEnergy(reds)
 	}
-	res.Requests = int(total)
 	sp.SetAttr("chunks", strconv.FormatInt(chunks, 10))
 	sp.SetAttr("requests", strconv.FormatInt(total, 10))
 
-	// Fold the per-disk partials in disk order — the same summation and
-	// interval order as the serial disk-major loop.
-	for d := range shards {
-		res.ResponseTime += shards[d].resp
-		if shards[d].makespan > res.Makespan {
-			res.Makespan = shards[d].makespan
-		}
+	res := &Result{
+		PerDisk:  make([]DiskStats, cfg.NumDisks),
+		Requests: int(total),
+		Policy:   cfg.Policy,
 	}
-	if record != nil {
-		for d := range shards {
-			for _, iv := range shards[d].ivs {
-				record(iv)
-			}
-			// The tail accounting below emits directly.
-			states[d].cfg.Record = record
-		}
-	}
-	finishRun(cfg, states, res)
+	foldDisks(&cfg, reds, res)
 	return res, nil
 }
 
