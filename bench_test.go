@@ -23,6 +23,7 @@ import (
 	"diskreuse/internal/exp"
 	"diskreuse/internal/layout"
 	"diskreuse/internal/layoutopt"
+	"diskreuse/internal/par"
 	"diskreuse/internal/parser"
 	"diskreuse/internal/sema"
 	"diskreuse/internal/sim"
@@ -263,23 +264,42 @@ func BenchmarkDiskReuseScheduler(b *testing.B) {
 	b.ReportMetric(float64(131072*b.N)/b.Elapsed().Seconds(), "iters/s")
 }
 
-// BenchmarkTraceGeneration measures request-trace generation.
+// BenchmarkTraceGeneration measures request-trace generation. 1P runs the
+// disk-reuse schedule as one phase, whose trace is a single sorted run;
+// 4P-NestPhases runs a 4-processor loop-parallel schedule with one phase
+// per nest, whose trace is four sorted runs per phase.
 func BenchmarkTraceGeneration(b *testing.B) {
 	r := buildBench(b)
 	sched, err := r.DiskReuseSchedule()
 	if err != nil {
 		b.Fatal(err)
 	}
-	phases := trace.SinglePhase(sched)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reqs, err := trace.Generate(r, phases, trace.GenConfig{ComputePerIter: 1e-3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(reqs) == 0 {
-			b.Fatal("empty trace")
-		}
+	a, err := par.LoopParallelize(r, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		phases []trace.Phase
+	}{
+		{"1P", trace.SinglePhase(sched)},
+		{"4P-NestPhases", trace.NestPhases(r.Space, a.Subsets(), len(r.Prog.Nests))},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			n := 0
+			for i := 0; i < b.N; i++ {
+				reqs, err := trace.Generate(r, c.phases, trace.GenConfig{ComputePerIter: 1e-3})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(reqs) == 0 {
+					b.Fatal("empty trace")
+				}
+				n += len(reqs)
+			}
+			b.ReportMetric(float64(n)/b.Elapsed().Seconds()/1e6, "Mreq/s")
+		})
 	}
 }
 

@@ -458,12 +458,15 @@ func PrepareApp(ctx context.Context, a apps.App, opt Options) (*Artifacts, error
 		CachePages:      opt.CachePages,
 		ServiceEstimate: opt.Model.FullSpeedService(lay.PageSize),
 	}
+	// One generator for this call's executions: they take turns with its
+	// presized working buffer, and each keeps only its exact-size trace.
+	var gen trace.Generator
 	for _, e := range []*execution{orig, restrS, restrM} {
 		if e == nil {
 			continue
 		}
 		sp = root.Child("generate-trace")
-		e.reqs, err = trace.Generate(r, e.phases, genCfg)
+		e.reqs, err = gen.Generate(r, e.phases, genCfg)
 		sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("exp: %s: %w", a.Name, err)

@@ -186,6 +186,13 @@ func NewEngine(a apps.App, cacheSize int) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The engine replays trace.Generate's clock, so it rejects the compute
+	// times Generate rejects, before the front end runs.
+	model := disk.Ultrastar36Z15()
+	gen := trace.GenConfig{ComputePerIter: a.ComputePerIter, ServiceEstimate: model.FullSpeedService(lay.PageSize)}
+	if err := gen.Validate(); err != nil {
+		return nil, err
+	}
 	r, err := core.New(prog, lay)
 	if err != nil {
 		return nil, err
@@ -193,14 +200,13 @@ func NewEngine(a apps.App, cacheSize int) (*Engine, error) {
 	if cacheSize <= 0 {
 		cacheSize = DefaultCacheSize
 	}
-	model := disk.Ultrastar36Z15()
 	e := &Engine{
 		App:             a,
 		R:               r,
 		Model:           model,
 		pageSize:        lay.PageSize,
-		computePerIter:  a.ComputePerIter,
-		serviceEstimate: model.FullSpeedService(lay.PageSize),
+		computePerIter:  gen.ComputePerIter,
+		serviceEstimate: gen.ServiceEstimate,
 		numArrays:       len(prog.Arrays),
 		numNests:        len(prog.Nests),
 		scores:          newLRUCache(cacheSize),

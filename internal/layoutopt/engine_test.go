@@ -364,4 +364,14 @@ func TestEngineRejections(t *testing.T) {
 	good := Uniform(n, Candidate{Unit: 32 << 10, Factor: 2})
 	check(good, e.NumPhases(), "phase")
 	check(good, -2, "phase")
+
+	// The engine replays trace.Generate's clock, so it rejects the same
+	// compute times Generate does, before building anything.
+	for _, cpi := range []float64{-1, math.NaN(), math.Inf(1)} {
+		bad := a
+		bad.ComputePerIter = cpi
+		if _, err := NewEngine(bad, 0); err == nil || !strings.Contains(err.Error(), "compute time") {
+			t.Errorf("ComputePerIter %v: want a compute-time error, got %v", cpi, err)
+		}
+	}
 }

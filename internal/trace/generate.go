@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"diskreuse/internal/core"
@@ -125,13 +126,31 @@ func (c *pageCache) pushFront(n *lruNode) {
 	c.root.next = n
 }
 
+// Validate reports whether cfg's clock increments are usable: the compute
+// time must be finite and non-negative and the service estimate finite (a
+// zero or negative estimate selects the default). Every processor's clock
+// then only moves forward, which is what makes each processor's requests
+// within a phase one sorted run — the precondition of Generate's run
+// merge.
+func (cfg GenConfig) Validate() error {
+	if math.IsNaN(cfg.ComputePerIter) || math.IsInf(cfg.ComputePerIter, 0) || cfg.ComputePerIter < 0 {
+		return fmt.Errorf("trace: compute time per iteration %v must be finite and >= 0", cfg.ComputePerIter)
+	}
+	if math.IsNaN(cfg.ServiceEstimate) || math.IsInf(cfg.ServiceEstimate, 0) {
+		return fmt.Errorf("trace: service estimate %v must be finite", cfg.ServiceEstimate)
+	}
+	return nil
+}
+
 // Generate produces the disk request trace for an execution described by
 // phases over the iteration space of r. Each processor has its own clock;
 // a cache miss emits a request at the current clock and advances it by the
 // service estimate (closed-loop generation, as when the source program
 // blocks on a read), and each finished iteration advances it by the
 // compute time. Clocks synchronize to the barrier (max of all clocks)
-// between phases. The returned requests are sorted by arrival time.
+// between phases. The returned requests are sorted by arrival time, stably:
+// equal arrivals keep generation order (phase, then processor, then
+// emission).
 //
 // The page-coalescing loop honors the engine the space was built with: on
 // the compiled engine each iteration's linear indices come off the
@@ -139,6 +158,25 @@ func (c *pageCache) pushFront(n *lruNode) {
 // the interp engine the original per-access Accesses/ElemPage loop runs as
 // the reference oracle. Both produce bit-identical request traces.
 func Generate(r *core.Restructurer, phases []Phase, cfg GenConfig) ([]Request, error) {
+	var g Generator
+	return g.Generate(r, phases, cfg)
+}
+
+// Generator is Generate with a working buffer kept across calls, so the
+// several executions one caller generates in turn share one presized
+// buffer instead of allocating one each. The zero value is ready to use.
+// A Generator must not be used by concurrent calls, and the traces it
+// returns never alias its buffer.
+type Generator struct {
+	work []Request // compiled path: requests in generation order
+	ends []int     // compiled path: end offset in work of each (phase, processor) run
+}
+
+// Generate is the package-level Generate, reusing g's working buffer.
+func (g *Generator) Generate(r *core.Restructurer, phases []Phase, cfg GenConfig) ([]Request, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.CachePages <= 0 {
 		cfg.CachePages = DefaultCachePages
 	}
@@ -155,7 +193,7 @@ func Generate(r *core.Restructurer, phases []Phase, cfg GenConfig) ([]Request, e
 		return nil, fmt.Errorf("trace: no processors in phases")
 	}
 	if r.Space.Engine() == interp.EngineCompiled {
-		return generateCompiled(r, phases, cfg, procs)
+		return g.generateCompiled(r, phases, cfg, procs)
 	}
 	return generateInterp(r, phases, cfg, procs)
 }
@@ -257,7 +295,12 @@ const touchTableMax = 1 << 24
 // (processor, nest, page) — the same (nest, page, write) first-touch unit
 // as the oracle's map, minus the hashing — with a map fallback for page
 // spaces too large to table.
-func generateCompiled(r *core.Restructurer, phases []Phase, cfg GenConfig, procs int) ([]Request, error) {
+//
+// Requests go into g's working buffer in generation order, where each
+// (phase, processor) pair leaves one run sorted by arrival (its clock only
+// moves forward), and mergeRuns then writes them in arrival order into an
+// exact-size trace. No sort is needed: this is the stable sort's order.
+func (g *Generator) generateCompiled(r *core.Restructurer, phases []Phase, cfg GenConfig, procs int) ([]Request, error) {
 	numArrays := len(r.Space.Prog.Arrays)
 	numNests := len(r.Space.Prog.Nests)
 	pageBase := make([]int64, numArrays)
@@ -293,8 +336,12 @@ func generateCompiled(r *core.Restructurer, phases []Phase, cfg GenConfig, procs
 
 	// Every access emits at most one request, so AccessCount caps the
 	// request count; pre-sizing (bounded) avoids append-growth copies of
-	// the hot output slice.
-	reqs := make([]Request, 0, min(r.Space.AccessCount(), 1<<20))
+	// the hot working buffer.
+	if want := min(r.Space.AccessCount(), 1<<20); cap(g.work) < want {
+		g.work = make([]Request, 0, want)
+	}
+	reqs := g.work[:0]
+	ends := g.ends[:0]
 	str := r.Space.NewStreamer()
 	seen := make([]bool, r.Space.NumIterations())
 	for _, ph := range phases {
@@ -368,6 +415,7 @@ func generateCompiled(r *core.Restructurer, phases []Phase, cfg GenConfig, procs
 				}
 				clocks[p] += cfg.ComputePerIter
 			}
+			ends = append(ends, len(reqs))
 		}
 		// Barrier: everyone waits for the slowest processor.
 		maxClock := 0.0
@@ -380,13 +428,86 @@ func generateCompiled(r *core.Restructurer, phases []Phase, cfg GenConfig, procs
 			clocks[p] = maxClock
 		}
 	}
+	g.work, g.ends = reqs[:0], ends[:0]
 	for id, ok := range seen {
 		if !ok {
 			return nil, fmt.Errorf("trace: iteration %d never executed", id)
 		}
 	}
-	SortByArrival(reqs)
-	return reqs, nil
+	// No arrival of a phase follows the barrier and no arrival of the next
+	// phase precedes it, so merging phase by phase yields the whole trace
+	// in order.
+	out := make([]Request, len(reqs))
+	start := 0
+	for _, ph := range phases {
+		phaseEnds := ends[:len(ph.PerProc)]
+		ends = ends[len(ph.PerProc):]
+		mergeRuns(out[start:], reqs, start, phaseEnds)
+		if len(phaseEnds) > 0 {
+			start = phaseEnds[len(phaseEnds)-1]
+		}
+	}
+	return out, nil
+}
+
+// runHead is the next unmerged request of one sorted run, src[pos], in a
+// run ending at end.
+type runHead struct{ pos, end int }
+
+// mergeRuns merges the sorted runs src[start:ends[0]], src[ends[0]:ends[1]],
+// ... into dst in arrival order. Equal arrivals take the lower-indexed run
+// first, so the result is the stable sort of src[start:ends[len-1]]. A
+// single non-empty run is a plain copy; otherwise a binary heap over the
+// run heads makes the merge O(n log P) for P runs.
+func mergeRuns(dst, src []Request, start int, ends []int) {
+	var heads []runHead
+	for _, end := range ends {
+		if end > start {
+			heads = append(heads, runHead{pos: start, end: end})
+		}
+		start = end
+	}
+	if len(heads) == 1 {
+		copy(dst, src[heads[0].pos:heads[0].end])
+		return
+	}
+	// Runs are disjoint and in order, so on equal arrivals the lower
+	// position is the lower run.
+	less := func(a, b runHead) bool {
+		x, y := src[a.pos].Arrival, src[b.pos].Arrival
+		return x < y || (x == y && a.pos < b.pos)
+	}
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(heads) {
+				return
+			}
+			if c+1 < len(heads) && less(heads[c+1], heads[c]) {
+				c++
+			}
+			if !less(heads[c], heads[i]) {
+				return
+			}
+			heads[i], heads[c] = heads[c], heads[i]
+			i = c
+		}
+	}
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	o := 0
+	for len(heads) > 0 {
+		h := &heads[0]
+		dst[o] = src[h.pos]
+		o++
+		h.pos++
+		if h.pos == h.end {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		down(0)
+	}
 }
 
 // SinglePhase wraps a single-processor schedule as one phase.

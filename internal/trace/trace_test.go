@@ -2,19 +2,28 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"diskreuse/internal/core"
+	"diskreuse/internal/interp"
 	"diskreuse/internal/parser"
 	"diskreuse/internal/sema"
 )
 
 func build(t *testing.T, src string) *core.Restructurer {
+	t.Helper()
+	return buildEngine(t, src, interp.EngineCompiled)
+}
+
+func buildEngine(t *testing.T, src string, e interp.Engine) *core.Restructurer {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -24,7 +33,7 @@ func build(t *testing.T, src string) *core.Restructurer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := core.New(p, nil)
+	r, err := core.NewCtx(context.Background(), p, nil, core.Options{Engine: e})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,12 +237,13 @@ nest L { for i = 0 to 511 { B[i] = A[i]; } }
 }
 
 func TestGenerateMultiProcBarriers(t *testing.T) {
-	r := build(t, `
+	const src = `
 array A[4096] stripe(unit=4K, factor=4, start=0)
 array B[4096] stripe(unit=4K, factor=4, start=0)
 nest L1 { for i = 0 to 4095 { A[i] = B[i]; } }
 nest L2 { for i = 0 to 4095 { B[i] = A[i]; } }
-`)
+`
+	r := build(t, src)
 	// Two processors, split by halves; phases per nest.
 	n := r.Space.NumIterations() / 2 // 4096 per nest
 	perProc := [][]int{{}, {}}
@@ -280,6 +290,19 @@ nest L2 { for i = 0 to 4095 { B[i] = A[i]; } }
 		if reqs[i].Arrival < reqs[i-1].Arrival {
 			t.Fatal("trace not sorted by arrival")
 		}
+	}
+	// The compiled engine merges the per-processor runs; the oracle
+	// stable-sorts. Both processors start phase 1 at clock 0, so their
+	// first requests tie, and the merge must break the tie the same way.
+	oracle, err := Generate(buildEngine(t, src, interp.EngineInterp), phases, GenConfig{ComputePerIter: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(reqs, oracle) {
+		t.Error("compiled trace differs from the interp oracle's")
+	}
+	if cap(reqs) != len(reqs) {
+		t.Errorf("cap(reqs) = %d, want len %d", cap(reqs), len(reqs))
 	}
 }
 
@@ -341,6 +364,23 @@ func TestGenerateErrors(t *testing.T) {
 	short := []Phase{{PerProc: [][]int{{0, 1, 2}}}}
 	if _, err := Generate(r, short, GenConfig{}); err == nil {
 		t.Error("missing iterations must fail")
+	}
+	// Clock increments that could move a processor's clock backwards, or
+	// make it NaN, are rejected by both engines.
+	for _, e := range []interp.Engine{interp.EngineCompiled, interp.EngineInterp} {
+		r := buildEngine(t, seqScanSrc, e)
+		for _, cfg := range []GenConfig{
+			{ComputePerIter: -1},
+			{ComputePerIter: math.NaN()},
+			{ComputePerIter: math.Inf(1)},
+			{ServiceEstimate: math.NaN()},
+			{ServiceEstimate: math.Inf(1)},
+			{ServiceEstimate: math.Inf(-1)},
+		} {
+			if _, err := Generate(r, SinglePhase(r.OriginalSchedule()), cfg); err == nil {
+				t.Errorf("%v: %+v must fail", e, cfg)
+			}
+		}
 	}
 }
 
@@ -470,5 +510,72 @@ func TestProcStreams(t *testing.T) {
 	ids, per = ProcStreams(nil)
 	if len(ids) != 0 || len(per) != 0 {
 		t.Errorf("empty trace: ids=%v per=%v", ids, per)
+	}
+}
+
+// sliceStableOracle is the reflection-based stable sort SortByArrival must
+// match order for order.
+func sliceStableOracle(reqs []Request) {
+	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival })
+}
+
+// blocksOf lists the Block ids, which the randomized tests use as each
+// request's input position: comparing them compares orders even when an
+// arrival is NaN.
+func blocksOf(reqs []Request) []int64 {
+	out := make([]int64, len(reqs))
+	for i, r := range reqs {
+		out[i] = r.Block
+	}
+	return out
+}
+
+func TestSortByArrivalMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	for trial := 0; trial < 300; trial++ {
+		// Lengths past the 20-element insertion-sort blocks exercise the
+		// merge passes; few distinct arrivals make ties common.
+		reqs := make([]Request, rng.Intn(200))
+		for i := range reqs {
+			at := float64(rng.Intn(6))
+			if rng.Intn(8) == 0 {
+				at = special[rng.Intn(len(special))]
+			}
+			reqs[i] = Request{Arrival: at, Block: int64(i)}
+		}
+		got := slices.Clone(reqs)
+		SortByArrival(got)
+		want := slices.Clone(reqs)
+		sliceStableOracle(want)
+		if !slices.Equal(blocksOf(got), blocksOf(want)) {
+			t.Fatalf("trial %d: SortByArrival order %v, sort.SliceStable order %v", trial, blocksOf(got), blocksOf(want))
+		}
+	}
+}
+
+// mergeRuns must give exactly the stable sort of the concatenated runs,
+// ties between runs included, for any run count and with empty runs.
+func TestMergeRunsMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		start := rng.Intn(3)
+		src := make([]Request, start)
+		var ends []int
+		for run := rng.Intn(6); run >= 0; run-- {
+			clock := float64(rng.Intn(3))
+			for n := rng.Intn(30); n > 0; n-- {
+				src = append(src, Request{Arrival: clock, Block: int64(len(src))})
+				clock += float64(rng.Intn(2)) // ties within and across runs
+			}
+			ends = append(ends, len(src))
+		}
+		got := make([]Request, len(src)-start)
+		mergeRuns(got, src, start, ends)
+		want := slices.Clone(src[start:])
+		sliceStableOracle(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: ends %v: merge order %v, stable sort order %v", trial, ends, blocksOf(got), blocksOf(want))
+		}
 	}
 }
