@@ -318,7 +318,11 @@ func BenchmarkSimulatorTPM(b *testing.B) {
 	cfg := sim.Config{Model: disk.Ultrastar36Z15(), NumDisks: lay.NumDisks(), Policy: sim.TPM}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(reqs, lay.PageDisk, cfg); err != nil {
+		pt, err := sim.PrepareTrace(reqs, lay.PageDisk, cfg.NumDisks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sim.RunPrepared(pt, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

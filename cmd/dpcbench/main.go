@@ -34,14 +34,12 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"diskreuse/internal/apps"
 	"diskreuse/internal/disk"
 	"diskreuse/internal/exp"
 	"diskreuse/internal/interp"
 	"diskreuse/internal/layoutopt"
-	"diskreuse/internal/metrics"
 	"diskreuse/internal/obs"
 	"diskreuse/internal/sema"
 )
@@ -57,18 +55,10 @@ type options struct {
 	// streaming path (bit-identical results; exercises the reducers).
 	stream            bool
 	csvPath, jsonPath string
-	// report renders the observability report (per-app × per-version
-	// energy/degradation/idle-locality rows plus stage timings) to stdout
-	// in the named format: text, json, or csv.
-	report string
-	// traceOut writes the run's pipeline spans as Chrome trace_event JSON.
-	traceOut string
-	// cpuProfile/memProfile are the stdlib pprof outputs.
-	cpuProfile, memProfile string
-	// metricsAddr serves the live metrics registry over HTTP; heartbeat
-	// prints a progress line to stderr at the given interval.
-	metricsAddr string
-	heartbeat   time.Duration
+	// Flags is the shared observability block: -report renders per-app ×
+	// per-version energy/degradation/idle-locality rows plus stage
+	// timings; -trace-out writes the pipeline spans.
+	obs.Flags
 	// scale selects the multi-tenant out-of-core streaming benchmark
 	// instead of the paper suite (see scale.go).
 	scale scaleOptions
@@ -89,12 +79,7 @@ func main() {
 	flag.BoolVar(&o.stream, "stream", false, "replay the suite through the out-of-core streaming simulator path (results are bit-identical to the in-memory replay)")
 	flag.StringVar(&o.csvPath, "csv", "", "also write the suite results in CSV long form to this file")
 	flag.StringVar(&o.jsonPath, "json", "", "also write the suite's normalized-energy and degradation metrics as JSON to this file (e.g. BENCH_suite.json)")
-	flag.StringVar(&o.report, "report", "", "render the energy/idle-locality/stage-timing report to stdout: text, json, or csv")
-	flag.StringVar(&o.traceOut, "trace-out", "", "write pipeline spans as Chrome trace_event JSON to this file (load in Perfetto)")
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
-	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file at exit")
-	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live metrics over HTTP on this address (/metrics, /healthz, /debug/pprof/)")
-	flag.DurationVar(&o.heartbeat, "heartbeat", 0, "print a progress heartbeat to stderr at this interval (0 disables)")
+	o.Register(flag.CommandLine, "energy/idle-locality/stage-timing")
 	flag.Int64Var(&o.scale.requests, "scale", 0, "run the multi-tenant streaming benchmark with this many total requests (synthesized to the binary trace format and replayed out of core)")
 	flag.IntVar(&o.scale.tenants, "tenants", 8, "tenant (processor) count for -scale")
 	flag.IntVar(&o.scale.disks, "scale-disks", 0, "disk count for -scale (0 = synthesizer default)")
@@ -129,36 +114,21 @@ func run(o options) (err error) {
 	if err != nil {
 		return err
 	}
-	stopProfiles, err := obs.StartProfiles(o.cpuProfile, o.memProfile)
+	sess, err := o.Start()
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if perr := stopProfiles(); perr != nil && err == nil {
-			err = perr
+		if cerr := sess.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
 	}()
-	// Live observability: one registry feeds the HTTP endpoint and the
-	// heartbeat; the Reporter is also the shared stderr sink for every
-	// one-off human progress line, keeping a machine stdout clean.
-	var reg *metrics.Registry
-	if o.metricsAddr != "" || o.heartbeat > 0 {
-		reg = metrics.NewRegistry()
-	}
-	rep := metrics.NewReporter(metrics.ReporterOptions{Registry: reg, Interval: o.heartbeat})
-	if o.metricsAddr != "" {
-		srv, serr := metrics.Serve(o.metricsAddr, reg)
-		if serr != nil {
-			return serr
-		}
-		defer srv.Close()
-		rep.Logf("metrics: serving http://%s/metrics", srv.Addr())
-	}
+	reg, rep, tr := sess.Registry, sess.Reporter, sess.Tracer
 	if o.scale.requests > 0 {
 		return runScale(o.scale, o.jobs, reg, rep)
 	}
 	if o.search.app != "" {
-		return runLayoutSearch(o, size, reg, rep)
+		return runLayoutSearch(o, size, sess)
 	}
 	engine, err := interp.ParseEngine(o.engine)
 	if err != nil {
@@ -166,27 +136,21 @@ func run(o options) (err error) {
 	}
 	table, figure, ablation := o.table, o.figure, o.ablation
 	all := o.all
-	if !all && table == "" && figure == "" && ablation == "" && o.report == "" {
+	if !all && table == "" && figure == "" && ablation == "" && o.Report == "" {
 		all = true
 	}
-	var tr *obs.Tracer
-	if o.traceOut != "" || o.report != "" || reg != nil {
-		tr = obs.NewTracer()
-	}
-	// Bridge ended spans into per-stage duration histograms on the registry.
-	obs.WithMetrics(tr, reg)
 	// Keep stdout machine-parseable when the report renders JSON or CSV to
 	// it: the human tables and figures move to stderr, as in dpcsim.
 	human := io.Writer(os.Stdout)
-	if o.report == "json" || o.report == "csv" {
+	if o.MachineReport() {
 		human = os.Stderr
 	}
 
 	var suite1, suiteN *exp.SuiteResult
 	need1 := all || table == "2" || figure == "9a" || figure == "10a" ||
-		o.csvPath != "" || o.jsonPath != "" || o.report != ""
+		o.csvPath != "" || o.jsonPath != "" || o.Report != ""
 	needN := all || figure == "9b" || figure == "10b" ||
-		o.csvPath != "" || o.jsonPath != "" || o.report != ""
+		o.csvPath != "" || o.jsonPath != "" || o.Report != ""
 	rep.Start()
 	defer rep.Stop()
 	if need1 {
@@ -227,8 +191,8 @@ func run(o options) (err error) {
 		fmt.Fprintf(human, "Average savings/degradations, %d processors:\n", o.procs)
 		fmt.Fprintln(human, exp.Summary(suiteN))
 	}
-	if o.report != "" {
-		if err := exp.BuildReport(tr, suite1, suiteN).Render(os.Stdout, o.report); err != nil {
+	if o.Report != "" {
+		if err := exp.BuildReport(tr, suite1, suiteN).Render(os.Stdout, o.Report); err != nil {
 			return err
 		}
 	}
@@ -266,16 +230,8 @@ func run(o options) (err error) {
 		}
 		rep.Logf("wrote JSON metrics to %s", o.jsonPath)
 	}
-	if o.traceOut != "" {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := tr.WriteChromeTrace(f); err != nil {
-			return err
-		}
-		rep.Logf("wrote Chrome trace (%d spans) to %s", tr.SpanCount(), o.traceOut)
+	if err := sess.WriteTrace(); err != nil {
+		return err
 	}
 
 	switch ablation {

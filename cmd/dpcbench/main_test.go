@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"diskreuse/internal/obs"
 )
 
 func capture(t *testing.T, fn func() error) string {
@@ -84,7 +86,7 @@ func TestErrors(t *testing.T) {
 	if err := run(options{ablation: "bogus", size: "tiny", procs: 2}); err == nil {
 		t.Error("bad ablation must fail")
 	}
-	if err := run(options{report: "yaml", size: "tiny", procs: 2}); err == nil {
+	if err := run(options{size: "tiny", procs: 2, Flags: obs.Flags{Report: "yaml"}}); err == nil {
 		t.Error("bad report format must fail")
 	}
 }
@@ -158,7 +160,7 @@ func TestCSVOutput(t *testing.T) {
 // -report set, nothing else prints to stdout, so machine formats stay
 // machine-parseable.
 func TestReport(t *testing.T) {
-	out := capture(t, func() error { return run(options{report: "text", size: "tiny", procs: 2, jobs: 2}) })
+	out := capture(t, func() error { return run(options{size: "tiny", procs: 2, jobs: 2, Flags: obs.Flags{Report: "text"}}) })
 	for _, want := range []string{"Report: 1 processor(s)", "Report: 2 processor(s)",
 		"Mean idle (s)", "Pipeline stages:", "disk-replay", "Worker pool:"} {
 		if !strings.Contains(out, want) {
@@ -166,7 +168,7 @@ func TestReport(t *testing.T) {
 		}
 	}
 
-	out = capture(t, func() error { return run(options{report: "json", size: "tiny", procs: 2, jobs: 2}) })
+	out = capture(t, func() error { return run(options{size: "tiny", procs: 2, jobs: 2, Flags: obs.Flags{Report: "json"}}) })
 	var rep struct {
 		Suites []struct {
 			Procs int `json:"procs"`
@@ -210,7 +212,7 @@ func TestReport(t *testing.T) {
 		t.Errorf("pool stats missing: %+v", rep.Pool)
 	}
 
-	out = capture(t, func() error { return run(options{report: "csv", size: "tiny", procs: 2}) })
+	out = capture(t, func() error { return run(options{size: "tiny", procs: 2, Flags: obs.Flags{Report: "csv"}}) })
 	recs, err := csv.NewReader(strings.NewReader(out)).ReadAll()
 	if err != nil {
 		t.Fatalf("bad report CSV: %v\n%s", err, out)
@@ -227,7 +229,9 @@ func TestReport(t *testing.T) {
 // complete ("X") span events for the pipeline stages.
 func TestTraceOut(t *testing.T) {
 	path := t.TempDir() + "/trace.json"
-	capture(t, func() error { return run(options{figure: "9a", size: "tiny", procs: 2, jobs: 2, traceOut: path}) })
+	capture(t, func() error {
+		return run(options{figure: "9a", size: "tiny", procs: 2, jobs: 2, Flags: obs.Flags{TraceOut: path}})
+	})
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +269,7 @@ func TestProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := dir+"/cpu.pprof", dir+"/mem.pprof"
 	capture(t, func() error {
-		return run(options{table: "1", size: "tiny", procs: 2, cpuProfile: cpu, memProfile: mem})
+		return run(options{table: "1", size: "tiny", procs: 2, Flags: obs.Flags{CPUProfile: cpu, MemProfile: mem}})
 	})
 	for _, p := range []string{cpu, mem} {
 		st, err := os.Stat(p)
@@ -306,7 +310,7 @@ func TestReportJSONPureStdout(t *testing.T) {
 	var out string
 	errOut := captureErr(t, func() {
 		out = capture(t, func() error {
-			return run(options{all: true, report: "json", size: "tiny", procs: 2, jobs: 2})
+			return run(options{all: true, size: "tiny", procs: 2, jobs: 2, Flags: obs.Flags{Report: "json"}})
 		})
 	})
 	var rep struct {
@@ -333,7 +337,7 @@ func TestReportJSONPureStdout(t *testing.T) {
 // TestScaleWithMonitoring: the -scale benchmark with the metrics endpoint
 // and heartbeat enabled runs clean, and the heartbeat lands on stderr.
 func TestScaleWithMonitoring(t *testing.T) {
-	o := options{jobs: 1, metricsAddr: "127.0.0.1:0", heartbeat: time.Millisecond,
+	o := options{jobs: 1, Flags: obs.Flags{MetricsAddr: "127.0.0.1:0", Heartbeat: time.Millisecond},
 		scale: scaleOptions{
 			requests: 5000,
 			tenants:  2,

@@ -2,12 +2,10 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"diskreuse/internal/apps"
 	"diskreuse/internal/layoutopt"
-	"diskreuse/internal/metrics"
 	"diskreuse/internal/obs"
 )
 
@@ -24,16 +22,12 @@ type searchOptions struct {
 // -phased — the phase-aware reconfiguration search that compares switching
 // layouts at nest boundaries (paying the migration bill) against holding
 // the best static layout.
-func runLayoutSearch(o options, size apps.Size, reg *metrics.Registry, rep *metrics.Reporter) error {
+func runLayoutSearch(o options, size apps.Size, sess *obs.Session) error {
 	a, err := apps.ByName(o.search.app, size)
 	if err != nil {
 		return err
 	}
-	var tr *obs.Tracer
-	if o.traceOut != "" {
-		tr = obs.NewTracer()
-	}
-	root := tr.Start("layoutsearch", "pipeline")
+	root := sess.Tracer.Start("layoutsearch", "pipeline")
 
 	e, err := layoutopt.NewEngine(a, 0)
 	if err != nil {
@@ -44,13 +38,13 @@ func runLayoutSearch(o options, size apps.Size, reg *metrics.Registry, rep *metr
 		MaxRounds: o.search.rounds,
 		Jobs:      o.jobs,
 		Span:      root,
-		Metrics:   reg,
+		Metrics:   sess.Registry,
 	}
 	fmt.Printf("Layout search: %s (%d arrays, %d phases, size %s)\n",
 		a.Name, e.NumArrays(), e.NumPhases(), o.size)
 
-	rep.Start()
-	defer rep.Stop()
+	sess.Reporter.Start()
+	defer sess.Reporter.Stop()
 	if o.search.phased {
 		err = runPhaseSearch(e, opt)
 	} else {
@@ -60,18 +54,7 @@ func runLayoutSearch(o options, size apps.Size, reg *metrics.Registry, rep *metr
 	if err != nil {
 		return err
 	}
-	if o.traceOut != "" {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := tr.WriteChromeTrace(f); err != nil {
-			return err
-		}
-		rep.Logf("wrote Chrome trace (%d spans) to %s", tr.SpanCount(), o.traceOut)
-	}
-	return nil
+	return sess.WriteTrace()
 }
 
 func runStaticSearch(e *layoutopt.Engine, opt layoutopt.SearchOptions) error {

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"diskreuse/internal/apps"
 	"diskreuse/internal/core"
@@ -41,15 +40,15 @@ import (
 
 // options bundles the command-line configuration of one dpcc run.
 type options struct {
-	showCode               bool
-	showStats              bool
-	showDeps               bool
-	procs                  int
-	jobs                   int
-	engine                 string
-	report                 string
-	traceOut               string
-	cpuProfile, memProfile string
+	showCode  bool
+	showStats bool
+	showDeps  bool
+	procs     int
+	jobs      int
+	engine    string
+	// Flags is the shared observability block (-report, -trace-out, the
+	// profiles, -metrics-addr, -heartbeat).
+	obs.Flags
 	// fuzzCase replays a fuzz corpus file (or raw generator bytes) through
 	// the invariant checker instead of compiling a source file; fuzzSeed
 	// (when non-empty, a decimal seed) does the same from a drlgen seed.
@@ -59,10 +58,6 @@ type options struct {
 	// computePerIter is the per-iteration CPU time its traces assume.
 	layoutSearch   bool
 	computePerIter float64
-	// metricsAddr serves the live metrics registry over HTTP; heartbeat
-	// prints a progress line to stderr at the given interval.
-	metricsAddr string
-	heartbeat   time.Duration
 	// srcPath is the positional DRL file; empty reads stdin.
 	srcPath string
 }
@@ -75,16 +70,11 @@ func main() {
 	flag.IntVar(&o.procs, "procs", 1, "processors for the layout-aware parallelization report")
 	flag.IntVar(&o.jobs, "jobs", 1, "worker pool for the analysis front-end (0 = all CPUs)")
 	flag.StringVar(&o.engine, "engine", "compiled", "front-end execution engine: compiled (stride-compiled kernels) or interp (tree-walk oracle)")
-	flag.StringVar(&o.report, "report", "", "render the stage-timing report to stdout: text, json, or csv")
-	flag.StringVar(&o.traceOut, "trace-out", "", "write analysis spans as Chrome trace_event JSON to this file (load in Perfetto)")
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
-	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file at exit")
+	o.Register(flag.CommandLine, "stage-timing")
 	flag.StringVar(&o.fuzzCase, "fuzz-case", "", "replay a FuzzPipeline corpus file (or raw bytes) as a human-readable invariant repro")
 	flag.StringVar(&o.fuzzSeed, "fuzz-seed", "", "replay a drlgen seed through the invariant checker")
 	flag.BoolVar(&o.layoutSearch, "layoutsearch", false, "run the layout search engine's beam search over the program's per-array stripe layouts and print the winner")
 	flag.Float64Var(&o.computePerIter, "compute-per-iter", 1e-3, "CPU seconds per loop iteration assumed by -layoutsearch trace generation")
-	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live metrics over HTTP on this address (/metrics, /healthz, /debug/pprof/)")
-	flag.DurationVar(&o.heartbeat, "heartbeat", 0, "print a progress heartbeat to stderr at this interval (0 disables)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		o.srcPath = flag.Arg(0)
@@ -96,46 +86,28 @@ func main() {
 }
 
 func run(o options) (err error) {
-	stopProfiles, err := obs.StartProfiles(o.cpuProfile, o.memProfile)
+	// Live observability: the tracer's span stream doubles as per-stage
+	// duration histograms on the registry, so an HTTP scrape shows where a
+	// long compile is spending its time.
+	sess, err := o.Start()
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if perr := stopProfiles(); perr != nil && err == nil {
-			err = perr
+		if cerr := sess.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
 	}()
 	// Keep stdout machine-parseable when it carries JSON or CSV.
 	out := io.Writer(os.Stdout)
-	if o.report == "json" || o.report == "csv" {
+	if o.MachineReport() {
 		out = os.Stderr
 	}
 	if o.fuzzCase != "" || o.fuzzSeed != "" {
 		return runFuzzCase(o, out)
 	}
-	// Live observability: the tracer's span stream doubles as per-stage
-	// duration histograms on the registry (obs.WithMetrics), so an HTTP
-	// scrape shows where a long compile is spending its time.
-	var reg *metrics.Registry
-	if o.metricsAddr != "" || o.heartbeat > 0 {
-		reg = metrics.NewRegistry()
-	}
-	rep := metrics.NewReporter(metrics.ReporterOptions{Registry: reg, Interval: o.heartbeat})
-	if o.metricsAddr != "" {
-		srv, serr := metrics.Serve(o.metricsAddr, reg)
-		if serr != nil {
-			return serr
-		}
-		defer srv.Close()
-		rep.Logf("metrics: serving http://%s/metrics", srv.Addr())
-	}
-	var tr *obs.Tracer
-	if o.traceOut != "" || o.report != "" || reg != nil {
-		tr = obs.NewTracer()
-	}
-	obs.WithMetrics(tr, reg)
-	rep.Start()
-	defer rep.Stop()
+	reg, tr := sess.Registry, sess.Tracer
+	sess.Reporter.Start()
 
 	var src []byte
 	if o.srcPath != "" {
@@ -273,24 +245,13 @@ func run(o options) (err error) {
 	}
 	root.End()
 
-	if o.report != "" {
+	if o.Report != "" {
 		rep := &obs.Report{Stages: tr.Totals()}
 		ps := tr.Pool().Snapshot()
 		rep.Pool = &ps
-		if err := rep.Render(os.Stdout, o.report); err != nil {
+		if err := rep.Render(os.Stdout, o.Report); err != nil {
 			return err
 		}
 	}
-	if o.traceOut != "" {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := tr.WriteChromeTrace(f); err != nil {
-			return err
-		}
-		rep.Logf("wrote Chrome trace (%d spans) to %s", tr.SpanCount(), o.traceOut)
-	}
-	return nil
+	return sess.WriteTrace()
 }

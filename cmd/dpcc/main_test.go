@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"diskreuse/internal/obs"
 )
 
 const testSrc = `
@@ -168,7 +170,7 @@ func TestCorpusBytesErrors(t *testing.T) {
 func TestTraceAndReport(t *testing.T) {
 	path := t.TempDir() + "/trace.json"
 	out := withStdio(t, testSrc, func() error {
-		return run(options{showStats: true, procs: 1, jobs: 2, report: "json", traceOut: path})
+		return run(options{showStats: true, procs: 1, jobs: 2, Flags: obs.Flags{Report: "json", TraceOut: path}})
 	})
 	var rep struct {
 		Stages []struct {
@@ -228,8 +230,7 @@ func TestLayoutSearchFlag(t *testing.T) {
 // concerns, and stage histograms come from the obs bridge invisibly.
 func TestRunWithMonitoring(t *testing.T) {
 	out := withStdio(t, testSrc, func() error {
-		return run(options{showStats: true, procs: 1, jobs: 2,
-			metricsAddr: "127.0.0.1:0", heartbeat: time.Millisecond})
+		return run(options{showStats: true, procs: 1, jobs: 2, Flags: obs.Flags{MetricsAddr: "127.0.0.1:0", Heartbeat: time.Millisecond}})
 	})
 	for _, want := range []string{"program: 2 arrays", "original:", "restructured:"} {
 		if !strings.Contains(out, want) {

@@ -48,7 +48,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"diskreuse/internal/disk"
 	"diskreuse/internal/exp"
@@ -61,21 +60,19 @@ import (
 
 // options bundles the command-line configuration of one dpcsim run.
 type options struct {
-	policy                 string
-	disks                  int
-	unit                   int64
-	start                  int
-	pageSize               int64
-	perDisk                bool
-	timeline               int
-	jobs                   int
-	jsonOut                bool
-	report                 string
-	traceOut               string
-	cpuProfile, memProfile string
-	stream                 bool
-	metricsAddr            string
-	heartbeat              time.Duration
+	policy   string
+	disks    int
+	unit     int64
+	start    int
+	pageSize int64
+	perDisk  bool
+	timeline int
+	jobs     int
+	jsonOut  bool
+	stream   bool
+	// Flags is the shared observability block (-report, -trace-out, the
+	// profiles, -metrics-addr, -heartbeat).
+	obs.Flags
 	// tracePath is the positional trace-file argument; empty reads stdin.
 	tracePath string
 	// disksSet records whether -disks was given explicitly; when it was
@@ -94,13 +91,8 @@ func main() {
 	flag.IntVar(&o.timeline, "timeline", 0, "render an ASCII disk-activity timeline this many columns wide")
 	flag.IntVar(&o.jobs, "jobs", 0, "max concurrent policy simulations and per-disk replay workers (0 = GOMAXPROCS)")
 	flag.BoolVar(&o.jsonOut, "json", false, "emit per-policy results as JSON on stdout (human output moves to stderr)")
-	flag.StringVar(&o.report, "report", "", "render the energy/idle-locality report to stdout: text, json, or csv")
-	flag.StringVar(&o.traceOut, "trace-out", "", "write simulation spans as Chrome trace_event JSON to this file (load in Perfetto)")
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
-	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file at exit")
 	flag.BoolVar(&o.stream, "stream", false, "replay a chunked binary trace out of core (fresh reader per policy; requires a file argument)")
-	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live metrics over HTTP on this address (/metrics, /healthz, /debug/pprof/)")
-	flag.DurationVar(&o.heartbeat, "heartbeat", 0, "print a progress heartbeat to stderr at this interval (0 disables)")
+	o.Register(flag.CommandLine, "energy/idle-locality")
 	flag.Parse()
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "disks" {
@@ -163,45 +155,23 @@ func run(o options) (err error) {
 	if o.timeline > 0 && len(pols) > 1 {
 		return fmt.Errorf("-timeline requires a single policy, got %d", len(pols))
 	}
-	stopProfiles, err := obs.StartProfiles(o.cpuProfile, o.memProfile)
+	sess, err := o.Start()
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if perr := stopProfiles(); perr != nil && err == nil {
-			err = perr
+		if cerr := sess.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
 	}()
-	// Live observability: one registry feeds the HTTP endpoint and the
-	// heartbeat; the Reporter is also the shared stderr sink for one-off
-	// progress lines, so nothing human ever lands on a machine stdout.
-	var reg *metrics.Registry
-	if o.metricsAddr != "" || o.heartbeat > 0 {
-		reg = metrics.NewRegistry()
-	}
-	rep := metrics.NewReporter(metrics.ReporterOptions{Registry: reg, Interval: o.heartbeat})
-	if o.metricsAddr != "" {
-		srv, serr := metrics.Serve(o.metricsAddr, reg)
-		if serr != nil {
-			return serr
-		}
-		defer srv.Close()
-		rep.Logf("metrics: serving http://%s/metrics", srv.Addr())
-	}
+	reg, rep, tr := sess.Registry, sess.Reporter, sess.Tracer
 
 	// Keep stdout machine-parseable when it carries JSON or CSV: the
 	// human-readable result blocks (and the timeline) move to stderr.
 	human := io.Writer(os.Stdout)
-	if o.jsonOut || o.report == "json" || o.report == "csv" {
+	if o.jsonOut || o.MachineReport() {
 		human = os.Stderr
 	}
-	var tr *obs.Tracer
-	if o.traceOut != "" || o.report != "" || reg != nil {
-		tr = obs.NewTracer()
-	}
-	// Bridge ended spans into per-stage duration histograms so a /metrics
-	// scrape shows where the replay is spending its time.
-	obs.WithMetrics(tr, reg)
 
 	var reqs []trace.Request
 	var streamTotal int64
@@ -279,9 +249,9 @@ func run(o options) (err error) {
 		return fmt.Errorf("starting disk %d outside 0..%d", o.start, o.disks-1)
 	}
 	model := disk.Ultrastar36Z15()
-	var rec *viz.Recorder
+	var timeline *obs.IntervalLog
 	if o.timeline > 0 {
-		rec = viz.NewRecorder()
+		timeline = obs.NewIntervalLog(o.disks)
 	}
 
 	results := make([]*sim.Result, len(pols))
@@ -298,7 +268,7 @@ func run(o options) (err error) {
 		// file is the shared store, memory stays at one chunk, and the
 		// per-disk state gauges always describe the one live simulation.
 		for i := range pols {
-			if err := o.runStreamPolicy(pols[i], i, reg, tr, rec, model, diskOf, results, tels); err != nil {
+			if err := o.runStreamPolicy(pols[i], i, reg, tr, timeline, model, diskOf, results, tels); err != nil {
 				return err
 			}
 		}
@@ -320,19 +290,7 @@ func run(o options) (err error) {
 			root.SetAttr("policy", pols[i].String())
 			defer root.End()
 			tels[i] = obs.NewSimTelemetry(o.disks)
-			cfg := sim.Config{
-				Model:     model,
-				NumDisks:  o.disks,
-				Policy:    pols[i],
-				Jobs:      o.jobs,
-				Telemetry: tels[i],
-				Span:      root,
-				Metrics:   reg,
-			}
-			if rec != nil {
-				cfg.Record = rec.Record
-			}
-			res, err := sim.RunPrepared(pt, cfg)
+			res, err := sim.RunPrepared(pt, o.simConfig(pols[i], model, tels[i], timeline, root, reg))
 			if err != nil {
 				return err
 			}
@@ -366,11 +324,11 @@ func run(o options) (err error) {
 			}
 		}
 	}
-	if rec != nil {
-		if err := rec.Render(human, o.timeline, model.RPMMax); err != nil {
+	if timeline != nil {
+		if err := viz.Render(human, timeline.Intervals(), o.timeline, model.RPMMax); err != nil {
 			return err
 		}
-		fmt.Fprint(human, rec.Summary())
+		writeStateShares(human, tels[0])
 	}
 
 	// Energy normalized to the NoPM baseline, when it was simulated.
@@ -407,7 +365,7 @@ func run(o options) (err error) {
 			return err
 		}
 	}
-	if o.report != "" {
+	if o.Report != "" {
 		rep := &obs.Report{}
 		s := obs.SuiteReport{Procs: 1}
 		for i, res := range results {
@@ -436,22 +394,45 @@ func run(o options) (err error) {
 			ps := tr.Pool().Snapshot()
 			rep.Pool = &ps
 		}
-		if err := rep.Render(os.Stdout, o.report); err != nil {
+		if err := rep.Render(os.Stdout, o.Report); err != nil {
 			return err
 		}
 	}
-	if o.traceOut != "" {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := tr.WriteChromeTrace(f); err != nil {
-			return err
-		}
-		rep.Logf("wrote Chrome trace (%d spans) to %s", tr.SpanCount(), o.traceOut)
+	return sess.WriteTrace()
+}
+
+// simConfig is one policy's replay configuration: its telemetry, teed
+// with the -timeline log when there is one, is the run's interval sink.
+func (o options) simConfig(pol sim.Policy, model disk.Model, tel *obs.SimTelemetry, timeline *obs.IntervalLog, root *obs.Span, reg *metrics.Registry) sim.Config {
+	var sink obs.IntervalSink = tel
+	if timeline != nil {
+		sink = obs.Tee(tel, timeline)
 	}
-	return nil
+	return sim.Config{
+		Model:    model,
+		NumDisks: o.disks,
+		Policy:   pol,
+		Jobs:     o.jobs,
+		Sink:     sink,
+		Span:     root,
+		Metrics:  reg,
+	}
+}
+
+// writeStateShares prints each disk's percentage of time in each state,
+// from the run's telemetry; a disk with no accounted time is skipped.
+func writeStateShares(w io.Writer, tel *obs.SimTelemetry) {
+	fmt.Fprintf(w, "disk  busy%%  idle%%  standby%%  transition%%\n")
+	for d := range tel.Disks {
+		in := &tel.Disks[d].TimeIn
+		total := in[obs.DiskBusy] + in[obs.DiskIdle] + in[obs.DiskStandby] + in[obs.DiskTransition]
+		if total <= 0 {
+			continue
+		}
+		fmt.Fprintf(w, "%4d  %5.1f  %5.1f  %8.1f  %11.1f\n", d,
+			100*in[obs.DiskBusy]/total, 100*in[obs.DiskIdle]/total,
+			100*in[obs.DiskStandby]/total, 100*in[obs.DiskTransition]/total)
+	}
 }
 
 // streamHeader opens path just long enough to read the chunked binary
@@ -478,7 +459,7 @@ func streamHeader(path string) (trace.Header, error) {
 
 // runStreamPolicy replays one policy out of core from a fresh reader over
 // the binary trace file, publishing decode and replay progress to reg.
-func (o options) runStreamPolicy(pol sim.Policy, i int, reg *metrics.Registry, tr *obs.Tracer, rec *viz.Recorder, model disk.Model, diskOf func(block int64) (int, error), results []*sim.Result, tels []*obs.SimTelemetry) error {
+func (o options) runStreamPolicy(pol sim.Policy, i int, reg *metrics.Registry, tr *obs.Tracer, timeline *obs.IntervalLog, model disk.Model, diskOf func(block int64) (int, error), results []*sim.Result, tels []*obs.SimTelemetry) error {
 	f, err := os.Open(o.tracePath)
 	if err != nil {
 		return err
@@ -494,19 +475,7 @@ func (o options) runStreamPolicy(pol sim.Policy, i int, reg *metrics.Registry, t
 	root.SetAttr("policy", pol.String())
 	defer root.End()
 	tels[i] = obs.NewSimTelemetry(o.disks)
-	cfg := sim.Config{
-		Model:     model,
-		NumDisks:  o.disks,
-		Policy:    pol,
-		Jobs:      o.jobs,
-		Telemetry: tels[i],
-		Span:      root,
-		Metrics:   reg,
-	}
-	if rec != nil {
-		cfg.Record = rec.Record
-	}
-	res, err := sim.RunStream(rd, diskOf, cfg)
+	res, err := sim.RunStream(rd, diskOf, o.simConfig(pol, model, tels[i], timeline, root, reg))
 	if err != nil {
 		return err
 	}

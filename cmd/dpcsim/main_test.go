@@ -96,6 +96,10 @@ func TestRunTPMSleeps(t *testing.T) {
 	if !strings.Contains(out, "spinups=1") {
 		t.Errorf("expected one spin-up on disk 0:\n%s", out)
 	}
+	// The timeline's per-disk state-share table, rendered from telemetry.
+	if !strings.Contains(out, "disk  busy%  idle%  standby%  transition%\n   0  ") {
+		t.Errorf("state-share table missing or without a disk 0 row:\n%s", out)
+	}
 }
 
 // TestRunAllPolicies drives the multi-policy fan-out: "-policy all" must
@@ -216,7 +220,7 @@ func TestJSONStdout(t *testing.T) {
 func TestReportStdout(t *testing.T) {
 	resetFlags(t)
 	o := base()
-	o.policy, o.report, o.jobs = "all", "json", 2
+	o.policy, o.Report, o.jobs = "all", "json", 2
 	out := withStdio(t, traceText, func() error { return run(o) })
 	var rep struct {
 		Suites []struct {
@@ -254,7 +258,7 @@ func TestTraceOut(t *testing.T) {
 	resetFlags(t)
 	path := t.TempDir() + "/trace.json"
 	o := base()
-	o.policy, o.traceOut = "all", path
+	o.policy, o.TraceOut = "all", path
 	withStdio(t, traceText, func() error { return run(o) })
 	data, err := os.ReadFile(path)
 	if err != nil {

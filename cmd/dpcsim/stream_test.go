@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"diskreuse/internal/obs"
 )
 
 // TestStreamMatchesPrepared: -stream must produce byte-identical result
@@ -19,7 +21,7 @@ func TestStreamMatchesPrepared(t *testing.T) {
 		o := options{policy: "all", disks: 8, unit: 32 << 10, pageSize: 4096,
 			jobs: 1, perDisk: true, disksSet: true, tracePath: path}
 		o.stream = stream
-		o.metricsAddr = addr
+		o.MetricsAddr = addr
 		return o
 	}
 	prepared := withStdio(t, "", func() error { return run(mk(false, "")) })
@@ -42,7 +44,7 @@ func TestStreamMatchesPrepared(t *testing.T) {
 func TestStreamJSONPureStdout(t *testing.T) {
 	o := options{policy: "all", disks: 8, unit: 32 << 10, pageSize: 4096,
 		jobs: 1, perDisk: true, disksSet: true, jsonOut: true,
-		stream: true, heartbeat: time.Millisecond,
+		stream: true, Flags: obs.Flags{Heartbeat: time.Millisecond},
 		tracePath: writeBinaryTrace(t, binReqs, 8)}
 	out := withStdio(t, "", func() error { return run(o) })
 	var pols []struct {

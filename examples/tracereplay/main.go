@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 
 	"diskreuse/internal/disk"
+	"diskreuse/internal/obs"
 	"diskreuse/internal/sim"
 	"diskreuse/internal/trace"
 	"diskreuse/internal/viz"
@@ -62,14 +63,17 @@ func main() {
 	// are 4-KiB pages, 8 pages per 32-KiB stripe, 8 disks round-robin.
 	diskOf := func(block int64) (int, error) { return int((block / 8) % 8), nil }
 	model := disk.Ultrastar36Z15()
-	var tpmTimeline *viz.Recorder
+	pt, err := sim.PrepareTrace(reqs, diskOf, 8)
+	if err != nil {
+		log.Fatal(err)
+	}
+	tpmTimeline := obs.NewIntervalLog(8)
 	for _, pol := range []sim.Policy{sim.NoPM, sim.TPM, sim.DRPM} {
-		cfg := sim.Config{Model: model, NumDisks: 8, Policy: pol}
+		cfg := sim.Config{Model: model, Policy: pol}
 		if pol == sim.TPM {
-			tpmTimeline = viz.NewRecorder()
-			cfg.Record = tpmTimeline.Record
+			cfg.Sink = tpmTimeline
 		}
-		res, err := sim.Run(reqs, diskOf, cfg)
+		res, err := sim.RunPrepared(pt, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -80,7 +84,7 @@ func main() {
 	// The restructured schedule's per-disk clustering, visualized: each
 	// disk has one busy block and sleeps ('_') for the rest of the run.
 	fmt.Println()
-	if err := tpmTimeline.Render(os.Stdout, 72, model.RPMMax); err != nil {
+	if err := viz.Render(os.Stdout, tpmTimeline.Intervals(), 72, model.RPMMax); err != nil {
 		log.Fatal(err)
 	}
 	os.Remove(path)

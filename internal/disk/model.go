@@ -6,7 +6,10 @@
 // — the natural units for an analytic event-driven simulation.
 package disk
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Model describes one disk drive (one I/O node in the paper's storage
 // architecture, since each I/O node has one disk in the evaluation).
@@ -103,9 +106,20 @@ func (m Model) Validate() error {
 		return fmt.Errorf("disk: negative timing parameter")
 	case m.PowerActive < m.PowerIdle || m.PowerIdle < m.PowerStandby:
 		return fmt.Errorf("disk: power ordering must be active >= idle >= standby")
+	case !finiteAtLeast(m.SpinUpTime, 0) || !finiteAtLeast(m.SpinDownTime, 0) || m.SpinUpTime == 0 || m.SpinDownTime == 0:
+		// A zero-length transition leaves no interval in the simulator's
+		// stream, so the counts classified from it would miss the meter's.
+		return fmt.Errorf("disk: spin-up and spin-down times must be finite and positive (got %v, %v)", m.SpinUpTime, m.SpinDownTime)
+	case !finiteAtLeast(m.SpinUpEnergy, 0) || !finiteAtLeast(m.SpinDownEnergy, 0) || !finiteAtLeast(m.BreakEven, 0):
+		return fmt.Errorf("disk: transition energies and break-even must be finite and non-negative (got %v, %v, %v)",
+			m.SpinUpEnergy, m.SpinDownEnergy, m.BreakEven)
 	}
 	return nil
 }
+
+// finiteAtLeast reports whether x is a finite number no smaller than lo
+// (false for NaN).
+func finiteAtLeast(x, lo float64) bool { return x >= lo && !math.IsInf(x, 1) }
 
 // Levels returns the available RPM levels in ascending order.
 func (m Model) Levels() []int {

@@ -106,3 +106,37 @@ func TestTravelstarModel(t *testing.T) {
 		t.Error("laptop service should be slower than server service")
 	}
 }
+
+// TestValidateTransitionParameters: spin times must be finite and
+// positive, and transition energies and break-even finite and
+// non-negative. A zero spin time loses the transition from the interval
+// stream; a negative one makes the replayed intervals overlap.
+func TestValidateTransitionParameters(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Model)
+		ok     bool
+	}{
+		{"table 1", func(*Model) {}, true},
+		{"free transitions", func(m *Model) { m.SpinUpEnergy, m.SpinDownEnergy, m.BreakEven = 0, 0, 0 }, true},
+		{"zero spin-up time", func(m *Model) { m.SpinUpTime = 0 }, false},
+		{"zero spin-down time", func(m *Model) { m.SpinDownTime = 0 }, false},
+		{"negative spin-up time", func(m *Model) { m.SpinUpTime = -50 }, false},
+		{"negative spin-down time", func(m *Model) { m.SpinDownTime = -1 }, false},
+		{"NaN spin-up time", func(m *Model) { m.SpinUpTime = nan }, false},
+		{"infinite spin-down time", func(m *Model) { m.SpinDownTime = inf }, false},
+		{"negative spin-up energy", func(m *Model) { m.SpinUpEnergy = -1 }, false},
+		{"NaN spin-down energy", func(m *Model) { m.SpinDownEnergy = nan }, false},
+		{"infinite spin-up energy", func(m *Model) { m.SpinUpEnergy = inf }, false},
+		{"negative break-even", func(m *Model) { m.BreakEven = -15.2 }, false},
+		{"NaN break-even", func(m *Model) { m.BreakEven = nan }, false},
+		{"infinite break-even", func(m *Model) { m.BreakEven = inf }, false},
+	} {
+		m := Ultrastar36Z15()
+		tc.mutate(&m)
+		if err := m.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}

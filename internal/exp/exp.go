@@ -510,23 +510,19 @@ func (art *Artifacts) execOf(v Version) *execution {
 // cells, the interval stream), so they must never be stored alongside the
 // shared, immutable Artifacts — concurrent simulate requests replaying one
 // cached PreparedTrace each bring their own Observers and never alias each
-// other's telemetry. A zero Observers is valid: RunVersionObserved then
-// creates a private telemetry collector for the RunResult's idle-locality
-// fields and attaches nothing else.
+// other's telemetry. A zero Observers is valid. RunVersionObserved always
+// tees a private telemetry collector, for the RunResult's idle-locality
+// fields, beside whatever Sink brings.
 type Observers struct {
-	// Telemetry accumulates per-disk event telemetry; nil lets
-	// RunVersionObserved create a fresh, call-private collector (the
-	// RunResult's idle fields need one either way). A non-nil collector
-	// must be sized for the artifacts' disk count and must not be shared
-	// with any other in-flight run.
-	Telemetry *obs.SimTelemetry
+	// Sink, when non-nil, receives every state interval of every disk
+	// (an obs.IntervalLog is the dpcd NDJSON streaming hook). It must be
+	// sized for the artifacts' disk count and must not be shared with any
+	// other in-flight run.
+	Sink obs.IntervalSink
 	// Attribution, when non-nil, accumulates per-(disk, processor) service
 	// attribution; it must be sized for the artifacts' disk count and the
-	// trace's processor ids, and, like Telemetry, owned by this run alone.
+	// trace's processor ids, and, like Sink, owned by this run alone.
 	Attribution *obs.ProcAttribution
-	// Record, when non-nil, receives every state interval of every disk in
-	// the deterministic disk-major order (the dpcd NDJSON streaming hook).
-	Record func(sim.Interval)
 }
 
 // runVersion simulates one version against the memoized artifacts with a
@@ -560,10 +556,7 @@ func (art *Artifacts) RunVersionObserved(v Version, opt Options, obsv Observers)
 	if e == nil {
 		return RunResult{}, fmt.Errorf("exp: %s: version %s needs procs > 1 (no layout-aware execution was prepared)", art.app.Name, v)
 	}
-	tel := obsv.Telemetry
-	if tel == nil {
-		tel = obs.NewSimTelemetry(art.lay.NumDisks())
-	}
+	tel := obs.NewSimTelemetry(art.lay.NumDisks())
 	cfg := sim.Config{
 		Model:        opt.Model,
 		NumDisks:     art.lay.NumDisks(),
@@ -574,9 +567,8 @@ func (art *Artifacts) RunVersionObserved(v Version, opt Options, obsv Observers)
 		RAIDWidth:    opt.RAIDWidth,
 		Policy:       PolicyOf(v),
 		Jobs:         opt.Jobs,
-		Telemetry:    tel,
+		Sink:         obs.Tee(tel, obsv.Sink),
 		Attribution:  obsv.Attribution,
-		Record:       obsv.Record,
 		Span:         root,
 		Metrics:      opt.Metrics,
 	}

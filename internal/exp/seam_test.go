@@ -8,7 +8,6 @@ import (
 
 	"diskreuse/internal/apps"
 	"diskreuse/internal/obs"
-	"diskreuse/internal/sim"
 )
 
 // TestConcurrentObserversIndependent pins the sharing contract of the
@@ -37,18 +36,17 @@ func TestConcurrentObserversIndependent(t *testing.T) {
 		rr   RunResult
 		idle obs.IdleStats
 		per  []obs.ProcCell
-		ivs  []sim.Interval
+		ivs  []obs.Interval
 	}
 	run := func(v Version) (capture, error) {
 		tel := obs.NewSimTelemetry(art.NumDisks())
 		attr := obs.NewProcAttribution(art.NumDisks(), opt.Procs)
-		var ivs []sim.Interval
+		log := obs.NewIntervalLog(art.NumDisks())
 		rr, err := art.RunVersionObserved(v, opt, Observers{
-			Telemetry:   tel,
+			Sink:        obs.Tee(tel, log),
 			Attribution: attr,
-			Record:      func(iv sim.Interval) { ivs = append(ivs, iv) },
 		})
-		return capture{rr: rr, idle: tel.IdleLocality(), per: attr.PerProc(), ivs: ivs}, err
+		return capture{rr: rr, idle: tel.IdleLocality(), per: attr.PerProc(), ivs: log.Intervals()}, err
 	}
 
 	// Serial oracle: one run per version, nothing in flight.

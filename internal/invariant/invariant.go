@@ -421,10 +421,10 @@ func checkEngineParity(prog *sema.Program, lay *layout.Layout, computePerIter fl
 	return nil
 }
 
-// runRecorded replays a prepared trace under one policy with interval
-// recording and telemetry enabled.
-func runRecorded(pt *sim.PreparedTrace, opt Options, pol sim.Policy, numDisks, jobs int) (*sim.Result, []sim.Interval, *obs.SimTelemetry, error) {
-	var ivs []sim.Interval
+// runRecorded replays a prepared trace under one policy with an interval
+// log and telemetry enabled.
+func runRecorded(pt *sim.PreparedTrace, opt Options, pol sim.Policy, numDisks, jobs int) (*sim.Result, []obs.Interval, *obs.SimTelemetry, error) {
+	log := obs.NewIntervalLog(numDisks)
 	tel := obs.NewSimTelemetry(numDisks)
 	cfg := sim.Config{
 		Model:        opt.Model,
@@ -432,26 +432,25 @@ func runRecorded(pt *sim.PreparedTrace, opt Options, pol sim.Policy, numDisks, j
 		Policy:       pol,
 		TPMThreshold: opt.TPMThreshold,
 		Jobs:         jobs,
-		Record:       func(iv sim.Interval) { ivs = append(ivs, iv) },
-		Telemetry:    tel,
+		Sink:         obs.Tee(log, tel),
 	}
 	res, err := sim.RunPrepared(pt, cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return res, ivs, tel, nil
+	return res, log.Intervals(), tel, nil
 }
 
 // runStreamed replays the binary-encoded trace through the out-of-core
 // path (chunked decode → sim.RunStream) under one policy, with the same
 // recording and telemetry as runRecorded.
-func runStreamed(encoded []byte, opt Options, pol sim.Policy, numDisks, jobs int, diskOf func(block int64) (int, error)) (*sim.Result, []sim.Interval, *obs.SimTelemetry, error) {
+func runStreamed(encoded []byte, opt Options, pol sim.Policy, numDisks, jobs int, diskOf func(block int64) (int, error)) (*sim.Result, []obs.Interval, *obs.SimTelemetry, error) {
 	rd, err := trace.NewReader(bytes.NewReader(encoded))
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	defer rd.Close()
-	var ivs []sim.Interval
+	log := obs.NewIntervalLog(numDisks)
 	tel := obs.NewSimTelemetry(numDisks)
 	cfg := sim.Config{
 		Model:        opt.Model,
@@ -459,14 +458,13 @@ func runStreamed(encoded []byte, opt Options, pol sim.Policy, numDisks, jobs int
 		Policy:       pol,
 		TPMThreshold: opt.TPMThreshold,
 		Jobs:         jobs,
-		Record:       func(iv sim.Interval) { ivs = append(ivs, iv) },
-		Telemetry:    tel,
+		Sink:         obs.Tee(log, tel),
 	}
 	res, err := sim.RunStream(rd, diskOf, cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return res, ivs, tel, nil
+	return res, log.Intervals(), tel, nil
 }
 
 // reqKey identifies a request up to reordering: restructuring may change

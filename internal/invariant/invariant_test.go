@@ -13,6 +13,7 @@ import (
 	"diskreuse/internal/drlgen"
 	"diskreuse/internal/exp"
 	"diskreuse/internal/layout"
+	"diskreuse/internal/obs"
 	"diskreuse/internal/parser"
 	"diskreuse/internal/sema"
 	"diskreuse/internal/sim"
@@ -207,7 +208,7 @@ func cloneRun(r SimRun) SimRun {
 	res := *r.Result
 	res.PerDisk = append([]sim.DiskStats(nil), r.Result.PerDisk...)
 	r.Result = &res
-	r.Intervals = append([]sim.Interval(nil), r.Intervals...)
+	r.Intervals = append([]obs.Interval(nil), r.Intervals...)
 	return r
 }
 
@@ -244,7 +245,7 @@ func TestCheckSimRunDetectsTampering(t *testing.T) {
 		}, "transition"},
 		{"dropped interval", func(r *SimRun) {
 			for i, iv := range r.Intervals {
-				if iv.Kind == sim.StateBusy {
+				if iv.State == obs.DiskBusy {
 					r.Intervals = append(r.Intervals[:i], r.Intervals[i+1:]...)
 					return
 				}

@@ -140,9 +140,11 @@ func evalAssignment(app apps.App, specs layoutopt.Assignment) (pipelineScore, er
 		return out, err
 	}
 	runSim := func(reqs []trace.Request, pol sim.Policy) (float64, error) {
-		res, err := sim.Run(reqs, lay.PageDisk, sim.Config{
-			Model: model, NumDisks: lay.NumDisks(), Policy: pol,
-		})
+		pt, err := sim.PrepareTrace(reqs, lay.PageDisk, lay.NumDisks())
+		if err != nil {
+			return 0, err
+		}
+		res, err := sim.RunPrepared(pt, sim.Config{Model: model, Policy: pol})
 		if err != nil {
 			return 0, err
 		}

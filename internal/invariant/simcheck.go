@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"diskreuse/internal/disk"
+	"diskreuse/internal/obs"
 	"diskreuse/internal/power"
 	"diskreuse/internal/sim"
 	"diskreuse/internal/trace"
@@ -39,9 +40,10 @@ type SimRun struct {
 	Requests     []trace.Request
 	DiskOf       func(block int64) (int, error)
 	Result       *sim.Result
-	// Intervals is the Config.Record stream of the run; nil skips the
-	// interval-level checks (ordering, arrival FIFO, energy reconstruction).
-	Intervals []sim.Interval
+	// Intervals is the run's interval stream (an obs.IntervalLog read back
+	// disk-major); nil skips the interval-level checks (ordering, arrival
+	// FIFO, energy reconstruction).
+	Intervals []obs.Interval
 }
 
 // CheckSimRun asserts the simulator conservation laws on one run:
@@ -193,8 +195,8 @@ func CheckSimRun(r SimRun) error {
 
 // ivAccum re-derives one disk's meter from its recorded interval stream.
 type ivAccum struct {
-	times              [4]float64 // indexed by sim.StateKind
-	energies           [4]float64
+	times              [obs.NumDiskStates]float64 // indexed by obs.DiskState
+	energies           [obs.NumDiskStates]float64
 	ups, downs, shifts int
 	rpm                int // current speed, for classifying transitions
 	lastTo             float64
@@ -233,9 +235,9 @@ func checkIntervals(r SimRun, arrivals [][]float64) error {
 		}
 		a.lastTo = iv.To
 		dt := iv.To - iv.From
-		a.times[iv.Kind] += dt
-		switch iv.Kind {
-		case sim.StateBusy:
+		a.times[iv.State] += dt
+		switch iv.State {
+		case obs.DiskBusy:
 			if a.count >= len(sortedArrivals[iv.Disk]) {
 				return fmt.Errorf("invariant: disk %d has more busy intervals than requests", iv.Disk)
 			}
@@ -244,32 +246,32 @@ func checkIntervals(r SimRun, arrivals [][]float64) error {
 					iv.Disk, a.count, iv.From, arr)
 			}
 			a.count++
-			a.energies[iv.Kind] += power.ActivePowerAt(m, iv.RPM) * dt
-		case sim.StateIdle:
-			a.energies[iv.Kind] += power.IdlePowerAt(m, iv.RPM) * dt
-		case sim.StateStandby:
-			a.energies[iv.Kind] += m.PowerStandby * dt
+			a.energies[iv.State] += power.ActivePowerAt(m, iv.RPM) * dt
+		case obs.DiskIdle:
+			a.energies[iv.State] += power.IdlePowerAt(m, iv.RPM) * dt
+		case obs.DiskStandby:
+			a.energies[iv.State] += m.PowerStandby * dt
 			a.rpm = 0
-		case sim.StateTransition:
+		case obs.DiskTransition:
 			// Classify by the speed trajectory: RPM 0 is a spin-down; any
 			// speed reached from standby is a spin-up (always to full);
 			// otherwise a DRPM level shift between spinning speeds.
 			switch {
 			case iv.RPM == 0:
 				a.downs++
-				a.energies[iv.Kind] += m.SpinDownEnergy
+				a.energies[iv.State] += m.SpinDownEnergy
 			case a.rpm == 0:
 				if iv.RPM != m.RPMMax {
 					return fmt.Errorf("invariant: disk %d spin-up to %d rpm, want %d", iv.Disk, iv.RPM, m.RPMMax)
 				}
 				a.ups++
-				a.energies[iv.Kind] += m.SpinUpEnergy
+				a.energies[iv.State] += m.SpinUpEnergy
 			default:
 				a.shifts++
-				a.energies[iv.Kind] += power.ShiftEnergy(m, a.rpm, iv.RPM)
+				a.energies[iv.State] += power.ShiftEnergy(m, a.rpm, iv.RPM)
 			}
 		}
-		if iv.Kind != sim.StateStandby {
+		if iv.State != obs.DiskStandby {
 			a.rpm = iv.RPM
 		}
 	}
@@ -284,22 +286,22 @@ func checkIntervals(r SimRun, arrivals [][]float64) error {
 			return fmt.Errorf("invariant: disk %d interval transitions (%d/%d/%d) != meter (%d/%d/%d)",
 				d, a.ups, a.downs, a.shifts, mt.SpinUps, mt.SpinDowns, mt.SpeedShifts)
 		}
-		for kind, mtTime := range map[sim.StateKind]float64{
-			sim.StateBusy:       mt.ActiveTime,
-			sim.StateIdle:       mt.IdleTime,
-			sim.StateStandby:    mt.StandbyTime,
-			sim.StateTransition: mt.TransitionTime,
+		for kind, mtTime := range map[obs.DiskState]float64{
+			obs.DiskBusy:       mt.ActiveTime,
+			obs.DiskIdle:       mt.IdleTime,
+			obs.DiskStandby:    mt.StandbyTime,
+			obs.DiskTransition: mt.TransitionTime,
 		} {
 			if !feq(a.times[kind], mtTime) {
 				return fmt.Errorf("invariant: disk %d %s time from intervals %g s != meter %g s",
 					d, kind, a.times[kind], mtTime)
 			}
 		}
-		for kind, mtEnergy := range map[sim.StateKind]float64{
-			sim.StateBusy:       mt.ActiveEnergy,
-			sim.StateIdle:       mt.IdleEnergy,
-			sim.StateStandby:    mt.StandbyEnergy,
-			sim.StateTransition: mt.TransitionEnergy,
+		for kind, mtEnergy := range map[obs.DiskState]float64{
+			obs.DiskBusy:       mt.ActiveEnergy,
+			obs.DiskIdle:       mt.IdleEnergy,
+			obs.DiskStandby:    mt.StandbyEnergy,
+			obs.DiskTransition: mt.TransitionEnergy,
 		} {
 			if !feq(a.energies[kind], mtEnergy) {
 				return fmt.Errorf("invariant: disk %d %s energy from intervals %g J != meter %g J",

@@ -59,9 +59,11 @@ func evaluateAssignment(t *testing.T, a apps.App, specs Assignment) Result {
 		t.Fatal(err)
 	}
 	runSim := func(reqs []trace.Request, pol sim.Policy) float64 {
-		res, err := sim.Run(reqs, lay.PageDisk, sim.Config{
-			Model: model, NumDisks: lay.NumDisks(), Policy: pol,
-		})
+		pt, err := sim.PrepareTrace(reqs, lay.PageDisk, lay.NumDisks())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.RunPrepared(pt, sim.Config{Model: model, Policy: pol})
 		if err != nil {
 			t.Fatal(err)
 		}

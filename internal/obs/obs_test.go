@@ -41,7 +41,7 @@ func TestNilNoOps(t *testing.T) {
 		t.Errorf("nil pool snapshot = %+v", snap)
 	}
 	var st *SimTelemetry
-	st.Observe(0, DiskBusy, 0, 1, 0)
+	st.Observe(Interval{Disk: 0, From: 0, To: 1, State: DiskBusy})
 	st.Finish()
 	if st.NumDisks() != 0 || st.IdleLocality() != (IdleStats{}) {
 		t.Error("nil telemetry must report nothing")

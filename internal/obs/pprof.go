@@ -7,13 +7,13 @@ import (
 	"runtime/pprof"
 )
 
-// StartProfiles starts the stdlib profilers the binaries expose as
+// startProfiles starts the stdlib profilers the binaries expose as
 // -cpuprofile/-memprofile: a CPU profile streaming to cpuPath and a heap
 // profile written to memPath at stop time. Either path may be empty to
 // skip that profile. The returned stop function must run exactly once at
 // exit (it stops the CPU profile and writes the heap snapshot); it is
 // never nil.
-func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
 		cpuFile, err = os.Create(cpuPath)

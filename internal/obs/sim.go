@@ -8,9 +8,7 @@ import (
 	"text/tabwriter"
 )
 
-// DiskState classifies one recorded interval of simulated disk activity.
-// The values mirror internal/sim's interval kinds; the simulator maps its
-// own enum onto this one explicitly so the two packages stay decoupled.
+// DiskState classifies one interval of simulated disk activity.
 type DiskState uint8
 
 // Disk states, in the simulator's emission vocabulary.
@@ -19,8 +17,10 @@ const (
 	DiskIdle
 	DiskStandby
 	DiskTransition
-	numDiskStates
 )
+
+// NumDiskStates is the number of disk states.
+const NumDiskStates = int(DiskTransition) + 1
 
 func (s DiskState) String() string {
 	switch s {
@@ -34,6 +34,139 @@ func (s DiskState) String() string {
 		return "transition"
 	}
 	return fmt.Sprintf("DiskState(%d)", uint8(s))
+}
+
+// Interval is one span of simulated disk activity: disk Disk spent
+// [From, To) seconds in State at RPM revolutions per minute (0 in
+// standby, and for a spin-down transition).
+type Interval struct {
+	Disk     int
+	From, To float64
+	State    DiskState
+	RPM      int
+}
+
+// IntervalSink consumes a simulation run's interval stream. Observe calls
+// for different disks may run concurrently (the sharded open-loop replay
+// feeds each disk from its own worker); calls for one disk arrive in
+// increasing time order. Finish runs once, after every interval.
+type IntervalSink interface {
+	Observe(Interval)
+	Finish()
+	// NumDisks is the disk count the sink was sized for; the simulator
+	// rejects a run whose disk count differs.
+	NumDisks() int
+}
+
+// Transition is the classified kind of a DiskTransition interval.
+type Transition uint8
+
+// Transition kinds.
+const (
+	SpinDown Transition = iota
+	SpinUp
+	SpeedShift
+)
+
+// ClassifyTransition classifies a DiskTransition interval to rpm, given
+// the state and speed of the same disk's previous interval (DiskBusy at 0
+// when there is none): a transition to RPM 0 is a spin-down; one out of
+// standby, or straight off the spin-down that put the disk there, is a
+// TPM spin-up; any other transition at a positive speed is a DRPM level
+// shift. It is the one rule every transition counter in the repository
+// reads the stream by. It takes scalars, not Intervals, because it runs
+// on every interval of a replay.
+func ClassifyTransition(prev DiskState, prevRPM, rpm int) Transition {
+	switch {
+	case rpm == 0:
+		return SpinDown
+	case prev == DiskStandby || (prev == DiskTransition && prevRPM == 0):
+		return SpinUp
+	}
+	return SpeedShift
+}
+
+// Tee returns a sink that forwards every call to each non-nil sink in
+// order, or the single non-nil sink itself, or nil when there is none.
+// Its NumDisks is the sinks' common disk count, or -1 when they differ.
+func Tee(sinks ...IntervalSink) IntervalSink {
+	var t tee
+	for _, s := range sinks {
+		if s != nil {
+			t = append(t, s)
+		}
+	}
+	switch len(t) {
+	case 0:
+		return nil
+	case 1:
+		return t[0]
+	}
+	return t
+}
+
+type tee []IntervalSink
+
+func (t tee) Observe(iv Interval) {
+	for _, s := range t {
+		s.Observe(iv)
+	}
+}
+
+func (t tee) Finish() {
+	for _, s := range t {
+		s.Finish()
+	}
+}
+
+func (t tee) NumDisks() int {
+	n := t[0].NumDisks()
+	for _, s := range t[1:] {
+		if s.NumDisks() != n {
+			return -1
+		}
+	}
+	return n
+}
+
+// IntervalLog is the sink that keeps the whole stream, one slice per disk,
+// so concurrent per-disk writers never share a slot. Ordered consumers
+// (timelines, the dpcd NDJSON stream, the invariant checks) read it back
+// in disk-major order.
+type IntervalLog struct {
+	disks [][]Interval
+}
+
+// NewIntervalLog returns an empty log for numDisks disks.
+func NewIntervalLog(numDisks int) *IntervalLog {
+	return &IntervalLog{disks: make([][]Interval, max(numDisks, 0))}
+}
+
+// Observe appends iv to its disk's slice; out-of-range disks are ignored.
+func (l *IntervalLog) Observe(iv Interval) {
+	if iv.Disk >= 0 && iv.Disk < len(l.disks) {
+		l.disks[iv.Disk] = append(l.disks[iv.Disk], iv)
+	}
+}
+
+// Finish is a no-op: the log has no open state.
+func (l *IntervalLog) Finish() {}
+
+// NumDisks returns the disk count the log was sized for.
+func (l *IntervalLog) NumDisks() int { return len(l.disks) }
+
+// Intervals returns every logged interval in disk-major order: disk 0's
+// in time order, then disk 1's, and so on.
+func (l *IntervalLog) Intervals() []Interval {
+	n := 0
+	for _, ivs := range l.disks {
+		n += len(ivs)
+	}
+	out := make([]Interval, 0, n)
+	for _, ivs := range l.disks {
+		out = append(out, ivs...)
+	}
+	return out
 }
 
 // Idle-period histogram geometry: log-2 buckets over seconds. Bucket i
@@ -89,14 +222,13 @@ type IdleStats struct {
 	LongestIdleS float64 `json:"longest_idle_s"`
 }
 
-// DiskTelemetry accumulates one disk's event telemetry from its recorded
-// interval stream: time in each state, classified transition counts, and
-// the request-free (idle-period) histogram. Intervals must be observed in
-// increasing time order — the order the simulator's Record hook guarantees
-// per disk.
+// DiskTelemetry accumulates one disk's event telemetry from its interval
+// stream: time in each state, classified transition counts, and the
+// request-free (idle-period) histogram. Intervals must be observed in
+// increasing time order — the order the simulator guarantees per disk.
 type DiskTelemetry struct {
 	// TimeIn is seconds spent in each DiskState (indexed by DiskState).
-	TimeIn [numDiskStates]float64
+	TimeIn [NumDiskStates]float64
 	// Transition counts, classified from the interval stream.
 	SpinUps, SpinDowns, SpeedShifts int
 	// IdleHist is the log-2 histogram of request-free period lengths.
@@ -110,42 +242,38 @@ type DiskTelemetry struct {
 	// consecutive non-busy intervals between busy ones.
 	prev             DiskState
 	prevRPM          int
-	seen             bool
 	inRun            bool
 	runStart, runEnd float64
 }
 
 // observe folds one interval into the disk's telemetry.
-func (d *DiskTelemetry) observe(state DiskState, from, to float64, rpm int) {
-	if to < from {
-		to = from
+func (d *DiskTelemetry) observe(iv Interval) {
+	if iv.To < iv.From {
+		iv.To = iv.From
 	}
-	if int(state) < len(d.TimeIn) {
-		d.TimeIn[state] += to - from
+	if int(iv.State) < len(d.TimeIn) {
+		d.TimeIn[iv.State] += iv.To - iv.From
 	}
-	if state == DiskTransition {
-		switch {
-		case rpm == 0:
+	if iv.State == DiskTransition {
+		switch ClassifyTransition(d.prev, d.prevRPM, iv.RPM) {
+		case SpinDown:
 			d.SpinDowns++
-		case d.seen && (d.prev == DiskStandby || (d.prev == DiskTransition && d.prevRPM == 0)):
-			// Coming out of standby (or straight off the spin-down that
-			// put the disk there): a TPM spin-up. Any other transition at
-			// a positive speed is a DRPM level shift.
+		case SpinUp:
 			d.SpinUps++
-		default:
+		case SpeedShift:
 			d.SpeedShifts++
 		}
 	}
-	if state == DiskBusy {
+	if iv.State == DiskBusy {
 		d.closeRun()
 	} else {
 		if !d.inRun {
 			d.inRun = true
-			d.runStart = from
+			d.runStart = iv.From
 		}
-		d.runEnd = to
+		d.runEnd = iv.To
 	}
-	d.prev, d.prevRPM, d.seen = state, rpm, true
+	d.prev, d.prevRPM = iv.State, iv.RPM
 }
 
 // closeRun finishes the open request-free period, if any.
@@ -172,12 +300,10 @@ func (d *DiskTelemetry) Idle() IdleStats {
 	return st
 }
 
-// SimTelemetry collects per-disk event telemetry for one simulation run,
-// fed from the simulator's Record hook. State is strictly per disk, so
-// Observe calls for different disks may run concurrently (the sharded
-// open-loop replay observes each disk from its own worker); calls for one
-// disk must arrive in increasing time order, which the simulator
-// guarantees. A nil SimTelemetry is a valid no-op sink.
+// SimTelemetry is the IntervalSink that collects per-disk event telemetry
+// for one simulation run. State is strictly per disk, so it meets the
+// sink's concurrency contract without locking. A nil SimTelemetry is a
+// valid no-op sink.
 type SimTelemetry struct {
 	Disks []DiskTelemetry
 }
@@ -198,14 +324,14 @@ func (t *SimTelemetry) NumDisks() int {
 	return len(t.Disks)
 }
 
-// Observe folds one recorded interval into the per-disk telemetry.
-// Out-of-range disks are ignored (the simulator validates sizing up
-// front, so this only guards foreign callers).
-func (t *SimTelemetry) Observe(disk int, state DiskState, from, to float64, rpm int) {
-	if t == nil || disk < 0 || disk >= len(t.Disks) {
+// Observe folds one interval into the per-disk telemetry. Out-of-range
+// disks are ignored (the simulator validates sizing up front, so this
+// only guards foreign callers).
+func (t *SimTelemetry) Observe(iv Interval) {
+	if t == nil || iv.Disk < 0 || iv.Disk >= len(t.Disks) {
 		return
 	}
-	t.Disks[disk].observe(state, from, to, rpm)
+	t.Disks[iv.Disk].observe(iv)
 }
 
 // Finish closes any still-open request-free periods (the tail idleness

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -49,17 +50,17 @@ func TestIdleBucket(t *testing.T) {
 // after standby), and a DRPM shift (transition between active speeds).
 func TestTransitionClassification(t *testing.T) {
 	tel := NewSimTelemetry(1)
-	tel.Observe(0, DiskBusy, 0, 1, 15000)
-	tel.Observe(0, DiskIdle, 1, 3, 15000)
-	tel.Observe(0, DiskTransition, 3, 4.5, 0) // spin-down
-	tel.Observe(0, DiskStandby, 4.5, 50, 0)
-	tel.Observe(0, DiskTransition, 50, 60.9, 15000) // spin-up
-	tel.Observe(0, DiskBusy, 60.9, 61, 15000)
-	tel.Observe(0, DiskIdle, 61, 62, 15000)
-	tel.Observe(0, DiskTransition, 62, 62.5, 9000) // DRPM lowering: a shift
-	tel.Observe(0, DiskIdle, 62.5, 70, 9000)
-	tel.Observe(0, DiskTransition, 70, 70.5, 15000) // DRPM raise: a shift
-	tel.Observe(0, DiskBusy, 70.5, 71, 15000)
+	tel.Observe(Interval{Disk: 0, From: 0, To: 1, State: DiskBusy, RPM: 15000})
+	tel.Observe(Interval{Disk: 0, From: 1, To: 3, State: DiskIdle, RPM: 15000})
+	tel.Observe(Interval{Disk: 0, From: 3, To: 4.5, State: DiskTransition, RPM: 0}) // spin-down
+	tel.Observe(Interval{Disk: 0, From: 4.5, To: 50, State: DiskStandby, RPM: 0})
+	tel.Observe(Interval{Disk: 0, From: 50, To: 60.9, State: DiskTransition, RPM: 15000}) // spin-up
+	tel.Observe(Interval{Disk: 0, From: 60.9, To: 61, State: DiskBusy, RPM: 15000})
+	tel.Observe(Interval{Disk: 0, From: 61, To: 62, State: DiskIdle, RPM: 15000})
+	tel.Observe(Interval{Disk: 0, From: 62, To: 62.5, State: DiskTransition, RPM: 9000}) // DRPM lowering: a shift
+	tel.Observe(Interval{Disk: 0, From: 62.5, To: 70, State: DiskIdle, RPM: 9000})
+	tel.Observe(Interval{Disk: 0, From: 70, To: 70.5, State: DiskTransition, RPM: 15000}) // DRPM raise: a shift
+	tel.Observe(Interval{Disk: 0, From: 70.5, To: 71, State: DiskBusy, RPM: 15000})
 	tel.Finish()
 
 	d := &tel.Disks[0]
@@ -92,10 +93,10 @@ func TestTransitionClassification(t *testing.T) {
 // arrives mid-spin-down, no standby interval in between).
 func TestSpinUpAfterSpinDownTransition(t *testing.T) {
 	tel := NewSimTelemetry(1)
-	tel.Observe(0, DiskIdle, 0, 10, 15000)
-	tel.Observe(0, DiskTransition, 10, 11, 0)     // spin-down begins
-	tel.Observe(0, DiskTransition, 11, 21, 15000) // immediately reversed
-	tel.Observe(0, DiskBusy, 21, 22, 15000)
+	tel.Observe(Interval{Disk: 0, From: 0, To: 10, State: DiskIdle, RPM: 15000})
+	tel.Observe(Interval{Disk: 0, From: 10, To: 11, State: DiskTransition, RPM: 0})     // spin-down begins
+	tel.Observe(Interval{Disk: 0, From: 11, To: 21, State: DiskTransition, RPM: 15000}) // immediately reversed
+	tel.Observe(Interval{Disk: 0, From: 21, To: 22, State: DiskBusy, RPM: 15000})
 	tel.Finish()
 	d := &tel.Disks[0]
 	if d.SpinDowns != 1 || d.SpinUps != 1 || d.SpeedShifts != 0 {
@@ -106,8 +107,8 @@ func TestSpinUpAfterSpinDownTransition(t *testing.T) {
 // TestFinishIdempotent: Finish closes the tail run exactly once.
 func TestFinishIdempotent(t *testing.T) {
 	tel := NewSimTelemetry(1)
-	tel.Observe(0, DiskBusy, 0, 1, 15000)
-	tel.Observe(0, DiskIdle, 1, 5, 15000)
+	tel.Observe(Interval{Disk: 0, From: 0, To: 1, State: DiskBusy, RPM: 15000})
+	tel.Observe(Interval{Disk: 0, From: 1, To: 5, State: DiskIdle, RPM: 15000})
 	tel.Finish()
 	tel.Finish()
 	idle := tel.IdleLocality()
@@ -132,10 +133,10 @@ func TestFinishIdempotent(t *testing.T) {
 // bracketing busy interval (Observe is never called for it).
 func TestAggregationAcrossDisks(t *testing.T) {
 	tel := NewSimTelemetry(3)
-	tel.Observe(0, DiskBusy, 0, 1, 15000)
-	tel.Observe(0, DiskIdle, 1, 2, 15000)
-	tel.Observe(1, DiskBusy, 0, 0.5, 15000)
-	tel.Observe(1, DiskIdle, 0.5, 8.5, 15000)
+	tel.Observe(Interval{Disk: 0, From: 0, To: 1, State: DiskBusy, RPM: 15000})
+	tel.Observe(Interval{Disk: 0, From: 1, To: 2, State: DiskIdle, RPM: 15000})
+	tel.Observe(Interval{Disk: 1, From: 0, To: 0.5, State: DiskBusy, RPM: 15000})
+	tel.Observe(Interval{Disk: 1, From: 0.5, To: 8.5, State: DiskIdle, RPM: 15000})
 	tel.Finish()
 	if tel.NumDisks() != 3 {
 		t.Fatalf("NumDisks = %d", tel.NumDisks())
@@ -145,8 +146,8 @@ func TestAggregationAcrossDisks(t *testing.T) {
 		t.Errorf("aggregate idle = %+v", idle)
 	}
 	// Out-of-range disks are ignored, not fatal.
-	tel.Observe(7, DiskBusy, 0, 1, 0)
-	tel.Observe(-1, DiskBusy, 0, 1, 0)
+	tel.Observe(Interval{Disk: 7, From: 0, To: 1, State: DiskBusy, RPM: 0})
+	tel.Observe(Interval{Disk: -1, From: 0, To: 1, State: DiskBusy, RPM: 0})
 	if got := tel.IdleLocality(); got != idle {
 		t.Errorf("out-of-range Observe changed telemetry: %+v", got)
 	}
@@ -171,5 +172,44 @@ func TestDiskStateString(t *testing.T) {
 		if got := s.String(); got != want {
 			t.Errorf("String(%d) = %q, want %q", s, got, want)
 		}
+	}
+}
+
+// TestTeeAndIntervalLog: Tee drops nil sinks and forwards every call to the
+// rest in order; a mis-sized member shows as a -1 disk count; the log
+// reads back disk-major whatever order the disks were fed in.
+func TestTeeAndIntervalLog(t *testing.T) {
+	if Tee() != nil || Tee(nil, nil) != nil {
+		t.Error("Tee of no sinks must be nil")
+	}
+	log := NewIntervalLog(2)
+	if Tee(nil, log, nil) != IntervalSink(log) {
+		t.Error("Tee of one sink must be that sink")
+	}
+	if n := Tee(log, NewSimTelemetry(3)).NumDisks(); n != -1 {
+		t.Errorf("mis-sized tee NumDisks = %d, want -1", n)
+	}
+	tel := NewSimTelemetry(2)
+	sink := Tee(tel, log)
+	if sink.NumDisks() != 2 {
+		t.Fatalf("tee NumDisks = %d, want 2", sink.NumDisks())
+	}
+	in := []Interval{
+		{Disk: 1, From: 0, To: 1, State: DiskBusy, RPM: 15000},
+		{Disk: 0, From: 0, To: 2, State: DiskIdle, RPM: 15000},
+		{Disk: 1, From: 1, To: 5, State: DiskIdle, RPM: 15000},
+		{Disk: 0, From: 2, To: 3, State: DiskBusy, RPM: 15000},
+		{Disk: 2, From: 0, To: 1, State: DiskBusy}, // out of range: dropped
+	}
+	for _, iv := range in {
+		sink.Observe(iv)
+	}
+	sink.Finish()
+	want := []Interval{in[1], in[3], in[0], in[2]}
+	if got := log.Intervals(); !reflect.DeepEqual(got, want) {
+		t.Errorf("log = %v, want disk-major %v", got, want)
+	}
+	if tel.Disks[0].TimeIn[DiskIdle] != 2 || tel.Disks[1].TimeIn[DiskIdle] != 4 || tel.IdleLocality().Periods != 2 {
+		t.Errorf("teed telemetry missed intervals: %+v", tel.Disks)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"diskreuse/internal/obs"
 	"diskreuse/internal/parser"
 	"diskreuse/internal/sema"
-	"diskreuse/internal/sim"
 )
 
 // Config tunes a Server. The zero value selects the documented defaults.
@@ -402,8 +401,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 // streamSimulate writes the NDJSON response: per-interval lines, a result
 // line per version, and a final done line. Each version's intervals are
-// buffered until its replay succeeds, so a failing version yields an
-// error line instead of a truncated interval stream.
+// logged per disk until its replay succeeds, so a failing version yields
+// an error line instead of a truncated interval stream; they are written
+// in disk-major order.
 func (s *Server) streamSimulate(w http.ResponseWriter, c *compiled, art *exp.Artifacts, status CacheStatus, opt exp.Options, versions []exp.Version) {
 	for k, v := range s.cacheHeaders(status, c.key) {
 		w.Header().Set(k, v)
@@ -413,17 +413,9 @@ func (s *Server) streamSimulate(w http.ResponseWriter, c *compiled, art *exp.Art
 	rc := http.NewResponseController(w)
 
 	ar := exp.AppResult{App: art.App(), DataBytes: art.DataBytes()}
-	var lines []StreamLine
 	for _, v := range versions {
-		lines = lines[:0]
-		rr, err := art.RunVersionObserved(v, opt, exp.Observers{
-			Record: func(iv sim.Interval) {
-				lines = append(lines, StreamLine{
-					Type: "interval", Version: string(v), Disk: iv.Disk,
-					FromS: iv.From, ToS: iv.To, State: iv.Kind.String(), RPM: iv.RPM,
-				})
-			},
-		})
+		log := obs.NewIntervalLog(art.NumDisks())
+		rr, err := art.RunVersionObserved(v, opt, exp.Observers{Sink: log})
 		if err != nil {
 			// Headers are already out; signal the failure in-band and
 			// stop the stream.
@@ -431,8 +423,11 @@ func (s *Server) streamSimulate(w http.ResponseWriter, c *compiled, art *exp.Art
 			return
 		}
 		ar.Results = append(ar.Results, rr)
-		for i := range lines {
-			enc.Encode(lines[i])
+		for _, iv := range log.Intervals() {
+			enc.Encode(StreamLine{
+				Type: "interval", Version: string(v), Disk: iv.Disk,
+				FromS: iv.From, ToS: iv.To, State: iv.State.String(), RPM: iv.RPM,
+			})
 		}
 		rc.Flush()
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -9,10 +10,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"diskreuse/internal/exp"
 	"diskreuse/internal/metrics"
+	"diskreuse/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -342,6 +346,67 @@ func TestStreamNDJSON(t *testing.T) {
 	b, _ := json.Marshal(streamed)
 	if !bytes.Equal(a, b) {
 		t.Errorf("streamed results differ from sync results:\n%s\nvs\n%s", b, a)
+	}
+}
+
+// TestStreamNDJSONIsIntervalLog pins the NDJSON interval lines to the
+// simulator's own stream: per version they equal the obs.IntervalLog
+// RunVersionObserved fills, in disk-major order, and the whole response
+// is byte-identical at Jobs 1 and 8.
+func TestStreamNDJSONIsIntervalLog(t *testing.T) {
+	req := SimulateRequest{
+		CompileRequest: CompileRequest{Program: testProgram},
+		Versions:       []string{"Base", "TPM", "T-TPM-s", "T-DRPM-s"},
+	}
+	body := mustRequestJSON(t, req)
+	stateOf := map[string]obs.DiskState{}
+	for k := 0; k < obs.NumDiskStates; k++ {
+		stateOf[obs.DiskState(k).String()] = obs.DiskState(k)
+	}
+	var bodies []string
+	for _, jobs := range []int{1, 8} {
+		s := New(Config{Jobs: jobs})
+		rec := post(s, "/v1/simulate?stream=ndjson", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("jobs=%d: %d %s", jobs, rec.Code, rec.Body)
+		}
+		bodies = append(bodies, rec.Body.String())
+		got := map[string][]obs.Interval{}
+		for _, line := range strings.Split(strings.TrimSpace(rec.Body.String()), "\n") {
+			var sl StreamLine
+			if err := json.Unmarshal([]byte(line), &sl); err != nil {
+				t.Fatalf("bad NDJSON line %q: %v", line, err)
+			}
+			if sl.Type == "interval" {
+				got[sl.Version] = append(got[sl.Version], obs.Interval{
+					Disk: sl.Disk, From: sl.FromS, To: sl.ToS, State: stateOf[sl.State], RPM: sl.RPM,
+				})
+			}
+		}
+
+		cr := req.CompileRequest
+		c, err := s.admit(&cr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, _, err := s.artifacts(context.Background(), c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := exp.Options{Procs: cr.Procs, CachePages: cr.CachePages, Engine: c.engine, Jobs: jobs}
+		for _, name := range req.Versions {
+			log := obs.NewIntervalLog(art.NumDisks())
+			if _, err := art.RunVersionObserved(exp.Version(name), opt, exp.Observers{Sink: log}); err != nil {
+				t.Fatal(err)
+			}
+			want := log.Intervals()
+			if len(want) == 0 || !reflect.DeepEqual(got[name], want) {
+				t.Errorf("jobs=%d %s: %d NDJSON intervals differ from the %d-interval log", jobs, name, len(got[name]), len(want))
+			}
+		}
+	}
+	if bodies[0] != bodies[1] {
+		t.Error("NDJSON stream differs between Jobs 1 and 8")
 	}
 }
 

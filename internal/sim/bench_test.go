@@ -63,7 +63,7 @@ func BenchmarkSimRun(b *testing.B) {
 	runFresh := func(b *testing.B, c Config) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(reqs, diskOf, c); err != nil {
+			if _, err := runTrace(reqs, diskOf, c); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -83,7 +83,7 @@ func BenchmarkSimRun(b *testing.B) {
 	b.Run("versions/unprepared", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, pol := range versions {
-				if _, err := Run(reqs, diskOf, mkCfg(pol, false, par)); err != nil {
+				if _, err := runTrace(reqs, diskOf, mkCfg(pol, false, par)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -120,7 +120,7 @@ func BenchmarkTracerOverhead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c := cfg(TPM, nDisks)
 			if tel {
-				c.Telemetry = obs.NewSimTelemetry(nDisks)
+				c.Sink = obs.NewSimTelemetry(nDisks)
 			}
 			if _, err := RunPrepared(pt, c); err != nil {
 				b.Fatal(err)

@@ -23,8 +23,9 @@ import (
 // index lists (diskCarve), replay each list on that disk's reducer
 // (diskReducer.replay, fanned out over Config.Jobs by replayPass), and fold
 // the reducers in disk order before running the finish tail (foldDisks).
-// The fold fixes the float summation order and the interval order, so
-// results are bit-identical at every worker count and every chunking.
+// The fold fixes the float summation order, so results are bit-identical
+// at every worker count and every chunking. Intervals bypass the fold:
+// each disk's worker feeds them straight to the per-disk Config.Sink.
 
 // minParallelRequests is the auto-mode (Jobs 0) cutoff below which a
 // replay pass stays serial: spawning a worker per disk costs more than
@@ -88,23 +89,20 @@ func (c *diskCarve) build(n, numDisks int, diskOf func(i int) (int, error)) erro
 
 // diskReducer is one disk's open-loop replay state: the disk simulator,
 // its stats, and the partial response-time sum and makespan the fold
-// combines. ivs buffers the disk's recorded intervals until the fold
-// replays them in disk order. A reducer is a value, so a copy is a
-// snapshot — except ds.sub, which a copy must clone before replaying.
+// combines. A reducer is a value, so a copy is a snapshot — except ds.sub,
+// which a copy must clone before replaying.
 type diskReducer struct {
 	ds       diskSim
 	st       DiskStats
 	resp     float64
 	makespan float64
-	ivs      []Interval
 }
 
 // newReducers builds one reducer per disk for a run under cfg. Each I/O
 // node's meter accounts for all of its physical disks (the RAID-level
 // striping of Fig. 1), so power draws and transition energies scale with
-// cfg.RAIDWidth while the timing model stays per physical disk. When
-// cfg.Record is set, an open-loop run buffers each disk's intervals for
-// the fold; the closed-loop replay is one goroutine and emits directly.
+// cfg.RAIDWidth while the timing model stays per physical disk. Every
+// disk emits to cfg.Sink teed with the live metrics.
 func newReducers(cfg Config) []diskReducer {
 	meterModel := cfg.Model
 	if w := float64(cfg.RAIDWidth); w > 1 {
@@ -115,17 +113,18 @@ func newReducers(cfg Config) []diskReducer {
 		meterModel.SpinUpEnergy *= w
 	}
 	lm := newLiveMetrics(cfg.Metrics, cfg.NumDisks)
+	sink := cfg.Sink
+	if lm != nil {
+		sink = obs.Tee(sink, lm)
+	}
 	reds := make([]diskReducer, cfg.NumDisks)
 	for d := range reds {
 		r := &reds[d]
 		r.ds = *newDiskSim(cfg)
 		r.ds.id = d
 		r.ds.lm = lm
+		r.ds.sink = sink
 		r.st.Meter = *power.NewMeter(meterModel)
-		if cfg.Record != nil && !cfg.ClosedLoop {
-			buf := &r.ivs
-			r.ds.cfg.Record = func(iv Interval) { *buf = append(*buf, iv) }
-		}
 	}
 	for _, h := range cfg.Hints {
 		reds[h.Disk].ds.hints = append(reds[h.Disk].ds.hints, h.Time)
@@ -181,11 +180,10 @@ func replayPass(cfg *Config, reds []diskReducer, reqs []trace.Request, perDisk [
 }
 
 // foldDisks folds the reducers into res in disk order — partial response
-// sums, makespans, and buffered intervals — then runs the finish tail:
-// every disk stays powered until the last request completes, with the
-// policy applied to the final gap (no spin-up at the end), and the
-// per-disk stats and energies fold into res. The telemetry's still-open
-// request-free tail periods close last.
+// sums and makespans — then runs the finish tail: every disk stays powered
+// until the last request completes, with the policy applied to the final
+// gap (no spin-up at the end), and the per-disk stats and energies fold
+// into res. The sink finishes last.
 func foldDisks(cfg *Config, reds []diskReducer, res *Result) {
 	for d := range reds {
 		r := &reds[d]
@@ -193,13 +191,9 @@ func foldDisks(cfg *Config, reds []diskReducer, res *Result) {
 		if r.makespan > res.Makespan {
 			res.Makespan = r.makespan
 		}
-		for _, iv := range r.ivs {
-			cfg.Record(iv)
-		}
 	}
 	for d := range reds {
 		r := &reds[d]
-		r.ds.cfg.Record = cfg.Record // the tail emits directly
 		r.ds.finish(res.Makespan-r.ds.clock, &r.st)
 		res.PerDisk[d] = r.st
 		res.Energy += r.st.Meter.Total()
@@ -208,5 +202,7 @@ func foldDisks(cfg *Config, reds []diskReducer, res *Result) {
 	if len(reds) > 0 && reds[0].ds.lm != nil {
 		reds[0].ds.lm.energy.Set(res.Energy)
 	}
-	cfg.Telemetry.Finish()
+	if cfg.Sink != nil {
+		cfg.Sink.Finish()
+	}
 }

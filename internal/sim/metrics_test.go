@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strconv"
@@ -22,14 +23,13 @@ func TestMetricsBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(pol Policy, jobs int, reg *metrics.Registry, stream bool) (*Result, []Interval, *obs.SimTelemetry) {
-		var ivs []Interval
+	run := func(pol Policy, jobs int, reg *metrics.Registry, stream bool) (*Result, []obs.Interval, *obs.SimTelemetry) {
+		log := obs.NewIntervalLog(nDisks)
 		tel := obs.NewSimTelemetry(nDisks)
 		c := cfg(pol, nDisks)
 		c.Jobs = jobs
 		c.Metrics = reg
-		c.Record = func(iv Interval) { ivs = append(ivs, iv) }
-		c.Telemetry = tel
+		c.Sink = obs.Tee(log, tel)
 		var res *Result
 		var err error
 		if stream {
@@ -42,7 +42,7 @@ func TestMetricsBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s jobs=%d: %v", pol, jobs, err)
 		}
-		return res, ivs, tel
+		return res, log.Intervals(), tel
 	}
 	for _, pol := range []Policy{NoPM, TPM, DRPM} {
 		for _, jobs := range []int{1, 8} {
@@ -65,7 +65,8 @@ func TestMetricsBitIdentity(t *testing.T) {
 
 // The published values must reconcile with the run's own results: request
 // counter equals the replayed count, the energy gauge settles to
-// Result.Energy, per-disk occupancy matches the telemetry, and the
+// Result.Energy, the spin-event counters equal the meters' transition
+// counts exactly, per-disk occupancy matches the telemetry, and the
 // current-state gauges always partition the disk population.
 func TestMetricsValues(t *testing.T) {
 	const nReq, nDisks = 20000, 8
@@ -74,53 +75,73 @@ func TestMetricsValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, jobs := range []int{1, 8} {
-		reg := metrics.NewRegistry()
-		tel := obs.NewSimTelemetry(nDisks)
-		c := cfg(TPM, nDisks)
-		c.Jobs = jobs
-		c.Metrics = reg
-		c.Telemetry = tel
-		res, err := RunPrepared(pt, c)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, pol := range []Policy{TPM, DRPM} {
+		for _, stream := range []bool{false, true} {
+			for _, jobs := range []int{1, 8} {
+				reg := metrics.NewRegistry()
+				tel := obs.NewSimTelemetry(nDisks)
+				c := cfg(pol, nDisks)
+				c.Jobs = jobs
+				c.Metrics = reg
+				c.Sink = tel
+				var res *Result
+				if stream {
+					src := trace.NewSliceSource(pt.Sorted(), 777)
+					res, err = RunStream(src, diskOf, c)
+					src.Close()
+				} else {
+					res, err = RunPrepared(pt, c)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%s stream=%v jobs=%d", pol, stream, jobs)
 
-		if v, ok := reg.Value(metrics.SimRequestsReplayed); !ok || v != nReq {
-			t.Errorf("jobs=%d: requests counter = %v,%v, want %d", jobs, v, ok, nReq)
-		}
-		if v, ok := reg.Value(metrics.SimEnergyJoules); !ok || v != res.Energy {
-			t.Errorf("jobs=%d: energy gauge = %v, want %v", jobs, v, res.Energy)
-		}
-		// TPM on a gappy trace must have spun down and back up.
-		if v, _ := reg.Value(metricSpinEvents, metrics.L("event", "spin_down")); v == 0 {
-			t.Errorf("jobs=%d: no spin_down events recorded", jobs)
-		}
-		if v, _ := reg.Value(metricSpinEvents, metrics.L("event", "spin_up")); v == 0 {
-			t.Errorf("jobs=%d: no spin_up events recorded", jobs)
-		}
-		// Per-disk occupancy counters agree with the telemetry's
-		// time-in-state to float tolerance (both fold the same intervals,
-		// but in different summation orders).
-		for d := 0; d < nDisks; d++ {
-			ds := &tel.Disks[d]
-			for k := 0; k < numStateKinds; k++ {
-				got, _ := reg.Value(metricDiskStateSeconds,
-					metrics.L("disk", strconv.Itoa(d)), metrics.L("state", StateKind(k).String()))
-				want := ds.TimeIn[diskStateOf(StateKind(k))]
-				if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
-					t.Errorf("jobs=%d disk %d %s: occupancy %v, telemetry %v", jobs, d, StateKind(k), got, want)
+				if v, ok := reg.Value(metrics.SimRequestsReplayed); !ok || v != nReq {
+					t.Errorf("%s: requests counter = %v,%v, want %d", name, v, ok, nReq)
+				}
+				if v, ok := reg.Value(metrics.SimEnergyJoules); !ok || v != res.Energy {
+					t.Errorf("%s: energy gauge = %v, want %v", name, v, res.Energy)
+				}
+				var ups, downs, shifts int
+				for _, st := range res.PerDisk {
+					ups += st.Meter.SpinUps
+					downs += st.Meter.SpinDowns
+					shifts += st.Meter.SpeedShifts
+				}
+				if (pol == TPM && (ups == 0 || downs == 0)) || (pol == DRPM && shifts == 0) {
+					t.Errorf("%s: the trace exercised no %s transitions", name, pol)
+				}
+				for event, want := range map[string]int{"spin_up": ups, "spin_down": downs, "speed_shift": shifts} {
+					if v, _ := reg.Value(metricSpinEvents, metrics.L("event", event)); v != float64(want) {
+						t.Errorf("%s: %s events = %v, meters count %d", name, event, v, want)
+					}
+				}
+				// Per-disk occupancy counters agree with the telemetry's
+				// time-in-state to float tolerance (both fold the same
+				// intervals, but in different summation orders).
+				for d := 0; d < nDisks; d++ {
+					ds := &tel.Disks[d]
+					for k := 0; k < obs.NumDiskStates; k++ {
+						state := obs.DiskState(k)
+						got, _ := reg.Value(metricDiskStateSeconds,
+							metrics.L("disk", strconv.Itoa(d)), metrics.L("state", state.String()))
+						want := ds.TimeIn[state]
+						if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
+							t.Errorf("%s disk %d %s: occupancy %v, telemetry %v", name, d, state, got, want)
+						}
+					}
+				}
+				// The current-state gauges partition the disks.
+				var population float64
+				for k := 0; k < obs.NumDiskStates; k++ {
+					v, _ := reg.Value(metrics.SimDisksInState, metrics.L("state", obs.DiskState(k).String()))
+					population += v
+				}
+				if population != nDisks {
+					t.Errorf("%s: disks-in-state gauges sum to %v, want %d", name, population, nDisks)
 				}
 			}
-		}
-		// The current-state gauges partition the disks.
-		var population float64
-		for k := 0; k < numStateKinds; k++ {
-			v, _ := reg.Value(metrics.SimDisksInState, metrics.L("state", StateKind(k).String()))
-			population += v
-		}
-		if population != nDisks {
-			t.Errorf("jobs=%d: disks-in-state gauges sum to %v, want %d", jobs, population, nDisks)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"diskreuse/internal/obs"
 	"diskreuse/internal/trace"
 )
 
@@ -76,25 +77,25 @@ func TestParallelOpenLoopMatchesSerial(t *testing.T) {
 		for _, pol := range []Policy{NoPM, TPM, DRPM} {
 			ref := cfg(pol, tc.disks)
 			ref.Jobs = 1
-			var refIvs []Interval
-			ref.Record = func(iv Interval) { refIvs = append(refIvs, iv) }
-			want, err := Run(reqs, diskOf, ref)
+			refLog := obs.NewIntervalLog(tc.disks)
+			ref.Sink = refLog
+			want, err := runTrace(reqs, diskOf, ref)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for jobs := 2; jobs <= 8; jobs++ {
 				c := cfg(pol, tc.disks)
 				c.Jobs = jobs
-				var ivs []Interval
-				c.Record = func(iv Interval) { ivs = append(ivs, iv) }
-				got, err := Run(reqs, diskOf, c)
+				log := obs.NewIntervalLog(tc.disks)
+				c.Sink = log
+				got, err := runTrace(reqs, diskOf, c)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("seed %d %v jobs=%d: result differs from serial", tc.seed, pol, jobs)
 				}
-				if !reflect.DeepEqual(ivs, refIvs) {
+				if !reflect.DeepEqual(log.Intervals(), refLog.Intervals()) {
 					t.Errorf("seed %d %v jobs=%d: interval stream differs from serial", tc.seed, pol, jobs)
 				}
 			}
@@ -120,7 +121,7 @@ func TestRunPreparedMatchesRun(t *testing.T) {
 		for _, closed := range []bool{false, true} {
 			c := cfg(pol, disks)
 			c.ClosedLoop = closed
-			direct, err := Run(reqs, diskOf, c)
+			direct, err := runTrace(reqs, diskOf, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,11 +209,11 @@ func TestClosedLoopTieBreakIsInsertionIndependent(t *testing.T) {
 	c := cfg(NoPM, 1)
 	c.ClosedLoop = true
 	c.AsyncDepth = 1
-	fwd, err := Run(mk([]int{0, 1, 2}), oneDisk, c)
+	fwd, err := runTrace(mk([]int{0, 1, 2}), oneDisk, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev, err := Run(mk([]int{2, 1, 0}), oneDisk, c)
+	rev, err := runTrace(mk([]int{2, 1, 0}), oneDisk, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestConfigValidation(t *testing.T) {
 	} {
 		c := cfg(NoPM, 1)
 		tc.mut(&c)
-		_, err := Run(reqs, oneDisk, c)
+		_, err := runTrace(reqs, oneDisk, c)
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("negative %s: err = %v, want an error naming %s", tc.field, err, tc.field)
 		}

@@ -97,7 +97,7 @@ const scorerCacheBytes = 64 << 20
 // request stream under cfg. sorted is aliased, never mutated.
 // cfg.NumDisks is ignored (each Score call supplies its own disk count);
 // features that observe per-request events or couple disks — ClosedLoop,
-// Record, Telemetry, Attribution, Hints, Span — must be off, since
+// Sink, Attribution, Hints, Span — must be off, since
 // memoized replays are skipped, not re-observed.
 func NewEnergyScorer(sorted []trace.Request, cfg Config) (*EnergyScorer, error) {
 	if !trace.SortedByArrival(sorted) {
@@ -106,8 +106,8 @@ func NewEnergyScorer(sorted []trace.Request, cfg Config) (*EnergyScorer, error) 
 	if cfg.ClosedLoop {
 		return nil, fmt.Errorf("sim: EnergyScorer replays open-loop only")
 	}
-	if cfg.Record != nil || cfg.Telemetry != nil || cfg.Attribution != nil || cfg.Span != nil || len(cfg.Hints) > 0 {
-		return nil, fmt.Errorf("sim: EnergyScorer cannot drive per-request observers (Record/Telemetry/Attribution/Span/Hints)")
+	if cfg.Sink != nil || cfg.Attribution != nil || cfg.Span != nil || len(cfg.Hints) > 0 {
+		return nil, fmt.Errorf("sim: EnergyScorer cannot drive per-request observers (Sink/Attribution/Span/Hints)")
 	}
 	cfg.NumDisks = 0
 	norm, err := cfg.normalize(1)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"diskreuse/internal/disk"
+	"diskreuse/internal/obs"
 	"diskreuse/internal/trace"
 )
 
@@ -131,7 +132,7 @@ func TestEnergyScorerRejections(t *testing.T) {
 		!strings.Contains(err.Error(), "open-loop") {
 		t.Fatalf("closed loop: err = %v", err)
 	}
-	if _, err := NewEnergyScorer(reqs, Config{Model: model, Record: func(Interval) {}}); err == nil ||
+	if _, err := NewEnergyScorer(reqs, Config{Model: model, Sink: obs.NewIntervalLog(1)}); err == nil ||
 		!strings.Contains(err.Error(), "observers") {
 		t.Fatalf("record: err = %v", err)
 	}

@@ -83,19 +83,13 @@ type Config struct {
 	// the wake-up latency. Ignored by NoPM and DRPM.
 	Hints []trace.Hint
 
-	// Record, when non-nil, receives every state interval of every disk as
-	// the simulation accounts it (used by the timeline visualization).
-	// Intervals for one disk are emitted in increasing time order.
-	Record func(iv Interval)
-
-	// Telemetry, when non-nil, accumulates per-disk event telemetry (time
-	// in state, spin-up/down and speed-shift counts, idle-period
-	// histograms) from the same interval stream Record sees. It must be
-	// sized for the run's disk count. Unlike Record, telemetry is fed
-	// directly from the sharded per-disk replays — per-disk state is
-	// disjoint, so no buffering is needed and the accumulated telemetry is
-	// identical at every Jobs value.
-	Telemetry *obs.SimTelemetry
+	// Sink, when non-nil, receives every state interval of every disk as
+	// the simulation accounts it, and Finish when the run completes. It
+	// must be sized for the run's disk count. The open-loop replay feeds
+	// it straight from the sharded per-disk workers, each disk's intervals
+	// in time order, so what a per-disk sink accumulates is identical at
+	// every Jobs value. Compose several sinks with obs.Tee.
+	Sink obs.IntervalSink
 
 	// Span, when non-nil, receives one "disk-replay" child span per disk
 	// of an in-memory open-loop replay, so a trace export shows the
@@ -114,10 +108,11 @@ type Config struct {
 	Attribution *obs.ProcAttribution
 
 	// Metrics, when non-nil, receives live replay metrics: the
-	// requests-replayed counter, per-disk state occupancy and current-state
-	// series, spin/shift event counters, and the energy-so-far gauge —
-	// readable mid-run over the monitoring endpoint while Record, Telemetry,
-	// and Attribution only settle at the end. Publishing is strictly
+	// requests-replayed counter, the energy-so-far gauge, and — as one more
+	// interval sink teed beside Sink — per-disk state occupancy and
+	// current-state series and spin/shift event counters, readable mid-run
+	// over the monitoring endpoint while Sink and Attribution only settle
+	// at the end. Publishing is strictly
 	// observe-only (the simulator never reads a metric back), so enabling it
 	// cannot perturb the bit-identical deterministic results contract.
 	Metrics *metrics.Registry
@@ -140,44 +135,11 @@ type Config struct {
 	// replays serial; 1 forces the fully serial path; negative values are
 	// rejected. Results are bit-identical at every Jobs value: each disk
 	// writes its own stats slot, and the per-disk partial response-time
-	// sums, makespans, and interval logs are folded in disk order — the
-	// same float summation order and interval order as the serial path.
+	// sums and makespans are folded in disk order — the same float
+	// summation order as the serial path.
 	// The closed-loop replay is inherently cross-disk sequential (stalls
 	// propagate through the shared issue heap) and ignores Jobs.
 	Jobs int
-}
-
-// StateKind classifies a disk's activity during an interval.
-type StateKind int
-
-// Disk states for recorded intervals.
-const (
-	StateBusy StateKind = iota
-	StateIdle
-	StateStandby
-	StateTransition
-)
-
-func (k StateKind) String() string {
-	switch k {
-	case StateBusy:
-		return "busy"
-	case StateIdle:
-		return "idle"
-	case StateStandby:
-		return "standby"
-	case StateTransition:
-		return "transition"
-	}
-	return fmt.Sprintf("StateKind(%d)", int(k))
-}
-
-// Interval is one recorded span of disk activity.
-type Interval struct {
-	Disk     int
-	From, To float64
-	Kind     StateKind
-	RPM      int // rotational speed during the interval (0 in standby)
 }
 
 // DefaultAsyncDepth is the default per-processor outstanding-request
@@ -302,22 +264,6 @@ func (h *streamHeap) Pop() any {
 	return x
 }
 
-// Run replays reqs against cfg.NumDisks disks. diskOf maps a request's
-// block number to its disk using the striping information, exactly as the
-// paper's simulator consumes externally provided striping parameters.
-//
-// Run is PrepareTrace followed by RunPrepared; callers replaying the same
-// trace under several configurations (the harness's 5–7 policy versions
-// per app) should prepare once and call RunPrepared per version instead.
-// reqs is never mutated.
-func Run(reqs []trace.Request, diskOf func(block int64) (int, error), cfg Config) (*Result, error) {
-	pt, err := PrepareTrace(reqs, diskOf, cfg.NumDisks)
-	if err != nil {
-		return nil, err
-	}
-	return RunPrepared(pt, cfg)
-}
-
 // RunPrepared replays a prepared trace under one configuration. The
 // default (open-loop) replay is the paper's trace-driven methodology with
 // fixed arrival times; cfg.ClosedLoop instead re-issues each processor's
@@ -409,8 +355,8 @@ func (cfg Config) normalize(traceDisks int) (Config, error) {
 	if cfg.ThinkEstimate < 0 {
 		return cfg, fmt.Errorf("sim: ThinkEstimate %v must be >= 0 (0 selects the full-speed service time of a 4-KiB page)", cfg.ThinkEstimate)
 	}
-	if cfg.Telemetry != nil && cfg.Telemetry.NumDisks() != cfg.NumDisks {
-		return cfg, fmt.Errorf("sim: Telemetry sized for %d disks but the run has %d (size it with obs.NewSimTelemetry(NumDisks))", cfg.Telemetry.NumDisks(), cfg.NumDisks)
+	if cfg.Sink != nil && cfg.Sink.NumDisks() != cfg.NumDisks {
+		return cfg, fmt.Errorf("sim: Sink sized for %d disks but the run has %d (size every teed sink for NumDisks)", cfg.Sink.NumDisks(), cfg.NumDisks)
 	}
 	if cfg.Attribution != nil && cfg.Attribution.NumDisks() != cfg.NumDisks {
 		return cfg, fmt.Errorf("sim: Attribution sized for %d disks but the run has %d (size it with obs.NewProcAttribution(NumDisks, NumProcs))", cfg.Attribution.NumDisks(), cfg.NumDisks)
@@ -557,8 +503,8 @@ func runClosedLoop(pt *PreparedTrace, cfg Config, reds []diskReducer, res *Resul
 // diskSim simulates one disk.
 type diskSim struct {
 	cfg   Config
-	tel   *obs.SimTelemetry // telemetry sink; nil when disabled
-	lm    *liveMetrics      // live metrics sink; nil when disabled
+	sink  obs.IntervalSink // Config.Sink teed with the live metrics; nil when both are off
+	lm    *liveMetrics     // live request counter and energy gauge; nil when disabled
 	m     disk.Model
 	clock float64 // completion time of the last serviced request
 
@@ -583,7 +529,6 @@ type diskSim struct {
 func newDiskSim(cfg Config) *diskSim {
 	return &diskSim{
 		cfg:    cfg,
-		tel:    cfg.Telemetry,
 		m:      cfg.Model,
 		rpm:    cfg.Model.RPMMax,
 		target: cfg.Model.RPMMax,
@@ -601,84 +546,46 @@ func (ds *diskSim) syncSubs() {
 	}
 }
 
-// diskStateOf maps the simulator's interval kinds onto the observability
-// layer's disk states. The enums are kept separate (obs must not import
-// sim) and mapped explicitly so a change in either is a compile/test error
-// here, not a silent misclassification.
-func diskStateOf(k StateKind) obs.DiskState {
-	switch k {
-	case StateBusy:
-		return obs.DiskBusy
-	case StateIdle:
-		return obs.DiskIdle
-	case StateStandby:
-		return obs.DiskStandby
-	case StateTransition:
-		return obs.DiskTransition
-	}
-	panic(fmt.Sprintf("sim: unmapped state kind %d", int(k)))
-}
+// The charge helpers account a state span in the energy meter and emit
+// the corresponding interval to the sink.
 
-// The charge helpers account a state span in the energy meter and, when a
-// recorder or telemetry sink is configured, emit the corresponding
-// interval. Telemetry is fed directly — even from sharded replays, since
-// its state is per disk — while Record may be swapped for a per-disk
-// buffer by the open-loop kernel.
-
-func (ds *diskSim) emit(kind StateKind, from, to float64, rpm int) {
-	if to <= from {
+func (ds *diskSim) emit(state obs.DiskState, from, to float64, rpm int) {
+	if ds.sink == nil || to <= from {
 		return
 	}
-	if ds.tel != nil {
-		ds.tel.Observe(ds.id, diskStateOf(kind), from, to, rpm)
-	}
-	if ds.lm != nil {
-		ds.lm.observeInterval(ds.id, kind, to-from)
-	}
-	if ds.cfg.Record != nil {
-		ds.cfg.Record(Interval{Disk: ds.id, From: from, To: to, Kind: kind, RPM: rpm})
-	}
+	ds.sink.Observe(obs.Interval{Disk: ds.id, From: from, To: to, State: state, RPM: rpm})
 }
 
 func (ds *diskSim) chargeIdle(st *DiskStats, from, dt float64, rpm int) {
 	st.Meter.Idle(dt, rpm)
-	ds.emit(StateIdle, from, from+dt, rpm)
+	ds.emit(obs.DiskIdle, from, from+dt, rpm)
 }
 
 func (ds *diskSim) chargeActive(st *DiskStats, from, dt float64, rpm int) {
 	st.Meter.Active(dt, rpm)
-	ds.emit(StateBusy, from, from+dt, rpm)
+	ds.emit(obs.DiskBusy, from, from+dt, rpm)
 }
 
 func (ds *diskSim) chargeStandby(st *DiskStats, from, dt float64) {
 	st.Meter.Standby(dt)
-	ds.emit(StateStandby, from, from+dt, 0)
+	ds.emit(obs.DiskStandby, from, from+dt, 0)
 }
 
 func (ds *diskSim) chargeSpinDown(st *DiskStats, from float64) {
 	st.Meter.SpinDown()
-	if ds.lm != nil {
-		ds.lm.spinDowns.Inc()
-	}
-	ds.emit(StateTransition, from, from+ds.m.SpinDownTime, 0)
+	ds.emit(obs.DiskTransition, from, from+ds.m.SpinDownTime, 0)
 }
 
 func (ds *diskSim) chargeSpinUp(st *DiskStats, from float64) {
 	st.Meter.SpinUp()
-	if ds.lm != nil {
-		ds.lm.spinUps.Inc()
-	}
-	ds.emit(StateTransition, from, from+ds.m.SpinUpTime, ds.m.RPMMax)
+	ds.emit(obs.DiskTransition, from, from+ds.m.SpinUpTime, ds.m.RPMMax)
 }
 
 // chargeShift accounts a DRPM speed change and returns its duration.
 func (ds *diskSim) chargeShift(st *DiskStats, from float64, fromRPM, toRPM int) float64 {
 	st.Meter.Shift(fromRPM, toRPM)
-	if ds.lm != nil {
-		ds.lm.shifts.Inc()
-	}
 	dt := power.ShiftTime(ds.m, fromRPM, toRPM)
-	ds.emit(StateTransition, from, from+dt, toRPM)
+	ds.emit(obs.DiskTransition, from, from+dt, toRPM)
 	return dt
 }
 

@@ -16,6 +16,15 @@ func cfg(p Policy, disks int) Config {
 func evenDisk(block int64) (int, error) { return int(block % 2), nil }
 func oneDisk(block int64) (int, error)  { return 0, nil }
 
+// runTrace prepares reqs against c.NumDisks disks and replays them under c.
+func runTrace(reqs []trace.Request, diskOf func(block int64) (int, error), c Config) (*Result, error) {
+	pt, err := PrepareTrace(reqs, diskOf, c.NumDisks)
+	if err != nil {
+		return nil, err
+	}
+	return RunPrepared(pt, c)
+}
+
 func TestNoPMEnergyAccounting(t *testing.T) {
 	m := disk.Ultrastar36Z15()
 	// Two requests 10 s apart on one disk.
@@ -23,7 +32,7 @@ func TestNoPMEnergyAccounting(t *testing.T) {
 		{Arrival: 0, Block: 0, Size: 4096},
 		{Arrival: 10, Block: 0, Size: 4096},
 	}
-	res, err := Run(reqs, oneDisk, cfg(NoPM, 1))
+	res, err := runTrace(reqs, oneDisk, cfg(NoPM, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +69,11 @@ func TestTPMSpinsDownOnLongIdle(t *testing.T) {
 		{Arrival: 0, Block: 0, Size: 4096},
 		{Arrival: 100, Block: 0, Size: 4096},
 	}
-	base, err := Run(reqs, oneDisk, cfg(NoPM, 1))
+	base, err := runTrace(reqs, oneDisk, cfg(NoPM, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tpm, err := Run(reqs, oneDisk, cfg(TPM, 1))
+	tpm, err := runTrace(reqs, oneDisk, cfg(TPM, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +104,11 @@ func TestTPMIgnoresShortIdle(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		reqs = append(reqs, trace.Request{Arrival: float64(i) * 5, Block: 0, Size: 4096})
 	}
-	base, err := Run(reqs, oneDisk, cfg(NoPM, 1))
+	base, err := runTrace(reqs, oneDisk, cfg(NoPM, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tpm, err := Run(reqs, oneDisk, cfg(TPM, 1))
+	tpm, err := runTrace(reqs, oneDisk, cfg(TPM, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +130,7 @@ func TestTPMBorderlineGap(t *testing.T) {
 		{Arrival: 0, Block: 0, Size: 4096},
 		{Arrival: gap, Block: 0, Size: 4096},
 	}
-	res, err := Run(reqs, oneDisk, cfg(TPM, 1))
+	res, err := runTrace(reqs, oneDisk, cfg(TPM, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +156,8 @@ func TestDRPMCoastsDownDuringIdle(t *testing.T) {
 		{Arrival: 0, Block: 0, Size: 4096},
 		{Arrival: 120, Block: 0, Size: 4096},
 	}
-	base, _ := Run(reqs, oneDisk, cfg(NoPM, 1))
-	drpm, err := Run(reqs, oneDisk, cfg(DRPM, 1))
+	base, _ := runTrace(reqs, oneDisk, cfg(NoPM, 1))
+	drpm, err := runTrace(reqs, oneDisk, cfg(DRPM, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +174,7 @@ func TestDRPMCoastsDownDuringIdle(t *testing.T) {
 	if drpm.IOTime <= base.IOTime {
 		t.Errorf("DRPM busy time %v should exceed NoPM's %v", drpm.IOTime, base.IOTime)
 	}
-	tpm, _ := Run(reqs, oneDisk, cfg(TPM, 1))
+	tpm, _ := runTrace(reqs, oneDisk, cfg(TPM, 1))
 	if drpm.ResponseTime >= tpm.ResponseTime {
 		t.Errorf("DRPM ResponseTime %v should be below TPM's %v", drpm.ResponseTime, tpm.ResponseTime)
 	}
@@ -184,7 +193,7 @@ func TestDRPMControllerRaisesFloor(t *testing.T) {
 	}
 	c := cfg(DRPM, 1)
 	c.DRPMWindow = 50
-	res, err := Run(reqs, oneDisk, c)
+	res, err := runTrace(reqs, oneDisk, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,15 +207,15 @@ func TestDRPMControllerRaisesFloor(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	reqs := []trace.Request{{Arrival: 0, Block: 0, Size: 4096}}
-	if _, err := Run(reqs, oneDisk, Config{Model: disk.Ultrastar36Z15(), NumDisks: 0}); err == nil {
+	if _, err := runTrace(reqs, oneDisk, Config{Model: disk.Ultrastar36Z15(), NumDisks: 0}); err == nil {
 		t.Error("zero disks must fail")
 	}
 	bad := disk.Ultrastar36Z15()
 	bad.RPMStep = 7000
-	if _, err := Run(reqs, oneDisk, Config{Model: bad, NumDisks: 1}); err == nil {
+	if _, err := runTrace(reqs, oneDisk, Config{Model: bad, NumDisks: 1}); err == nil {
 		t.Error("invalid model must fail")
 	}
-	if _, err := Run(reqs, func(int64) (int, error) { return 5, nil }, cfg(NoPM, 2)); err == nil {
+	if _, err := runTrace(reqs, func(int64) (int, error) { return 5, nil }, cfg(NoPM, 2)); err == nil {
 		t.Error("disk index out of range must fail")
 	}
 }
@@ -218,7 +227,7 @@ func TestMultiDiskSeparation(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		reqs = append(reqs, trace.Request{Arrival: float64(i), Block: int64(i), Size: 4096})
 	}
-	res, err := Run(reqs, evenDisk, cfg(NoPM, 2))
+	res, err := runTrace(reqs, evenDisk, cfg(NoPM, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +254,7 @@ func TestQueueingDelay(t *testing.T) {
 		{Arrival: 0, Block: 0, Size: 4096, Proc: 0},
 		{Arrival: 0, Block: 0, Size: 4096, Proc: 1},
 	}
-	res, err := Run(reqs, oneDisk, cfg(NoPM, 1))
+	res, err := runTrace(reqs, oneDisk, cfg(NoPM, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +274,7 @@ func TestQueueingDelay(t *testing.T) {
 	c := cfg(NoPM, 1)
 	c.ClosedLoop = true
 	c.AsyncDepth = 1
-	res, err = Run(reqs, oneDisk, c)
+	res, err = runTrace(reqs, oneDisk, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,11 +312,11 @@ func TestClusteredTraceSavesMoreEnergy(t *testing.T) {
 		}
 	}
 	for _, pol := range []Policy{TPM, DRPM} {
-		ri, err := Run(inter, roundRobin, cfg(pol, D))
+		ri, err := runTrace(inter, roundRobin, cfg(pol, D))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, err := Run(clus, roundRobin, cfg(pol, D))
+		rc, err := runTrace(clus, roundRobin, cfg(pol, D))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +340,7 @@ func TestEnergyComponentsConsistent(t *testing.T) {
 		}
 	}
 	for _, pol := range []Policy{NoPM, TPM, DRPM} {
-		res, err := Run(reqs, evenDisk, cfg(pol, 2))
+		res, err := runTrace(reqs, evenDisk, cfg(pol, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,7 +394,7 @@ func TestResultsAreFinite(t *testing.T) {
 		}
 	}
 	for _, pol := range []Policy{NoPM, TPM, DRPM} {
-		res, err := Run(reqs, evenDisk, cfg(pol, 2))
+		res, err := runTrace(reqs, evenDisk, cfg(pol, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +420,7 @@ func TestProactiveHintsHideSpinUp(t *testing.T) {
 		{Arrival: 0, Block: 0, Size: 4096},
 		{Arrival: 100, Block: 0, Size: 4096},
 	}
-	reactive, err := Run(reqs, oneDisk, cfg(TPM, 1))
+	reactive, err := runTrace(reqs, oneDisk, cfg(TPM, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +436,7 @@ func TestProactiveHintsHideSpinUp(t *testing.T) {
 	}
 	c := cfg(TPM, 1)
 	c.Hints = hints
-	proactive, err := Run(reqs, oneDisk, c)
+	proactive, err := runTrace(reqs, oneDisk, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,11 +476,11 @@ func TestProactiveHintsClampedToSpinDown(t *testing.T) {
 	}
 	c := cfg(TPM, 1)
 	c.Hints = hints
-	pro, err := Run(reqs, oneDisk, c)
+	pro, err := runTrace(reqs, oneDisk, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := Run(reqs, oneDisk, cfg(TPM, 1))
+	re, err := runTrace(reqs, oneDisk, cfg(TPM, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +493,7 @@ func TestHintValidation(t *testing.T) {
 	reqs := []trace.Request{{Arrival: 0, Block: 0, Size: 4096}}
 	c := cfg(TPM, 1)
 	c.Hints = []trace.Hint{{Time: 1, Disk: 5}}
-	if _, err := Run(reqs, oneDisk, c); err == nil {
+	if _, err := runTrace(reqs, oneDisk, c); err == nil {
 		t.Error("hint for unknown disk must fail")
 	}
 	// Hints are harmless for short gaps and other policies.
@@ -494,7 +503,7 @@ func TestHintValidation(t *testing.T) {
 	}
 	c = cfg(TPM, 1)
 	c.Hints = []trace.Hint{{Time: 0.5, Disk: 0}}
-	res, err := Run(short, oneDisk, c)
+	res, err := runTrace(short, oneDisk, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +511,7 @@ func TestHintValidation(t *testing.T) {
 		t.Error("redundant hint must not wake anything")
 	}
 	c.Policy = DRPM
-	if _, err := Run(short, oneDisk, c); err != nil {
+	if _, err := runTrace(short, oneDisk, c); err != nil {
 		t.Errorf("DRPM must ignore hints: %v", err)
 	}
 }
@@ -517,7 +526,7 @@ func TestRAIDWidthParallelism(t *testing.T) {
 		{Arrival: 0, Block: 0, Size: 4096, Proc: 1},
 	}
 	svc := m.FullSpeedService(4096)
-	serial, err := Run(reqs, oneDisk, cfg(NoPM, 1))
+	serial, err := runTrace(reqs, oneDisk, cfg(NoPM, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +535,7 @@ func TestRAIDWidthParallelism(t *testing.T) {
 	}
 	c := cfg(NoPM, 1)
 	c.RAIDWidth = 2
-	par, err := Run(reqs, oneDisk, c)
+	par, err := runTrace(reqs, oneDisk, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,13 +552,13 @@ func TestRAIDWidthScalesPower(t *testing.T) {
 		{Arrival: 0, Block: 0, Size: 4096},
 		{Arrival: 10, Block: 0, Size: 4096},
 	}
-	one, err := Run(reqs, oneDisk, cfg(NoPM, 1))
+	one, err := runTrace(reqs, oneDisk, cfg(NoPM, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := cfg(NoPM, 1)
 	c.RAIDWidth = 3
-	three, err := Run(reqs, oneDisk, c)
+	three, err := runTrace(reqs, oneDisk, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,13 +587,13 @@ func TestRAIDWidthPreservesNormalizedSavings(t *testing.T) {
 	saving := func(width int) float64 {
 		base := cfg(NoPM, 1)
 		base.RAIDWidth = width
-		b, err := Run(reqs, oneDisk, base)
+		b, err := runTrace(reqs, oneDisk, base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tc := cfg(TPM, 1)
 		tc.RAIDWidth = width
-		tp, err := Run(reqs, oneDisk, tc)
+		tp, err := runTrace(reqs, oneDisk, tc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -613,7 +622,7 @@ func TestMobileDiskMakesTPMViable(t *testing.T) {
 		tt += 20 // idle period: above the mobile break-even, below the server's...
 	}
 	run := func(m disk.Model, pol Policy) float64 {
-		res, err := Run(reqs, oneDisk, Config{Model: m, NumDisks: 1, Policy: pol})
+		res, err := runTrace(reqs, oneDisk, Config{Model: m, NumDisks: 1, Policy: pol})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -687,11 +696,11 @@ func TestSortedFastPathEquivalence(t *testing.T) {
 		for _, closed := range []bool{false, true} {
 			c := cfg(pol, 4)
 			c.ClosedLoop = closed
-			a, err := Run(sorted, diskOf, c)
+			a, err := runTrace(sorted, diskOf, c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := Run(shuffled, diskOf, c)
+			b, err := runTrace(shuffled, diskOf, c)
 			if err != nil {
 				t.Fatal(err)
 			}

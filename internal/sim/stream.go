@@ -21,24 +21,21 @@ import (
 // Each chunk is one pass of the open-loop kernel: carved per disk, then
 // replayed over cfg.Jobs workers against persistent per-disk reducers,
 // which fold in disk order at the end. RunPrepared is the same loop fed
-// its whole trace as one pass, so the Result, the Record stream, the
-// telemetry, and the attribution are bit-identical to the in-memory path
-// at any Jobs count and any chunking. The run emits one "stream-replay"
-// span and no per-chunk or per-disk spans, so the tracer does not grow
-// with the trace.
+// its whole trace as one pass, so the Result, each disk's interval
+// stream, and the attribution are bit-identical to the in-memory path at
+// any Jobs count and any chunking. The run emits one "stream-replay" span
+// and no per-chunk or per-disk spans, so the tracer does not grow with
+// the trace.
 //
 // cfg.NumDisks must be set explicitly (there is no prepared trace to
-// adopt it from). When cfg.Record is set, intervals are buffered per disk
-// until the end of the replay so the stream matches the in-memory path
-// exactly — recording therefore costs memory proportional to the interval
-// count and is meant for paper-scale traces, not out-of-core ones.
+// adopt it from).
 func RunStream(src trace.Source, diskOf func(block int64) (int, error), cfg Config) (*Result, error) {
 	cfg, err := cfg.normalize(0)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.ClosedLoop {
-		return nil, fmt.Errorf("sim: the streaming replay is open-loop only (the closed-loop model needs the whole trace in memory; decode it and use Run)")
+		return nil, fmt.Errorf("sim: the streaming replay is open-loop only (the closed-loop model needs the whole trace in memory; decode it and use RunPrepared)")
 	}
 
 	sp := cfg.Span.Child("stream-replay")

@@ -44,14 +44,13 @@ func TestRunStreamMatchesPrepared(t *testing.T) {
 
 	for _, pol := range []Policy{NoPM, TPM, DRPM} {
 		for _, jobs := range []int{1, 8} {
-			run := func(stream trace.Source) (*Result, []Interval, *obs.SimTelemetry, *obs.ProcAttribution) {
-				var ivs []Interval
+			run := func(stream trace.Source) (*Result, []obs.Interval, *obs.SimTelemetry, *obs.ProcAttribution) {
+				log := obs.NewIntervalLog(nDisks)
 				tel := obs.NewSimTelemetry(nDisks)
 				attr := obs.NewProcAttribution(nDisks, 4)
 				c := cfg(pol, nDisks)
 				c.Jobs = jobs
-				c.Record = func(iv Interval) { ivs = append(ivs, iv) }
-				c.Telemetry = tel
+				c.Sink = obs.Tee(log, tel)
 				c.Attribution = attr
 				var res *Result
 				var err error
@@ -64,7 +63,7 @@ func TestRunStreamMatchesPrepared(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s jobs=%d: %v", pol, jobs, err)
 				}
-				return res, ivs, tel, attr
+				return res, log.Intervals(), tel, attr
 			}
 			wantRes, wantIvs, wantTel, wantAttr := run(nil)
 			for _, l := range legs {

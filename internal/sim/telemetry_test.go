@@ -28,7 +28,7 @@ func telemetryTrace() []trace.Request {
 func telCfg(p Policy, disks, jobs int, tel *obs.SimTelemetry) Config {
 	c := cfg(p, disks)
 	c.Jobs = jobs
-	c.Telemetry = tel
+	c.Sink = tel
 	return c
 }
 
@@ -38,7 +38,7 @@ func telCfg(p Policy, disks, jobs int, tel *obs.SimTelemetry) Config {
 func TestTelemetryMatchesMeter(t *testing.T) {
 	for _, pol := range []Policy{NoPM, TPM, DRPM} {
 		tel := obs.NewSimTelemetry(2)
-		res, err := Run(telemetryTrace(), evenDisk, telCfg(pol, 2, 1, tel))
+		res, err := runTrace(telemetryTrace(), evenDisk, telCfg(pol, 2, 1, tel))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,12 +76,12 @@ func TestTelemetryMatchesMeter(t *testing.T) {
 func TestTelemetryParallelMatchesSerial(t *testing.T) {
 	reqs := telemetryTrace()
 	serial := obs.NewSimTelemetry(2)
-	if _, err := Run(reqs, evenDisk, telCfg(TPM, 2, 1, serial)); err != nil {
+	if _, err := runTrace(reqs, evenDisk, telCfg(TPM, 2, 1, serial)); err != nil {
 		t.Fatal(err)
 	}
 	for _, jobs := range []int{2, 8} {
 		par := obs.NewSimTelemetry(2)
-		if _, err := Run(reqs, evenDisk, telCfg(TPM, 2, jobs, par)); err != nil {
+		if _, err := runTrace(reqs, evenDisk, telCfg(TPM, 2, jobs, par)); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(serial, par) {
@@ -90,41 +90,32 @@ func TestTelemetryParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestTelemetryComposesWithRecord: the Record hook and the telemetry sink
-// observe the same interval stream; installing both must not perturb either.
+// TestTelemetryComposesWithRecord: an interval log and the telemetry sink
+// teed together observe the same interval stream; installing both must
+// not perturb either.
 func TestTelemetryComposesWithRecord(t *testing.T) {
 	reqs := telemetryTrace()
 	tel := obs.NewSimTelemetry(2)
-	var recorded []Interval
+	log := obs.NewIntervalLog(2)
 	c := telCfg(TPM, 2, 1, tel)
-	c.Record = func(iv Interval) { recorded = append(recorded, iv) }
-	if _, err := Run(reqs, evenDisk, c); err != nil {
+	c.Sink = obs.Tee(tel, log)
+	if _, err := runTrace(reqs, evenDisk, c); err != nil {
 		t.Fatal(err)
 	}
+	recorded := log.Intervals()
 	if len(recorded) == 0 {
-		t.Fatal("Record hook saw nothing")
+		t.Fatal("interval log saw nothing")
 	}
-	// Replaying the recorded stream into a fresh collector reproduces the
-	// live telemetry exactly (Record delivers disks in order, each disk's
+	// Replaying the logged stream into a fresh collector reproduces the
+	// live telemetry exactly (the log reads back disk-major, each disk's
 	// intervals in time order — the same contract Observe needs).
 	replay := obs.NewSimTelemetry(2)
 	for _, iv := range recorded {
-		var state obs.DiskState
-		switch iv.Kind {
-		case StateBusy:
-			state = obs.DiskBusy
-		case StateIdle:
-			state = obs.DiskIdle
-		case StateStandby:
-			state = obs.DiskStandby
-		case StateTransition:
-			state = obs.DiskTransition
-		}
-		replay.Observe(iv.Disk, state, iv.From, iv.To, iv.RPM)
+		replay.Observe(iv)
 	}
 	replay.Finish()
 	if !reflect.DeepEqual(tel, replay) {
-		t.Errorf("telemetry fed live differs from telemetry fed off Record:\n%+v\nvs\n%+v", tel, replay)
+		t.Errorf("telemetry fed live differs from telemetry fed off the log:\n%+v\nvs\n%+v", tel, replay)
 	}
 }
 
@@ -133,7 +124,7 @@ func TestTelemetryClosedLoop(t *testing.T) {
 	tel := obs.NewSimTelemetry(2)
 	c := telCfg(TPM, 2, 1, tel)
 	c.ClosedLoop = true
-	if _, err := Run(telemetryTrace(), evenDisk, c); err != nil {
+	if _, err := runTrace(telemetryTrace(), evenDisk, c); err != nil {
 		t.Fatal(err)
 	}
 	if idle := tel.IdleLocality(); idle.Periods == 0 {
@@ -143,7 +134,7 @@ func TestTelemetryClosedLoop(t *testing.T) {
 
 // TestNormalizeValidation covers the consolidated Config validation added
 // with the telemetry work: every tunable rejects negatives with an error
-// naming the field, and a mis-sized Telemetry is caught up front instead of
+// naming the field, and a mis-sized Sink is caught up front instead of
 // silently dropping events.
 func TestNormalizeValidation(t *testing.T) {
 	reqs := []trace.Request{{Arrival: 0, Block: 0, Size: 4096}}
@@ -160,45 +151,45 @@ func TestNormalizeValidation(t *testing.T) {
 	} {
 		c := cfg(NoPM, 1)
 		tc.mut(&c)
-		_, err := Run(reqs, oneDisk, c)
+		_, err := runTrace(reqs, oneDisk, c)
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("negative %s: err = %v, want an error naming %s", tc.field, err, tc.field)
 		}
 	}
-	// Telemetry sized for the wrong disk count.
+	// Sink sized for the wrong disk count.
 	c := cfg(NoPM, 2)
-	c.Telemetry = obs.NewSimTelemetry(5)
-	if _, err := Run(reqs, oneDisk, c); err == nil || !strings.Contains(err.Error(), "Telemetry") {
-		t.Errorf("mis-sized Telemetry: err = %v", err)
+	c.Sink = obs.NewSimTelemetry(5)
+	if _, err := runTrace(reqs, oneDisk, c); err == nil || !strings.Contains(err.Error(), "Sink") {
+		t.Errorf("mis-sized Sink: err = %v", err)
 	}
 	// Correctly sized telemetry passes.
-	c.Telemetry = obs.NewSimTelemetry(2)
-	if _, err := Run(reqs, oneDisk, c); err != nil {
-		t.Errorf("well-sized Telemetry rejected: %v", err)
+	c.Sink = obs.NewSimTelemetry(2)
+	if _, err := runTrace(reqs, oneDisk, c); err != nil {
+		t.Errorf("well-sized Sink rejected: %v", err)
 	}
 	// A negative DRPMLower stays meaningful (disables lowering).
 	c = cfg(DRPM, 1)
 	c.DRPMLower = -1
-	if _, err := Run(reqs, oneDisk, c); err != nil {
+	if _, err := runTrace(reqs, oneDisk, c); err != nil {
 		t.Errorf("negative DRPMLower must stay legal: %v", err)
 	}
 	// DRPMLower above DRPMRaise is rejected.
 	c = cfg(DRPM, 1)
 	c.DRPMLower = 500
 	c.DRPMRaise = 100
-	if _, err := Run(reqs, oneDisk, c); err == nil {
+	if _, err := runTrace(reqs, oneDisk, c); err == nil {
 		t.Error("DRPMLower >= DRPMRaise must fail")
 	}
 	// Out-of-order hints are rejected.
 	c = cfg(TPM, 1)
 	c.Hints = []trace.Hint{{Disk: 0, Time: 10}, {Disk: 0, Time: 5}}
-	if _, err := Run(reqs, oneDisk, c); err == nil || !strings.Contains(err.Error(), "nondecreasing") {
+	if _, err := runTrace(reqs, oneDisk, c); err == nil || !strings.Contains(err.Error(), "nondecreasing") {
 		t.Errorf("out-of-order hints: err = %v", err)
 	}
 	// Hint for a disk outside the run.
 	c = cfg(TPM, 1)
 	c.Hints = []trace.Hint{{Disk: 3, Time: 10}}
-	if _, err := Run(reqs, oneDisk, c); err == nil {
+	if _, err := runTrace(reqs, oneDisk, c); err == nil {
 		t.Error("hint for a foreign disk must fail")
 	}
 }

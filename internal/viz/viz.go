@@ -17,42 +17,24 @@ package viz
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
-	"diskreuse/internal/sim"
+	"diskreuse/internal/obs"
 )
 
-// Recorder collects simulator intervals for rendering. Use NewRecorder,
-// pass Record as sim.Config.Record, run the simulation, then Render.
-type Recorder struct {
-	intervals []sim.Interval
-}
-
-// NewRecorder returns an empty Recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
-// Record appends one interval; it is the sim.Config.Record callback.
-func (r *Recorder) Record(iv sim.Interval) {
-	r.intervals = append(r.intervals, iv)
-}
-
-// Len returns the number of recorded intervals.
-func (r *Recorder) Len() int { return len(r.intervals) }
-
 // glyph maps an interval to its timeline character.
-func glyph(iv sim.Interval, fullRPM int) byte {
-	switch iv.Kind {
-	case sim.StateBusy:
+func glyph(iv obs.Interval, fullRPM int) byte {
+	switch iv.State {
+	case obs.DiskBusy:
 		return '#'
-	case sim.StateIdle:
+	case obs.DiskIdle:
 		if iv.RPM > 0 && iv.RPM < fullRPM {
 			return '-'
 		}
 		return '.'
-	case sim.StateStandby:
+	case obs.DiskStandby:
 		return '_'
-	case sim.StateTransition:
+	case obs.DiskTransition:
 		return '^'
 	}
 	return '?'
@@ -62,21 +44,21 @@ func glyph(iv sim.Interval, fullRPM int) byte {
 // "interesting" state wins so short events stay visible.
 var precedence = map[byte]int{' ': 0, '.': 1, '-': 2, '_': 3, '^': 4, '#': 5}
 
-// Render writes the timeline for all recorded intervals, using width
-// character columns over [0, end] where end is the latest interval end.
-// fullRPM distinguishes full-speed from reduced-speed idling (pass the
-// disk model's RPMMax; zero treats all idling as full speed).
-func (r *Recorder) Render(w io.Writer, width, fullRPM int) error {
+// Render writes the timeline of ivs, in any order, using width character
+// columns over [0, end] where end is the latest interval end. fullRPM
+// distinguishes full-speed from reduced-speed idling (pass the disk
+// model's RPMMax; zero treats all idling as full speed).
+func Render(w io.Writer, ivs []obs.Interval, width, fullRPM int) error {
 	if width <= 0 {
 		width = 72
 	}
-	if len(r.intervals) == 0 {
+	if len(ivs) == 0 {
 		_, err := fmt.Fprintln(w, "(no activity recorded)")
 		return err
 	}
 	numDisks := 0
 	end := 0.0
-	for _, iv := range r.intervals {
+	for _, iv := range ivs {
 		if iv.Disk+1 > numDisks {
 			numDisks = iv.Disk + 1
 		}
@@ -92,7 +74,7 @@ func (r *Recorder) Render(w io.Writer, width, fullRPM int) error {
 		rows[d] = []byte(strings.Repeat(" ", width))
 	}
 	scale := float64(width) / end
-	for _, iv := range r.intervals {
+	for _, iv := range ivs {
 		g := glyph(iv, fullRPM)
 		lo := int(iv.From * scale)
 		hi := int(iv.To * scale)
@@ -114,47 +96,4 @@ func (r *Recorder) Render(w io.Writer, width, fullRPM int) error {
 		}
 	}
 	return nil
-}
-
-// Summary returns per-disk fractions of time in each state, sorted by
-// disk, as a compact table.
-func (r *Recorder) Summary() string {
-	type acc struct{ busy, idle, standby, transition, total float64 }
-	byDisk := map[int]*acc{}
-	for _, iv := range r.intervals {
-		a := byDisk[iv.Disk]
-		if a == nil {
-			a = &acc{}
-			byDisk[iv.Disk] = a
-		}
-		dt := iv.To - iv.From
-		a.total += dt
-		switch iv.Kind {
-		case sim.StateBusy:
-			a.busy += dt
-		case sim.StateIdle:
-			a.idle += dt
-		case sim.StateStandby:
-			a.standby += dt
-		case sim.StateTransition:
-			a.transition += dt
-		}
-	}
-	disks := make([]int, 0, len(byDisk))
-	for d := range byDisk {
-		disks = append(disks, d)
-	}
-	sort.Ints(disks)
-	var b strings.Builder
-	fmt.Fprintf(&b, "disk  busy%%  idle%%  standby%%  transition%%\n")
-	for _, d := range disks {
-		a := byDisk[d]
-		if a.total <= 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%4d  %5.1f  %5.1f  %8.1f  %11.1f\n", d,
-			100*a.busy/a.total, 100*a.idle/a.total,
-			100*a.standby/a.total, 100*a.transition/a.total)
-	}
-	return b.String()
 }

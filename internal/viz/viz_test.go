@@ -5,18 +5,20 @@ import (
 	"testing"
 
 	"diskreuse/internal/disk"
+	"diskreuse/internal/obs"
 	"diskreuse/internal/sim"
 	"diskreuse/internal/trace"
 )
 
 func TestRenderSynthetic(t *testing.T) {
-	r := NewRecorder()
-	r.Record(sim.Interval{Disk: 0, From: 0, To: 10, Kind: sim.StateBusy, RPM: 15000})
-	r.Record(sim.Interval{Disk: 0, From: 10, To: 100, Kind: sim.StateStandby})
-	r.Record(sim.Interval{Disk: 1, From: 0, To: 50, Kind: sim.StateIdle, RPM: 15000})
-	r.Record(sim.Interval{Disk: 1, From: 50, To: 100, Kind: sim.StateIdle, RPM: 6000})
+	ivs := []obs.Interval{
+		{Disk: 0, From: 0, To: 10, State: obs.DiskBusy, RPM: 15000},
+		{Disk: 0, From: 10, To: 100, State: obs.DiskStandby},
+		{Disk: 1, From: 0, To: 50, State: obs.DiskIdle, RPM: 15000},
+		{Disk: 1, From: 50, To: 100, State: obs.DiskIdle, RPM: 6000},
+	}
 	var b strings.Builder
-	if err := r.Render(&b, 50, 15000); err != nil {
+	if err := Render(&b, ivs, 50, 15000); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -46,9 +48,8 @@ func TestRenderSynthetic(t *testing.T) {
 }
 
 func TestRenderEmptyAndDefaults(t *testing.T) {
-	r := NewRecorder()
 	var b strings.Builder
-	if err := r.Render(&b, 0, 15000); err != nil {
+	if err := Render(&b, nil, 0, 15000); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "no activity") {
@@ -64,24 +65,29 @@ func TestRecorderWithSimulator(t *testing.T) {
 		{Arrival: 100, Block: 0, Size: 4096},
 		{Arrival: 101, Block: 8, Size: 4096},
 	}
-	rec := NewRecorder()
+	rec := obs.NewIntervalLog(2)
 	diskOf := func(b int64) (int, error) { return int((b / 8) % 2), nil }
-	res, err := sim.Run(reqs, diskOf, sim.Config{
+	pt, err := sim.PrepareTrace(reqs, diskOf, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.RunPrepared(pt, sim.Config{
 		Model:    disk.Ultrastar36Z15(),
 		NumDisks: 2,
 		Policy:   sim.TPM,
-		Record:   rec.Record,
+		Sink:     rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Len() == 0 {
+	ivs := rec.Intervals()
+	if len(ivs) == 0 {
 		t.Fatal("no intervals recorded")
 	}
 	// Total recorded time per disk equals the meter's accounted time.
 	perDisk := map[int]float64{}
 	last := map[int]float64{}
-	for _, iv := range rec.intervals {
+	for _, iv := range ivs {
 		perDisk[iv.Disk] += iv.To - iv.From
 		if iv.From+1e-9 < last[iv.Disk] {
 			t.Fatalf("intervals for disk %d out of order: %v before %v", iv.Disk, iv.From, last[iv.Disk])
@@ -95,19 +101,11 @@ func TestRecorderWithSimulator(t *testing.T) {
 		}
 	}
 	var b strings.Builder
-	if err := r2render(rec, &b); err != nil {
+	if err := Render(&b, ivs, 80, 15000); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
 	if !strings.Contains(out, "_") || !strings.Contains(out, "^") {
 		t.Errorf("TPM timeline should show standby and transitions:\n%s", out)
 	}
-	sum := rec.Summary()
-	if !strings.Contains(sum, "disk  busy%") || !strings.Contains(sum, "0 ") {
-		t.Errorf("summary:\n%s", sum)
-	}
-}
-
-func r2render(r *Recorder, b *strings.Builder) error {
-	return r.Render(b, 80, 15000)
 }

@@ -163,11 +163,11 @@ func (s *System) Simulate(opt SimOptions) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	res, err := sim.Run(reqs, s.lay.PageDisk, sim.Config{
-		Model:    model,
-		NumDisks: s.lay.NumDisks(),
-		Policy:   policy,
-	})
+	pt, err := sim.PrepareTrace(reqs, s.lay.PageDisk, s.lay.NumDisks())
+	if err != nil {
+		return Report{}, err
+	}
+	res, err := sim.RunPrepared(pt, sim.Config{Model: model, Policy: policy})
 	if err != nil {
 		return Report{}, err
 	}
