@@ -148,38 +148,42 @@ func (l *Layout) ElemPage(a *sema.Array, lin int64) (int64, error) {
 // information (provided "in an external file" in the paper's simulator), it
 // locates the array extent containing the page and applies its striping.
 func (l *Layout) PageDisk(page int64) (int, error) {
+	ext, off, err := l.pageExtent(page)
+	if err != nil {
+		return 0, err
+	}
+	return SpecDisk(ext.Array.Stripe, off), nil
+}
+
+// ArrayOfPage returns the array whose file contains the page, or nil for
+// padding/out-of-range pages.
+func (l *Layout) ArrayOfPage(page int64) *sema.Array {
+	ext, _, err := l.pageExtent(page)
+	if err != nil {
+		return nil
+	}
+	return ext.Array
+}
+
+// pageExtent returns the extent whose file contains the page and the
+// page's byte offset within that file. Because every extent base is
+// aligned to its stripe unit, that offset is exactly the file-relative
+// offset SpecDisk stripes.
+func (l *Layout) pageExtent(page int64) (Extent, int64, error) {
 	byteOff := page * l.PageSize
 	// Extents are sorted by Base; binary-search the containing extent.
 	i := sort.Search(len(l.Extents), func(i int) bool {
 		return l.Extents[i].Base > byteOff
 	}) - 1
 	if i < 0 {
-		return 0, fmt.Errorf("layout: page %d before first extent", page)
+		return Extent{}, 0, fmt.Errorf("layout: page %d before first extent", page)
 	}
 	ext := l.Extents[i]
-	a := ext.Array
 	off := byteOff - ext.Base
-	if off >= a.Bytes() {
-		return 0, fmt.Errorf("layout: page %d falls in inter-file padding or past end", page)
+	if off >= ext.Array.Bytes() {
+		return Extent{}, 0, fmt.Errorf("layout: page %d falls in inter-file padding or past end", page)
 	}
-	return SpecDisk(a.Stripe, off), nil
-}
-
-// ArrayOfPage returns the array whose file contains the page, or nil for
-// padding/out-of-range pages.
-func (l *Layout) ArrayOfPage(page int64) *sema.Array {
-	byteOff := page * l.PageSize
-	i := sort.Search(len(l.Extents), func(i int) bool {
-		return l.Extents[i].Base > byteOff
-	}) - 1
-	if i < 0 {
-		return nil
-	}
-	ext := l.Extents[i]
-	if byteOff-ext.Base >= ext.Array.Bytes() {
-		return nil
-	}
-	return ext.Array
+	return ext, off, nil
 }
 
 // StripeRange describes the span of element linear indices of one stripe of

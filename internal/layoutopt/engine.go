@@ -82,21 +82,20 @@ func (s *Score) Best() float64 {
 const WholeProgram = -1
 
 // schedEntry memoizes everything downstream of one restructured schedule:
-// the abstract request trace (arrival/write/proc fixed, attribution open)
-// and, per request, the array and within-array page byte offset that decide
-// its disk under any candidate. Distinct assignments frequently share a
-// schedule — the primary vector only sees arrays that ever come first in an
-// iteration — so the entry is keyed by the primary-relevant sub-key and
-// reused across them. The per-policy scorer pools hand each concurrent
-// score its own scratch over the shared immutable trace.
+// the request trace trace.Generator produces for it over the declared
+// layout (arrival/write/proc fixed; each Block a declared-layout page whose
+// disk any candidate re-derives through Engine.diskOf). Distinct
+// assignments frequently share a schedule — the primary vector only sees
+// arrays that ever come first in an iteration — so the entry is keyed by
+// the primary-relevant sub-key and reused across them. The per-policy
+// scorer pools hand each concurrent score its own scratch over the shared
+// immutable trace.
 type schedEntry struct {
 	once sync.Once
 	err  error
 
-	reqs        []trace.Request
-	reqArr      []int32
-	reqPageByte []int64
-	runs        int
+	reqs []trace.Request
+	runs int
 
 	// scorers pools per-policy memoizing EnergyScorers over reqs; index is
 	// the sim.Policy value. Scorers are single-goroutine, so each concurrent
@@ -105,26 +104,21 @@ type schedEntry struct {
 	scorers [3]sync.Pool
 }
 
-func (en *schedEntry) diskOf(specs Assignment) func(i int) int {
-	arr, off := en.reqArr, en.reqPageByte
-	return func(i int) int {
-		return layout.SpecDisk(specs[arr[i]], off[i])
-	}
-}
-
 // Engine is the re-attribution-only layout scorer. It runs the front end
 // once — parse, semantic analysis, iteration space, dependence graph — and
-// sweeps the compiled access streams once into flat layout-independent
-// tables. Scoring a candidate then touches none of that machinery: the
-// primary-disk vector is re-derived with one SpecDisk per iteration, the
-// Fig. 3 scheduler reruns over the cached dependence graph (memoized by
-// primary sub-key), the abstract trace replays through memoizing
-// sim.EnergyScorers, and the finished Score lands in an LRU keyed by
-// canonical layout text.
+// records each iteration's first reference. Scoring a candidate never runs
+// the front end again: the primary-disk vector is re-derived with one
+// SpecDisk per iteration; the Fig. 3 scheduler reruns over the cached
+// dependence graph and trace.Generator turns its order into a request
+// trace over the declared layout, both memoized by primary sub-key; each
+// request's disk is re-derived from its page (diskOf); the trace replays
+// through memoizing sim.EnergyScorers; and the finished Score lands in an
+// LRU keyed by canonical layout text.
 //
 // Scores are bit-for-bit identical to the full compile→restructure→simulate
-// pipeline (Evaluate): the abstract trace reproduces the generator's clock
-// arithmetic exactly and re-attribution reproduces PageDisk exactly.
+// pipeline (Evaluate): the trace comes from the same generator, and
+// re-attribution inverts the declared layout's page map and stripes the
+// offset exactly as PageDisk does under the candidate.
 //
 // The engine is safe for concurrent Score calls; the beam search fans
 // scoring over internal/conc.
@@ -133,27 +127,15 @@ type Engine struct {
 	R     *core.Restructurer
 	Model disk.Model
 
-	pageSize        int64
-	computePerIter  float64
-	serviceEstimate float64
-	numArrays       int
-	numNests        int
-	arrayBytes      []int64
+	gen        trace.GenConfig
+	pageSize   int64
+	numArrays  int
+	numNests   int
+	arrayBytes []int64
 
 	// Per-iteration tables (layout-independent).
-	nestOf    []int32
 	firstArr  []int32 // array of the first (write-first compiled order) ref
 	firstByte []int64 // byte offset of that element within its array
-
-	// Flat per-access tables in (iteration, ref) order. An iteration's
-	// accesses start at accBase[nest] + (id - NestFirst[nest]) * refsPerNest.
-	accArr      []int32
-	accPageByte []int64 // within-array byte offset of the page start
-	accPacked   []int64 // layout-independent global page id (coalescing key)
-	accWrite    []bool
-	accBase     []int
-	refsPerNest []int
-	packedPages int64 // total packed pages across all arrays
 
 	// firstIn[phase+1][arr] marks arrays appearing as some iteration's
 	// first reference within the phase; index 0 is the whole program.
@@ -170,6 +152,9 @@ type Engine struct {
 	// attPool recycles per-candidate attribution scratch (one carve feeds
 	// both policy replays); Attribution.Build resizes across entries.
 	attPool sync.Pool
+	// genPool recycles trace.Generators, so schedule entries share their
+	// working buffers instead of allocating one each.
+	genPool sync.Pool
 }
 
 // DefaultCacheSize bounds the score LRU (and the schedule memo).
@@ -186,8 +171,8 @@ func NewEngine(a apps.App, cacheSize int) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The engine replays trace.Generate's clock, so it rejects the compute
-	// times Generate rejects, before the front end runs.
+	// Reject the compute times the generator rejects before the front end
+	// runs.
 	model := disk.Ultrastar36Z15()
 	gen := trace.GenConfig{ComputePerIter: a.ComputePerIter, ServiceEstimate: model.FullSpeedService(lay.PageSize)}
 	if err := gen.Validate(); err != nil {
@@ -201,44 +186,28 @@ func NewEngine(a apps.App, cacheSize int) (*Engine, error) {
 		cacheSize = DefaultCacheSize
 	}
 	e := &Engine{
-		App:             a,
-		R:               r,
-		Model:           model,
-		pageSize:        lay.PageSize,
-		computePerIter:  gen.ComputePerIter,
-		serviceEstimate: gen.ServiceEstimate,
-		numArrays:       len(prog.Arrays),
-		numNests:        len(prog.Nests),
-		scores:          newLRUCache(cacheSize),
-		scheds:          newLRUCache(max(64, cacheSize/4)),
+		App:       a,
+		R:         r,
+		Model:     model,
+		gen:       gen,
+		pageSize:  lay.PageSize,
+		numArrays: len(prog.Arrays),
+		numNests:  len(prog.Nests),
+		scores:    newLRUCache(cacheSize),
+		scheds:    newLRUCache(max(64, cacheSize/4)),
 	}
+	e.genPool.New = func() any { return new(trace.Generator) }
 	e.declared = make(Assignment, e.numArrays)
 	e.arrayBytes = make([]int64, e.numArrays)
-	elemSize := make([]int64, e.numArrays)
-	epp := make([]int64, e.numArrays)
-	packedBase := make([]int64, e.numArrays)
 	for _, arr := range prog.Arrays {
-		i := arr.Index
-		e.declared[i] = arr.Stripe
-		e.arrayBytes[i] = arr.Bytes()
-		elemSize[i] = arr.ElemSize
-		epp[i] = lay.PageSize / arr.ElemSize
-		packedBase[i] = e.packedPages
-		e.packedPages += (arr.Bytes() + lay.PageSize - 1) / lay.PageSize
+		e.declared[arr.Index] = arr.Stripe
+		e.arrayBytes[arr.Index] = arr.Bytes()
 	}
 
 	space := r.Space
 	n := space.NumIterations()
-	e.nestOf = make([]int32, n)
 	e.firstArr = make([]int32, n)
 	e.firstByte = make([]int64, n)
-	e.accBase = make([]int, e.numNests)
-	e.refsPerNest = make([]int, e.numNests)
-	acc := space.AccessCount()
-	e.accArr = make([]int32, 0, acc)
-	e.accPageByte = make([]int64, 0, acc)
-	e.accPacked = make([]int64, 0, acc)
-	e.accWrite = make([]bool, 0, acc)
 	e.firstIn = make([][]bool, e.numNests+1)
 	for k := range e.firstIn {
 		e.firstIn[k] = make([]bool, e.numArrays)
@@ -247,25 +216,11 @@ func NewEngine(a apps.App, cacheSize int) (*Engine, error) {
 	str := space.NewStreamer()
 	for id := 0; id < n; id++ {
 		refs, vals := str.Step(id)
-		nest := str.Nest()
-		e.nestOf[id] = int32(nest)
-		if id == space.NestFirst[nest] {
-			e.accBase[nest] = len(e.accArr)
-			e.refsPerNest[nest] = len(refs)
-		}
 		ai0 := refs[0].ArrIdx
 		e.firstArr[id] = int32(ai0)
-		e.firstByte[id] = vals[0] * elemSize[ai0]
+		e.firstByte[id] = vals[0] * prog.Arrays[ai0].ElemSize
 		e.firstIn[0][ai0] = true
-		e.firstIn[nest+1][ai0] = true
-		for j := range refs {
-			ai := refs[j].ArrIdx
-			pageIdx := vals[j] / epp[ai]
-			e.accArr = append(e.accArr, int32(ai))
-			e.accPageByte = append(e.accPageByte, pageIdx*e.pageSize)
-			e.accPacked = append(e.accPacked, packedBase[ai]+pageIdx)
-			e.accWrite = append(e.accWrite, refs[j].Write)
-		}
+		e.firstIn[str.Nest()+1][ai0] = true
 	}
 	return e, nil
 }
@@ -363,23 +318,45 @@ func (e *Engine) schedKey(phase, numDisks int, a Assignment) string {
 	return b.String()
 }
 
-// phaseMembers returns the iteration ids of a phase (nil for the whole
-// program, meaning "all of them" to the scheduler).
-func (e *Engine) phaseMembers(phase int) []int {
-	if phase == WholeProgram {
-		return nil
-	}
+// phaseRange returns the iteration ids [lo, hi) a phase executes: one
+// nest's contiguous block, or the whole space for WholeProgram.
+func (e *Engine) phaseRange(phase int) (lo, hi int) {
 	space := e.R.Space
-	lo := space.NestFirst[phase]
-	hi := space.NumIterations()
+	hi = space.NumIterations()
+	if phase == WholeProgram {
+		return 0, hi
+	}
 	if phase+1 < len(space.NestFirst) {
 		hi = space.NestFirst[phase+1]
 	}
+	return space.NestFirst[phase], hi
+}
+
+// iterIDs lists the ids lo..hi-1.
+func iterIDs(lo, hi int) []int {
 	ids := make([]int, hi-lo)
 	for i := range ids {
 		ids[i] = lo + i
 	}
 	return ids
+}
+
+// diskOf maps request i of reqs to its disk under specs. Each request's
+// Block is a page of the declared layout: the extent containing its byte
+// names the array, and since every extent base is aligned to its stripe
+// unit, the byte's distance from that base is the file offset SpecDisk
+// stripes — layout.PageDisk's inverse, applied to the candidate's specs.
+// The layout lays files out in array order, so extent k is array k's.
+func (e *Engine) diskOf(reqs []trace.Request, specs Assignment) func(i int) int {
+	exts, pageSize := e.R.Layout.Extents, e.pageSize
+	return func(i int) int {
+		b := reqs[i].Block * pageSize
+		k := len(exts) - 1
+		for exts[k].Base > b {
+			k--
+		}
+		return layout.SpecDisk(specs[k], b-exts[k].Base)
+	}
 }
 
 // primaryVec fills dst (len NumIterations) with each iteration's primary
@@ -397,83 +374,11 @@ func (e *Engine) primaryVec(a Assignment, dst []int) []int {
 	return dst
 }
 
-// genTrace produces the abstract request trace of executing order on one
-// processor: identical arrivals, sizes, write flags, and request order to
-// trace.Generate over the same schedule — the clock arithmetic (service
-// estimate per emission, compute time per iteration) is replayed verbatim —
-// but with layout-independent packed page ids as blocks and, per request,
-// the (array, page byte) pair that decides its disk under any candidate.
-// First-touch coalescing uses the same (nest, page, write) unit as the
-// generator, over packed pages (a bijection of the generator's global
-// pages), so the emitted request set and order match exactly.
-func (e *Engine) genTrace(order []int) (reqs []trace.Request, reqArr []int32, reqPageByte []int64) {
-	tableLen := int64(e.numNests) * e.packedPages
-	useTable := tableLen > 0 && tableLen <= touchTableMax
-	var table []uint8
-	var maps []map[int64]uint8
-	if useTable {
-		table = make([]uint8, tableLen)
-	} else {
-		maps = make([]map[int64]uint8, e.numNests)
-	}
-	total := 0
-	for _, id := range order {
-		total += e.refsPerNest[e.nestOf[id]]
-	}
-	reqs = make([]trace.Request, 0, total)
-	reqArr = make([]int32, 0, total)
-	reqPageByte = make([]int64, 0, total)
-	clock := 0.0
-	for _, id := range order {
-		nest := int(e.nestOf[id])
-		base := e.accBase[nest] + (id-e.R.Space.NestFirst[nest])*e.refsPerNest[nest]
-		nestOff := int64(nest) * e.packedPages
-		for j := base; j < base+e.refsPerNest[nest]; j++ {
-			page := e.accPacked[j]
-			bit := uint8(1)
-			if e.accWrite[j] {
-				bit = 2
-			}
-			if useTable {
-				if table[nestOff+page]&bit != 0 {
-					continue
-				}
-				table[nestOff+page] |= bit
-			} else {
-				tm := maps[nest]
-				if tm == nil {
-					tm = map[int64]uint8{}
-					maps[nest] = tm
-				}
-				if tm[page]&bit != 0 {
-					continue
-				}
-				tm[page] |= bit
-			}
-			reqs = append(reqs, trace.Request{
-				Arrival: clock,
-				Block:   page,
-				Size:    e.pageSize,
-				Write:   e.accWrite[j],
-				Proc:    0,
-			})
-			reqArr = append(reqArr, e.accArr[j])
-			reqPageByte = append(reqPageByte, e.accPageByte[j])
-			clock += e.serviceEstimate
-		}
-		clock += e.computePerIter
-	}
-	return reqs, reqArr, reqPageByte
-}
-
-// touchTableMax mirrors the trace generator's flat-table cap; above it the
-// per-nest map fallback keeps absorb semantics identical.
-const touchTableMax = 1 << 24
-
 // entryFor returns the memoized schedule entry for key, building it on
-// first use. build produces the execution order (and the schedule's run
-// count) when the entry is new.
-func (e *Engine) entryFor(key string, build func() (order []int, runs int, err error)) (*schedEntry, error) {
+// first use. build produces the execution order of the phase's iterations
+// (and the schedule's run count) when the entry is new; the entry's trace
+// is that order run on one processor.
+func (e *Engine) entryFor(key string, phase int, build func() (order []int, runs int, err error)) (*schedEntry, error) {
 	e.mu.Lock()
 	var en *schedEntry
 	if v, ok := e.scheds.get(key); ok {
@@ -489,7 +394,13 @@ func (e *Engine) entryFor(key string, build func() (order []int, runs int, err e
 			en.err = err
 			return
 		}
-		en.reqs, en.reqArr, en.reqPageByte = e.genTrace(order)
+		lo, hi := e.phaseRange(phase)
+		g := e.genPool.Get().(*trace.Generator)
+		en.reqs, en.err = g.GenerateRange(e.R, []trace.Phase{{PerProc: [][]int{order}}}, e.gen, lo, hi)
+		e.genPool.Put(g)
+		if en.err != nil {
+			return
+		}
 		en.runs = runs
 		for _, pol := range []sim.Policy{sim.NoPM, sim.TPM, sim.DRPM} {
 			cfg := sim.Config{Model: e.Model, Policy: pol}
@@ -510,15 +421,8 @@ func (e *Engine) entryFor(key string, build func() (order []int, runs int, err e
 // layout-independent baseline trace Base energies replay against.
 func (e *Engine) origEntry(phase int) (*schedEntry, error) {
 	key := fmt.Sprintf("p%d|orig", phase)
-	return e.entryFor(key, func() ([]int, int, error) {
-		members := e.phaseMembers(phase)
-		if members == nil {
-			members = make([]int, e.R.Space.NumIterations())
-			for i := range members {
-				members[i] = i
-			}
-		}
-		return members, 0, nil
+	return e.entryFor(key, phase, func() ([]int, int, error) {
+		return iterIDs(e.phaseRange(phase)), 0, nil
 	})
 }
 
@@ -557,7 +461,7 @@ func (e *Engine) scoreIn(phase int, a Assignment, needBase bool) (*Score, error)
 	replayBoth := func(en *schedEntry, sc *Score) error {
 		att := getAtt()
 		defer e.attPool.Put(att)
-		if err := att.Build(len(en.reqs), en.diskOf(a), numDisks); err != nil {
+		if err := att.Build(len(en.reqs), e.diskOf(en.reqs, a), numDisks); err != nil {
 			return err
 		}
 		for _, pol := range []sim.Policy{sim.TPM, sim.DRPM} {
@@ -585,7 +489,7 @@ func (e *Engine) scoreIn(phase int, a Assignment, needBase bool) (*Score, error)
 			}
 			es := orig.scorers[sim.NoPM].Get().(*sim.EnergyScorer)
 			defer orig.scorers[sim.NoPM].Put(es)
-			sum, err := es.Score(orig.diskOf(a), numDisks)
+			sum, err := es.Score(e.diskOf(orig.reqs, a), numDisks)
 			if err != nil {
 				ferr = err
 				return
@@ -610,10 +514,10 @@ func (e *Engine) scoreIn(phase int, a Assignment, needBase bool) (*Score, error)
 	e.mu.Unlock()
 	e.misses.Add(1)
 
-	restr, err := e.entryFor(e.schedKey(phase, numDisks, a), func() ([]int, int, error) {
+	restr, err := e.entryFor(e.schedKey(phase, numDisks, a), phase, func() ([]int, int, error) {
 		// The primary vector is only needed when the schedule memo misses.
 		primary := e.primaryVec(a, nil)
-		sched, err := e.R.ScheduleSubsetWithPrimary(numDisks, primary, e.phaseMembers(phase))
+		sched, err := e.R.ScheduleSubsetWithPrimary(numDisks, primary, iterIDs(e.phaseRange(phase)))
 		if err != nil {
 			return nil, 0, err
 		}

@@ -174,6 +174,19 @@ type Generator struct {
 
 // Generate is the package-level Generate, reusing g's working buffer.
 func (g *Generator) Generate(r *core.Restructurer, phases []Phase, cfg GenConfig) ([]Request, error) {
+	return g.GenerateRange(r, phases, cfg, 0, r.Space.NumIterations())
+}
+
+// GenerateRange is Generate over the iteration domain [lo, hi) instead of
+// the whole space: phases must execute every id in the range exactly once
+// and no id outside it. Clocks start at zero and first-touch state starts
+// empty, so the trace of one nest's range is the trace that nest produces
+// as a standalone program (its ids shifted, its pages those of the
+// combined layout).
+func (g *Generator) GenerateRange(r *core.Restructurer, phases []Phase, cfg GenConfig, lo, hi int) ([]Request, error) {
+	if n := r.Space.NumIterations(); lo < 0 || lo > hi || hi > n {
+		return nil, fmt.Errorf("trace: iteration domain [%d, %d) outside [0, %d)", lo, hi, n)
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -192,16 +205,50 @@ func (g *Generator) Generate(r *core.Restructurer, phases []Phase, cfg GenConfig
 	if procs == 0 {
 		return nil, fmt.Errorf("trace: no processors in phases")
 	}
+	dom := newDomain(lo, hi)
 	if r.Space.Engine() == interp.EngineCompiled {
-		return g.generateCompiled(r, phases, cfg, procs)
+		return g.generateCompiled(r, phases, cfg, procs, dom)
 	}
-	return generateInterp(r, phases, cfg, procs)
+	return generateInterp(r, phases, cfg, procs, dom)
+}
+
+// domain tracks which ids of the iteration range [lo, lo+len(seen)) have
+// run. Both engines check execution against it, so they reject the same
+// phases with the same errors.
+type domain struct {
+	lo   int
+	seen []bool
+}
+
+func newDomain(lo, hi int) domain { return domain{lo: lo, seen: make([]bool, hi-lo)} }
+
+// run marks id executed; an id outside the range or run twice is an error.
+func (d domain) run(id int) error {
+	k := id - d.lo
+	if k < 0 || k >= len(d.seen) {
+		return fmt.Errorf("trace: iteration id %d out of range [%d, %d)", id, d.lo, d.lo+len(d.seen))
+	}
+	if d.seen[k] {
+		return fmt.Errorf("trace: iteration %d appears twice", id)
+	}
+	d.seen[k] = true
+	return nil
+}
+
+// complete reports the first id of the range that never ran.
+func (d domain) complete() error {
+	for k, ok := range d.seen {
+		if !ok {
+			return fmt.Errorf("trace: iteration %d never executed", d.lo+k)
+		}
+	}
+	return nil
 }
 
 // generateInterp is the tree-walk oracle path of Generate, kept verbatim:
 // per-access affine re-evaluation via Space.Accesses and page lookup via
 // Layout.ElemPage.
-func generateInterp(r *core.Restructurer, phases []Phase, cfg GenConfig, procs int) ([]Request, error) {
+func generateInterp(r *core.Restructurer, phases []Phase, cfg GenConfig, procs int, dom domain) ([]Request, error) {
 	clocks := make([]float64, procs)
 	caches := make([]*pageCache, procs)
 	touched := make([]map[touchKey]bool, procs)
@@ -226,17 +273,12 @@ func generateInterp(r *core.Restructurer, phases []Phase, cfg GenConfig, procs i
 
 	var reqs []Request
 	var buf []interp.Access
-	seen := make([]bool, r.Space.NumIterations())
 	for _, ph := range phases {
 		for p, order := range ph.PerProc {
 			for _, id := range order {
-				if id < 0 || id >= len(seen) {
-					return nil, fmt.Errorf("trace: iteration id %d out of range", id)
+				if err := dom.run(id); err != nil {
+					return nil, err
 				}
-				if seen[id] {
-					return nil, fmt.Errorf("trace: iteration %d appears twice", id)
-				}
-				seen[id] = true
 				nest := r.Space.Nest(id)
 				buf = r.Space.Accesses(id, buf[:0])
 				for _, a := range buf {
@@ -270,10 +312,8 @@ func generateInterp(r *core.Restructurer, phases []Phase, cfg GenConfig, procs i
 			clocks[p] = maxClock
 		}
 	}
-	for id, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("trace: iteration %d never executed", id)
-		}
+	if err := dom.complete(); err != nil {
+		return nil, err
 	}
 	SortByArrival(reqs)
 	return reqs, nil
@@ -300,7 +340,7 @@ const touchTableMax = 1 << 24
 // (phase, processor) pair leaves one run sorted by arrival (its clock only
 // moves forward), and mergeRuns then writes them in arrival order into an
 // exact-size trace. No sort is needed: this is the stable sort's order.
-func (g *Generator) generateCompiled(r *core.Restructurer, phases []Phase, cfg GenConfig, procs int) ([]Request, error) {
+func (g *Generator) generateCompiled(r *core.Restructurer, phases []Phase, cfg GenConfig, procs int, dom domain) ([]Request, error) {
 	numArrays := len(r.Space.Prog.Arrays)
 	numNests := len(r.Space.Prog.Nests)
 	pageBase := make([]int64, numArrays)
@@ -343,7 +383,6 @@ func (g *Generator) generateCompiled(r *core.Restructurer, phases []Phase, cfg G
 	reqs := g.work[:0]
 	ends := g.ends[:0]
 	str := r.Space.NewStreamer()
-	seen := make([]bool, r.Space.NumIterations())
 	for _, ph := range phases {
 		for p, order := range ph.PerProc {
 			tf := touched[p]
@@ -352,13 +391,9 @@ func (g *Generator) generateCompiled(r *core.Restructurer, phases []Phase, cfg G
 				touched[p] = tf
 			}
 			for _, id := range order {
-				if id < 0 || id >= len(seen) {
-					return nil, fmt.Errorf("trace: iteration id %d out of range", id)
+				if err := dom.run(id); err != nil {
+					return nil, err
 				}
-				if seen[id] {
-					return nil, fmt.Errorf("trace: iteration %d appears twice", id)
-				}
-				seen[id] = true
 				refs, vals := str.Step(id)
 				nest := str.Nest()
 				nestOff := int64(nest) * maxPage
@@ -429,10 +464,8 @@ func (g *Generator) generateCompiled(r *core.Restructurer, phases []Phase, cfg G
 		}
 	}
 	g.work, g.ends = reqs[:0], ends[:0]
-	for id, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("trace: iteration %d never executed", id)
-		}
+	if err := dom.complete(); err != nil {
+		return nil, err
 	}
 	// No arrival of a phase follows the barrier and no arrival of the next
 	// phase precedes it, so merging phase by phase yields the whole trace
