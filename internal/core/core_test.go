@@ -437,29 +437,28 @@ func TestFigure4Exact(t *testing.T) {
 		4: 2, 8: 2, 13: 2,
 		5: 3, 11: 3,
 	}
-	deps := map[int][]int{9: {2}, 7: {6}, 12: {10}} // dst -> srcs
+	// The dependences 2 -> 9, 6 -> 7 and 10 -> 12 as compressed sparse
+	// rows over ids 0..13 (id 0 is outside the scheduled set).
+	g := csrGraph{
+		predOff: []int32{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 2, 3, 3},
+		preds:   []int32{6, 2, 10},
+		succOff: []int32{0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3},
+		succs:   []int32{9, 7, 12},
+	}
 	members := make([]int, 0, 13)
-	inSet := make([]bool, 14)
 	for id := 1; id <= 13; id++ {
 		members = append(members, id)
-		inSet[id] = true
 	}
-	succs := make([][]int32, 14)
-	preds := make([][]int32, 14)
 	primary := make([]int, 14)
 	for id, d := range diskOf {
 		primary[id] = d
 	}
-	for dst, srcs := range deps {
-		for _, src := range srcs {
-			preds[dst] = append(preds[dst], int32(src))
-			succs[src] = append(succs[src], int32(dst))
-		}
-	}
-	order, disks, err := scheduleFig3(4, members, inSet, primary, preds, succs)
+	s := &Scheduler{g: g, numDisks: 4, primary: primary, mark: make([]uint32, 14), indeg: make([]int32, 14)}
+	sched, err := s.ScheduleFor(members)
 	if err != nil {
 		t.Fatal(err)
 	}
+	order, disks := sched.Order, sched.Disk
 	want := []int{1, 3, 2, 6, 10, 4, 8, 13, 5, 11, 7, 9, 12}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v", order)
@@ -489,3 +488,13 @@ func TestFigure4Exact(t *testing.T) {
 		}
 	}
 }
+
+// csrGraph is a hand-built dependence graph in compressed sparse rows:
+// row u of a direction is adj[off[u]:off[u+1]].
+type csrGraph struct {
+	predOff, preds []int32
+	succOff, succs []int32
+}
+
+func (g csrGraph) Preds(u int) []int32 { return g.preds[g.predOff[u]:g.predOff[u+1]] }
+func (g csrGraph) Succs(u int) []int32 { return g.succs[g.succOff[u]:g.succOff[u+1]] }

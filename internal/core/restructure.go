@@ -11,6 +11,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"diskreuse/internal/conc"
 	"diskreuse/internal/interp"
@@ -46,8 +47,10 @@ type Restructurer struct {
 	// element of its first (lexical) reference, per the paper's convention
 	// that an iteration touching several disks is clustered by one of them.
 	primary []int
-	// touched[id] lists every distinct disk the iteration accesses.
-	touched [][]int8
+	// touched[touchedOff[id]:touchedOff[id+1]] lists every distinct disk
+	// the iteration accesses, in first-access order.
+	touchedOff []int32
+	touched    []int8
 }
 
 // Options configures how the front-end analyses run. The zero value is the
@@ -131,26 +134,30 @@ func NewCtx(ctx context.Context, prog *sema.Program, l *layout.Layout, opt Optio
 
 // attributeDisks fills primary and touched for every iteration, chunked
 // over the iteration range on at most jobs workers. Layout.ElemDisk is a
-// pure function of the layout, so chunks share it safely; each chunk
-// writes only its own slots, and errors are reported in iteration order
-// (the first chunk's error wins) so the message never depends on worker
-// scheduling.
+// pure function of the layout, so chunks share it safely. Each chunk
+// writes only its own primary slots and row lengths and fills a local
+// disk buffer; the buffers are concatenated in chunk order. Errors are
+// reported in iteration order (the first chunk's error wins) so the
+// message never depends on worker scheduling.
 func (r *Restructurer) attributeDisks(ctx context.Context, jobs int) error {
 	n := r.Space.NumIterations()
 	r.primary = make([]int, n)
-	r.touched = make([][]int8, n)
+	r.touchedOff = make([]int32, n+1)
 	chunks := conc.Chunks(n, conc.ChunkCount(n, jobs, 1<<10))
+	bufs := make([][]int8, len(chunks))
 	errs := make([]error, len(chunks))
 	poolErr := conc.ForEach(ctx, len(chunks), jobs, func(_ context.Context, k int) error {
 		str := r.Space.NewStreamer()
 		var buf []interp.Access
-		for id := chunks[k][0]; id < chunks[k][1]; id++ {
+		lo, hi := chunks[k][0], chunks[k][1]
+		disks := make([]int8, 0, hi-lo)
+		for id := lo; id < hi; id++ {
 			buf = str.Accesses(id, buf[:0])
 			if len(buf) == 0 {
 				errs[k] = fmt.Errorf("core: iteration %v performs no accesses", r.Space.IterAt(id))
 				return errs[k]
 			}
-			var disks []int8
+			row := len(disks)
 			for j, a := range buf {
 				d, err := r.Layout.ElemDisk(a.Array, a.Lin)
 				if err != nil {
@@ -160,19 +167,13 @@ func (r *Restructurer) attributeDisks(ctx context.Context, jobs int) error {
 				if j == 0 {
 					r.primary[id] = d
 				}
-				found := false
-				for _, x := range disks {
-					if x == int8(d) {
-						found = true
-						break
-					}
-				}
-				if !found {
+				if !slices.Contains(disks[row:], int8(d)) {
 					disks = append(disks, int8(d))
 				}
 			}
-			r.touched[id] = disks
+			r.touchedOff[id+1] = int32(len(disks) - row)
 		}
+		bufs[k] = disks
 		return nil
 	})
 	for _, e := range errs {
@@ -180,14 +181,24 @@ func (r *Restructurer) attributeDisks(ctx context.Context, jobs int) error {
 			return e
 		}
 	}
-	return poolErr
+	if poolErr != nil {
+		return poolErr
+	}
+	for id := 0; id < n; id++ {
+		r.touchedOff[id+1] += r.touchedOff[id]
+	}
+	r.touched = slices.Concat(bufs...)
+	return nil
 }
 
 // PrimaryDisk returns the primary disk of global iteration id.
 func (r *Restructurer) PrimaryDisk(id int) int { return r.primary[id] }
 
 // TouchedDisks returns every disk the iteration accesses.
-func (r *Restructurer) TouchedDisks(id int) []int8 { return r.touched[id] }
+func (r *Restructurer) TouchedDisks(id int) []int8 {
+	lo, hi := r.touchedOff[id], r.touchedOff[id+1]
+	return r.touched[lo:hi:hi]
+}
 
 // OriginalSchedule returns the untransformed program-order schedule, the
 // baseline every experiment normalizes against.
@@ -269,111 +280,15 @@ func (h *idHeap) pop() int {
 // visited exactly once (perfect disk reuse); with dependences disks are
 // revisited only as the while-loop of Fig. 3 requires.
 func (r *Restructurer) DiskReuseSchedule() (*Schedule, error) {
-	return r.scheduleSubset(nil)
-}
-
-// scheduleSubset runs the Fig. 3 scheduler over a subset of iterations
-// (nil means all). Dependence edges with both endpoints in the subset are
-// enforced; edges entering the subset from outside are assumed satisfied
-// (the caller is responsible for inter-subset ordering, e.g. barriers).
-func (r *Restructurer) scheduleSubset(subset []int) (*Schedule, error) {
-	n := r.Space.NumIterations()
-	inSubset := make([]bool, n)
-	var members []int
-	if subset == nil {
-		members = make([]int, n)
-		for i := range members {
-			members[i] = i
-			inSubset[i] = true
-		}
-	} else {
-		members = subset
-		for _, id := range subset {
-			if id < 0 || id >= n {
-				return nil, fmt.Errorf("core: subset id %d out of range", id)
-			}
-			if inSubset[id] {
-				return nil, fmt.Errorf("core: subset id %d duplicated", id)
-			}
-			inSubset[id] = true
-		}
-	}
-	order, disks, err := scheduleFig3(r.Layout.NumDisks(), members, inSubset,
-		r.primary, r.Graph.Preds, r.Graph.Succs)
-	if err != nil {
-		return nil, err
-	}
-	return &Schedule{Order: order, Disk: disks, Space: r.Space}, nil
-}
-
-// scheduleFig3 is the algorithm of the paper's Fig. 3, generalized to an
-// arbitrary dependence DAG: starting from disk 0, schedule every ready
-// iteration whose primary disk is the current one (in original program
-// order, admitting iterations that become ready during the same visit),
-// then move to the next disk, cycling until all iterations are scheduled.
-// Edges with an endpoint outside the member set are ignored.
-func scheduleFig3(numDisks int, members []int, inSet []bool,
-	primary []int, preds, succs [][]int32) (order, disks []int, err error) {
-
-	indeg := make([]int, len(inSet))
-	for _, id := range members {
-		for _, p := range preds[id] {
-			if inSet[p] {
-				indeg[id]++
-			}
-		}
-	}
-	queues := make([]idHeap, numDisks)
-	pending := 0
-	for _, id := range members {
-		if indeg[id] == 0 {
-			queues[primary[id]].push(id)
-		}
-		pending++
-	}
-
-	order = make([]int, 0, len(members))
-	disks = make([]int, 0, len(members))
-	d := 0
-	idleRounds := 0
-	for pending > 0 {
-		if len(queues[d]) == 0 {
-			d = (d + 1) % numDisks
-			idleRounds++
-			if idleRounds > numDisks {
-				// A full cycle with nothing ready means a dependence from
-				// outside the set was never satisfied — a cycle cannot
-				// exist because edges point forward in program order.
-				return nil, nil, fmt.Errorf("core: scheduling stuck with %d iterations pending (cross-subset dependence?)", pending)
-			}
-			continue
-		}
-		idleRounds = 0
-		for len(queues[d]) > 0 {
-			id := queues[d].pop()
-			order = append(order, id)
-			disks = append(disks, d)
-			pending--
-			for _, v := range succs[id] {
-				if !inSet[v] {
-					continue
-				}
-				indeg[v]--
-				if indeg[v] == 0 {
-					queues[primary[v]].push(int(v))
-				}
-			}
-		}
-		d = (d + 1) % numDisks
-	}
-	return order, disks, nil
+	return r.NewScheduler().ScheduleFor(nil)
 }
 
 // ScheduleFor runs disk-reuse scheduling over an explicit iteration subset
 // (used by the multiprocessor path to restructure each processor's assigned
-// iterations separately, §6.2).
+// iterations separately, §6.2). A caller scheduling many subsets should
+// hold one Scheduler instead.
 func (r *Restructurer) ScheduleFor(subset []int) (*Schedule, error) {
-	return r.scheduleSubset(subset)
+	return r.NewScheduler().ScheduleFor(subset)
 }
 
 // ScheduleWithPrimary runs the Fig. 3 scheduler over the whole iteration
@@ -395,44 +310,152 @@ func (r *Restructurer) ScheduleWithPrimary(numDisks int, primary []int) (*Schedu
 // caller's inter-subset ordering (e.g. phase barriers). This is the
 // per-phase leg of the phase-aware layout search.
 func (r *Restructurer) ScheduleSubsetWithPrimary(numDisks int, primary []int, subset []int) (*Schedule, error) {
+	return r.NewScheduler().ScheduleSubsetWithPrimary(numDisks, primary, subset)
+}
+
+// Scheduler runs the Fig. 3 scheduler over iteration subsets of one
+// Restructurer. Its scratch is sized to the iteration count once, so a
+// call costs O(subset + its edges), not O(iterations). A Scheduler is not
+// safe for concurrent use; each goroutine takes its own.
+type Scheduler struct {
+	space *interp.Space
+	// g is the dependence DAG: r.Graph, or a hand-built one in tests.
+	g interface {
+		Preds(u int) []int32
+		Succs(u int) []int32
+	}
+	numDisks int
+	primary  []int
+
+	// mark[id] == epoch iff id is in the subset being scheduled, so bumping
+	// the epoch empties the set.
+	mark   []uint32
+	epoch  uint32
+	indeg  []int32
+	queues []idHeap
+}
+
+// NewScheduler returns a Scheduler over r's space, dependence graph and
+// disk attribution.
+func (r *Restructurer) NewScheduler() *Scheduler {
 	n := r.Space.NumIterations()
+	return &Scheduler{
+		space:    r.Space,
+		g:        r.Graph,
+		numDisks: r.Layout.NumDisks(),
+		primary:  r.primary,
+		mark:     make([]uint32, n),
+		indeg:    make([]int32, n),
+	}
+}
+
+// ScheduleFor is Restructurer.ScheduleFor (nil subset = every iteration)
+// on the scheduler's scratch.
+func (s *Scheduler) ScheduleFor(subset []int) (*Schedule, error) {
+	return s.ScheduleSubsetWithPrimary(s.numDisks, s.primary, subset)
+}
+
+// ScheduleSubsetWithPrimary is Restructurer.ScheduleSubsetWithPrimary on
+// the scheduler's scratch.
+func (s *Scheduler) ScheduleSubsetWithPrimary(numDisks int, primary []int, subset []int) (*Schedule, error) {
+	members, err := s.admit(numDisks, primary, subset)
+	if err != nil {
+		return nil, err
+	}
+	return s.fig3(numDisks, members, primary)
+}
+
+// admit validates a schedule request and marks its members, returning
+// them (subset, or every id when subset is nil). The disk count and the
+// primary vector's length are checked first, then every subset id, and
+// only then the primary disk of each member.
+func (s *Scheduler) admit(numDisks int, primary []int, subset []int) ([]int, error) {
+	n := len(s.mark)
 	if numDisks <= 0 {
 		return nil, fmt.Errorf("core: numDisks %d must be positive", numDisks)
 	}
 	if len(primary) != n {
 		return nil, fmt.Errorf("core: primary vector has %d entries for %d iterations", len(primary), n)
 	}
-	inSubset := make([]bool, n)
-	var members []int
+	if s.epoch++; s.epoch == 0 {
+		// Wrapped: stale marks would alias the new epochs.
+		clear(s.mark)
+		s.epoch = 1
+	}
+	members := subset
 	if subset == nil {
 		members = make([]int, n)
 		for i := range members {
 			members[i] = i
-			inSubset[i] = true
 		}
-	} else {
-		members = subset
-		for _, id := range subset {
-			if id < 0 || id >= n {
-				return nil, fmt.Errorf("core: subset id %d out of range", id)
-			}
-			if inSubset[id] {
-				return nil, fmt.Errorf("core: subset id %d duplicated", id)
-			}
-			inSubset[id] = true
+	}
+	for _, id := range members {
+		if id < 0 || id >= n {
+			return nil, fmt.Errorf("core: subset id %d out of range", id)
 		}
+		if s.mark[id] == s.epoch {
+			return nil, fmt.Errorf("core: subset id %d duplicated", id)
+		}
+		s.mark[id] = s.epoch
 	}
 	for _, id := range members {
 		if d := primary[id]; d < 0 || d >= numDisks {
 			return nil, fmt.Errorf("core: primary disk %d of iteration %d outside 0..%d", d, id, numDisks-1)
 		}
 	}
-	order, disks, err := scheduleFig3(numDisks, members, inSubset,
-		primary, r.Graph.Preds, r.Graph.Succs)
-	if err != nil {
-		return nil, err
+	return members, nil
+}
+
+// fig3 runs DiskReuseSchedule's Fig. 3 loop over the marked members.
+// Edges with an endpoint outside them are ignored, so the smallest
+// unscheduled member is always ready (edges point forward in program
+// order) and every cycle over the disks schedules at least one member; a
+// cycle that schedules none is reported rather than repeated forever.
+func (s *Scheduler) fig3(numDisks int, members, primary []int) (*Schedule, error) {
+	if cap(s.queues) < numDisks {
+		s.queues = make([]idHeap, numDisks)
 	}
-	return &Schedule{Order: order, Disk: disks, Space: r.Space}, nil
+	queues := s.queues[:numDisks]
+	for d := range queues {
+		// Empty after every completed call; a stuck one leaves ids behind.
+		queues[d] = queues[d][:0]
+	}
+	mark, epoch, indeg := s.mark, s.epoch, s.indeg
+	for _, id := range members {
+		var c int32
+		for _, p := range s.g.Preds(id) {
+			if mark[p] == epoch {
+				c++
+			}
+		}
+		if indeg[id] = c; c == 0 {
+			queues[primary[id]].push(id)
+		}
+	}
+	order := make([]int, 0, len(members))
+	disks := make([]int, 0, len(members))
+	for d, last := 0, -1; len(order) < len(members); d = (d + 1) % numDisks {
+		if d == 0 {
+			if len(order) == last {
+				return nil, fmt.Errorf("core: scheduling stuck with %d iterations pending", len(members)-len(order))
+			}
+			last = len(order)
+		}
+		for len(queues[d]) > 0 {
+			id := queues[d].pop()
+			order = append(order, id)
+			disks = append(disks, d)
+			for _, v := range s.g.Succs(id) {
+				if mark[v] != epoch {
+					continue
+				}
+				if indeg[v]--; indeg[v] == 0 {
+					queues[primary[v]].push(int(v))
+				}
+			}
+		}
+	}
+	return &Schedule{Order: order, Disk: disks, Space: s.space}, nil
 }
 
 // Verify checks the schedule against the exact dependence graph.

@@ -102,7 +102,7 @@ nest L {
 		n := p.Nests[0]
 		static := AnalyzeNest(n)
 		for v := 0; v < space.NumIterations(); v++ {
-			for _, u := range g.Preds[v] {
+			for _, u := range g.Preds(v) {
 				iu, iv := space.IterAt(int(u)), space.IterAt(v)
 				if iu.Nest != iv.Nest {
 					continue

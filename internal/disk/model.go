@@ -131,7 +131,11 @@ func (m Model) Levels() []int {
 }
 
 // ClampRPM snaps r to the nearest valid level at or above RPMMin.
-func (m Model) ClampRPM(r int) int {
+//
+// ClampRPM, ServiceTime and FullSpeedService run once per simulated
+// request, so they take a pointer: an inlined value receiver copies the
+// whole Model on every call.
+func (m *Model) ClampRPM(r int) int {
 	if r <= m.RPMMin {
 		return m.RPMMin
 	}
@@ -147,7 +151,7 @@ func (m Model) ClampRPM(r int) int {
 // rotational speed rpm. Seek time is speed-independent; rotational latency
 // and media transfer rate scale linearly with RPM (the physical basis of
 // DRPM's energy/performance trade).
-func (m Model) ServiceTime(bytes int64, rpm int) float64 {
+func (m *Model) ServiceTime(bytes int64, rpm int) float64 {
 	if rpm <= 0 {
 		rpm = m.RPMMax
 	}
@@ -158,6 +162,6 @@ func (m Model) ServiceTime(bytes int64, rpm int) float64 {
 }
 
 // FullSpeedService is ServiceTime at RPMMax.
-func (m Model) FullSpeedService(bytes int64) float64 {
+func (m *Model) FullSpeedService(bytes int64) float64 {
 	return m.ServiceTime(bytes, m.RPMMax)
 }

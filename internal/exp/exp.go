@@ -287,52 +287,34 @@ func prepare(r *core.Restructurer, procs int) (orig, restrS, restrM *execution, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	numNests := len(r.Prog.Nests)
-
-	build := func(a *par.Assignment, restructure bool) (*execution, error) {
-		perProc := make([][]int, procs)
-		runs := 0
-		for p, sub := range a.Subsets() {
-			// Split the processor's iterations by nest (barrier phases).
-			byNest := make([][]int, numNests)
-			for _, id := range sub {
-				k := r.Space.Nest(id)
-				byNest[k] = append(byNest[k], id)
-			}
-			for _, group := range byNest {
-				if len(group) == 0 {
-					continue
-				}
-				order := group
-				if restructure {
-					s, err := r.ScheduleFor(group)
-					if err != nil {
-						return nil, err
-					}
-					order = s.Order
-					runs += core.Stats(s, numDisks).Runs
-				} else {
-					runs += runsOf(r, group)
-				}
-				perProc[p] = append(perProc[p], order...)
-			}
+	// One scheduler, sized once, serves every (processor, nest) group.
+	sch := r.NewScheduler()
+	build := func(a *par.Assignment, sch *core.Scheduler) (*execution, error) {
+		phases, err := trace.ScheduledPhases(r.Space, a.Subsets(), sch)
+		if err != nil {
+			return nil, err
 		}
-		phases := trace.NestPhases(r.Space, perProc, numNests)
 		if err := trace.VerifyPhases(r.Space, r.Graph, phases); err != nil {
 			return nil, err
+		}
+		runs := 0
+		for _, ph := range phases {
+			for _, order := range ph.PerProc {
+				runs += runsOf(r, order)
+			}
 		}
 		return &execution{phases: phases, diskRuns: runs}, nil
 	}
 
-	orig, err = build(lp, false)
+	orig, err = build(lp, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	restrS, err = build(lp, true)
+	restrS, err = build(lp, sch)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	restrM, err = build(la, true)
+	restrM, err = build(la, sch)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -61,8 +61,7 @@ func ParseEngine(s string) (Engine, error) {
 // CompiledRef is one array reference of a kernel, lowered to a stride
 // table over the nest's iteration vector: Lin(iv) = c0 + Σ coef[l]·iv[l].
 // Refs are stored in emission order — each statement's reads before its
-// write — so a kernel row streams accesses without the per-iteration
-// statement-grouping pass Space.Accesses performs.
+// write — so a kernel row streams accesses in Space.Accesses order.
 type CompiledRef struct {
 	Arr    *sema.Array
 	ArrIdx int // Arr.Index, hoisted for slice-indexed page/disk tables
@@ -396,12 +395,8 @@ func (s *Space) bucketSizes(lo, hi int) []int {
 // coalesced ones, available on either engine.
 func (s *Space) AccessCount() int {
 	total := 0
-	for i, refs := range s.refs {
-		nestHi := s.total
-		if i+1 < len(s.NestFirst) {
-			nestHi = s.NestFirst[i+1]
-		}
-		total += (nestHi - s.NestFirst[i]) * len(refs)
+	for _, n := range s.bucketSizes(0, s.total) {
+		total += n
 	}
 	return total
 }

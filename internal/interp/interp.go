@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 
 	"diskreuse/internal/affine"
@@ -51,8 +52,6 @@ type compiledRef struct {
 	c0    int64
 	write bool
 	stmt  int
-	// raw subscripts kept for bounds validation
-	subs []affine.Expr
 }
 
 // Space is the enumerated iteration space of a whole program: every
@@ -73,7 +72,7 @@ type Space struct {
 	depths []int     // per nest: loop depth (arena row width)
 	total  int
 
-	refs    [][]compiledRef // per nest, write-first per statement
+	refs    [][]compiledRef // per nest, in access order
 	engine  Engine
 	kernels []*kernel // per nest; nil on the interp engine
 }
@@ -156,11 +155,7 @@ func BuildSpaceOpts(ctx context.Context, prog *sema.Program, opt BuildOptions) (
 	}
 	for i, n := range prog.Nests {
 		s.depths[i] = n.Depth()
-		crefs, err := compileNest(n)
-		if err != nil {
-			return nil, err
-		}
-		s.refs[i] = crefs
+		s.refs[i] = compileNest(n)
 	}
 	if opt.Engine == EngineCompiled {
 		return s.buildCompiled(ctx, opt)
@@ -237,10 +232,10 @@ func (s *Space) buildInterp(ctx context.Context, jobs int) (*Space, error) {
 	return s, nil
 }
 
-func compileNest(n *sema.Nest) ([]compiledRef, error) {
+func compileNest(n *sema.Nest) []compiledRef {
 	iters := n.Iterators()
 	var out []compiledRef
-	addRef := func(r *sema.Ref, write bool, stmt int) error {
+	addRef := func(r *sema.Ref, write bool, stmt int) {
 		a := r.Array
 		// Row-major strides.
 		strides := make([]int64, len(a.Dims))
@@ -254,7 +249,6 @@ func compileNest(n *sema.Nest) ([]compiledRef, error) {
 			coef:  make([]int64, len(iters)),
 			write: write,
 			stmt:  stmt,
-			subs:  r.Subs,
 		}
 		for k, sub := range r.Subs {
 			cr.c0 += sub.Const * strides[k]
@@ -263,21 +257,17 @@ func compileNest(n *sema.Nest) ([]compiledRef, error) {
 			}
 		}
 		out = append(out, cr)
-		return nil
 	}
+	// An assignment reads its operands before storing.
 	for _, st := range n.Stmts {
-		if st.Write != nil {
-			if err := addRef(st.Write, true, st.Index); err != nil {
-				return nil, err
-			}
-		}
 		for _, r := range st.Reads {
-			if err := addRef(r, false, st.Index); err != nil {
-				return nil, err
-			}
+			addRef(r, false, st.Index)
+		}
+		if st.Write != nil {
+			addRef(st.Write, true, st.Index)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // NumIterations returns the total number of iteration instances.
@@ -289,28 +279,8 @@ func (s *Space) NumIterations() int { return s.total }
 func (s *Space) Accesses(id int, buf []Access) []Access {
 	k := s.Nest(id)
 	iv := s.iterVecIn(k, id)
-	refs := s.refs[k]
-	// refs are stored write-first per statement; reorder to reads-then-
-	// write per statement on the fly.
-	i := 0
-	for i < len(refs) {
-		stmt := refs[i].stmt
-		j := i
-		for j < len(refs) && refs[j].stmt == stmt {
-			j++
-		}
-		// reads first
-		for k := i; k < j; k++ {
-			if !refs[k].write {
-				buf = append(buf, access(refs[k], iv))
-			}
-		}
-		for k := i; k < j; k++ {
-			if refs[k].write {
-				buf = append(buf, access(refs[k], iv))
-			}
-		}
-		i = j
+	for _, cr := range s.refs[k] {
+		buf = append(buf, access(cr, iv))
 	}
 	return buf
 }
@@ -405,96 +375,128 @@ func chunkCount(n, jobs int) int {
 	return conc.ChunkCount(n, jobs, minGrain)
 }
 
-// DepGraph is the exact iteration-level dependence DAG. Preds[u] lists the
-// global iteration ids that must execute before iteration u; Succs is the
-// inverse. Both lists are sorted and duplicate-free. Edges always point
-// from an earlier program-order iteration to a later one, so the graph is
-// acyclic by construction.
+// DepGraph is the exact iteration-level dependence DAG, stored as
+// compressed sparse rows. Preds(u) lists the global iteration ids that
+// must execute before iteration u; Succs(u) is the inverse. Every row is
+// sorted and duplicate-free. Edges always point from an earlier
+// program-order iteration to a later one, so the graph is acyclic by
+// construction.
 type DepGraph struct {
-	Preds [][]int32
-	Succs [][]int32
-	edges int
+	predOff, preds []int32
+	succOff, succs []int32
 }
 
-// NumEdges returns the number of dependence edges.
-func (g *DepGraph) NumEdges() int { return g.edges }
+// csrRow returns row u of one direction (NumIterations()+1 offsets over one
+// flat edge array) as a view callers must not mutate.
+func csrRow(off, edges []int32, u int) []int32 { return edges[off[u]:off[u+1]:off[u+1]] }
 
-// elemState tracks the access history of one array element during replay.
+// Preds returns the sorted predecessors of iteration u.
+func (g *DepGraph) Preds(u int) []int32 { return csrRow(g.predOff, g.preds, u) }
+
+// Succs returns the sorted successors of iteration u.
+func (g *DepGraph) Succs(u int) []int32 { return csrRow(g.succOff, g.succs, u) }
+
+// NumEdges returns the number of dependence edges.
+func (g *DepGraph) NumEdges() int { return len(g.preds) }
+
+// NumIterations returns the number of iterations (rows) of the graph.
+func (g *DepGraph) NumIterations() int { return len(g.predOff) - 1 }
+
+// buildSuccs fills the successor rows as the transpose of the predecessor
+// rows: a counting pass sizes every row, then one fill over ascending u
+// leaves each row sorted.
+func (g *DepGraph) buildSuccs() {
+	n := g.NumIterations()
+	off := make([]int32, n+1)
+	for _, p := range g.preds {
+		off[p+1]++
+	}
+	for p := 0; p < n; p++ {
+		off[p+1] += off[p]
+	}
+	succs := make([]int32, len(g.preds))
+	// off[p] is row p's fill cursor and ends at row p+1's start; shifting
+	// the array by one restores the row starts.
+	for u := 0; u < n; u++ {
+		for _, p := range g.Preds(u) {
+			succs[off[p]] = int32(u)
+			off[p]++
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	g.succOff, g.succs = off, succs
+}
+
+// sortedSet sorts row in place, moves its distinct values to the front,
+// and returns how many there are.
+func sortedSet(row []int32) int {
+	slices.Sort(row)
+	return len(slices.Compact(row))
+}
+
+// elemState tracks the access history of one array element during replay:
+// its last writer, and the newest iteration that read it since, as an
+// index into the replay's reader arena. Both are stored plus one, so the
+// zero value is an element nobody has touched.
 type elemState struct {
-	lastWriter int32
-	readers    []int32 // readers since the last write
+	lastWriter, lastRead int32
+}
+
+// reader is one node of a reader arena: iteration u read an element whose
+// previous reader since the last write is at arena index next (or -1).
+type reader struct{ u, next int32 }
+
+// access applies one access of iteration u to the element. It appends to
+// preds the source of every edge the access induces — output and anti for
+// a write, flow for a read — and returns the grown preds and reader arena.
+// Same-iteration accesses induce no edge (the iteration is the atomic
+// scheduling unit).
+func (es *elemState) access(u int32, write bool, preds []int32, arena []reader) ([]int32, []reader) {
+	if w := es.lastWriter - 1; w >= 0 && w != u {
+		preds = append(preds, w) // output or flow
+	}
+	if write {
+		for i := es.lastRead - 1; i >= 0; i = arena[i].next {
+			if r := arena[i].u; r != u {
+				preds = append(preds, r) // anti
+			}
+		}
+		es.lastWriter, es.lastRead = u+1, 0
+	} else if es.lastRead == 0 || arena[es.lastRead-1].u != u {
+		arena = append(arena, reader{u: u, next: es.lastRead - 1})
+		es.lastRead = int32(len(arena))
+	}
+	return preds, arena
 }
 
 // BuildDeps replays the program in original order and constructs the exact
-// dependence graph. Same-iteration accesses never create edges (the
-// iteration is the atomic scheduling unit).
+// dependence graph. Every edge into u is emitted while u is replayed, so
+// u's row is appended straight onto the flat predecessor array and sorted
+// and deduplicated in place.
 func (s *Space) BuildDeps() *DepGraph {
 	n := s.total
-	g := &DepGraph{
-		Preds: make([][]int32, n),
-		Succs: make([][]int32, n),
-	}
-	// Per-array element state, allocated lazily per array.
-	states := map[*sema.Array][]elemState{}
-	stateOf := func(a *sema.Array) []elemState {
-		st, ok := states[a]
-		if !ok {
-			st = make([]elemState, a.Elems())
-			for i := range st {
-				st[i].lastWriter = -1
-			}
-			states[a] = st
-		}
-		return st
-	}
-	addEdge := func(from, to int32) {
-		if from < 0 || from == to {
-			return
-		}
-		g.Preds[to] = append(g.Preds[to], from)
+	// The access count bounds the reader arena and, for typical programs,
+	// the edges.
+	acc := s.AccessCount()
+	g := &DepGraph{predOff: make([]int32, n+1), preds: make([]int32, 0, acc)}
+	arena := make([]reader, 0, acc)
+	states := make([][]elemState, len(s.Prog.Arrays))
+	for i, a := range s.Prog.Arrays {
+		states[i] = make([]elemState, a.Elems())
 	}
 	str := s.NewStreamer()
 	var buf []Access
 	for u := 0; u < n; u++ {
+		row := len(g.preds)
 		buf = str.Accesses(u, buf[:0])
 		for _, a := range buf {
-			st := stateOf(a.Array)
-			es := &st[a.Lin]
-			if a.Write {
-				addEdge(es.lastWriter, int32(u)) // output
-				for _, r := range es.readers {   // anti
-					addEdge(r, int32(u))
-				}
-				es.lastWriter = int32(u)
-				es.readers = es.readers[:0]
-			} else {
-				addEdge(es.lastWriter, int32(u)) // flow
-				if m := len(es.readers); m == 0 || es.readers[m-1] != int32(u) {
-					es.readers = append(es.readers, int32(u))
-				}
-			}
+			g.preds, arena = states[a.Array.Index][a.Lin].access(int32(u), a.Write, g.preds, arena)
 		}
+		g.preds = g.preds[:row+sortedSet(g.preds[row:])]
+		g.predOff[u+1] = int32(len(g.preds))
 	}
-	// Sort and deduplicate predecessor lists; build successor lists.
-	for u := range g.Preds {
-		ps := g.Preds[u]
-		if len(ps) == 0 {
-			continue
-		}
-		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-		w := 0
-		for i, p := range ps {
-			if i == 0 || p != ps[i-1] {
-				ps[w] = p
-				w++
-			}
-		}
-		g.Preds[u] = ps[:w]
-		g.edges += w
-		for _, p := range ps[:w] {
-			g.Succs[p] = append(g.Succs[p], int32(u))
-		}
-	}
+	g.buildSuccs()
 	return g
 }
 
@@ -520,9 +522,9 @@ type edge struct{ from, to int32 }
 // sharded by array over at most jobs workers (0 = GOMAXPROCS): element
 // state never crosses arrays, so each array's access stream is replayed
 // independently, and the per-array edge lists are merged into the same
-// sorted, deduplicated Preds/Succs the serial replay produces. The result
-// is deep-equal to BuildDeps at every jobs value; jobs == 1 and small
-// spaces (under the crossover threshold) take the serial path outright.
+// compressed rows the serial replay produces. The result is deep-equal to
+// BuildDeps at every jobs value; jobs == 1 and small spaces (under the
+// crossover threshold) take the serial path outright.
 func (s *Space) BuildDepsCtx(ctx context.Context, jobs int) (*DepGraph, error) {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
@@ -567,23 +569,17 @@ func (s *Space) BuildDepsCtx(ctx context.Context, jobs int) (*DepGraph, error) {
 		return nil, err
 	}
 
-	// Stage 2: replay each array's stream on its own worker, emitting its
-	// edge list. Edges are emitted while processing their target iteration,
-	// so each list is grouped by ascending to.
+	// Stage 2: replay each array's stream — its bucket rows in chunk order
+	// — on its own worker, emitting its edge list. Edges are emitted while
+	// processing their target iteration, so each list is grouped by
+	// ascending to.
 	perArray := make([][]edge, numArrays)
 	err = conc.ForEach(ctx, numArrays, jobs, func(_ context.Context, ai int) error {
-		total := 0
+		parts := make([][]accessRec, len(buckets))
 		for k := range buckets {
-			total += len(buckets[k][ai])
+			parts[k] = buckets[k][ai]
 		}
-		if total == 0 {
-			return nil
-		}
-		stream := make([]accessRec, 0, total)
-		for k := range buckets {
-			stream = append(stream, buckets[k][ai]...)
-		}
-		perArray[ai] = replayArray(s.Prog.Arrays[ai], stream)
+		perArray[ai] = replayArray(s.Prog.Arrays[ai], parts)
 		return nil
 	})
 	if err != nil {
@@ -591,16 +587,14 @@ func (s *Space) BuildDepsCtx(ctx context.Context, jobs int) (*DepGraph, error) {
 	}
 
 	// Stage 3: merge the per-array edge lists into sorted, deduplicated
-	// predecessor lists, chunked over target-iteration ranges. Each chunk
+	// predecessor rows, chunked over target-iteration ranges. Each chunk
 	// locates its [lo, hi) segment of every array's list by binary search
-	// (the lists are sorted by to) and carves the merged lists from one
-	// chunk-local backing array.
-	g := &DepGraph{
-		Preds: make([][]int32, n),
-		Succs: make([][]int32, n),
-	}
+	// (the lists are sorted by to), merges its rows into one chunk-local
+	// backing and records their lengths; the backings are then
+	// concatenated in chunk order.
+	g := &DepGraph{predOff: make([]int32, n+1)}
 	mergeChunks := conc.Chunks(n, chunkCount(n, jobs))
-	edgeCounts := make([]int, len(mergeChunks))
+	backings := make([][]int32, len(mergeChunks))
 	err = conc.ForEach(ctx, len(mergeChunks), jobs, func(_ context.Context, k int) error {
 		lo, hi := mergeChunks[k][0], mergeChunks[k][1]
 		var segs [][]edge
@@ -613,105 +607,66 @@ func (s *Space) BuildDepsCtx(ctx context.Context, jobs int) (*DepGraph, error) {
 				total += end - start
 			}
 		}
-		if total == 0 {
-			return nil
-		}
 		backing := make([]int32, 0, total)
-		cur := make([]int, len(segs))
-		count := 0
 		for u := lo; u < hi; u++ {
-			mark := len(backing)
+			row := len(backing)
 			for si, seg := range segs {
-				for cur[si] < len(seg) && seg[cur[si]].to == int32(u) {
-					backing = append(backing, seg[cur[si]].from)
-					cur[si]++
+				for len(seg) > 0 && seg[0].to == int32(u) {
+					backing = append(backing, seg[0].from)
+					seg = seg[1:]
 				}
+				segs[si] = seg
 			}
-			ps := backing[mark:]
-			if len(ps) == 0 {
-				continue
-			}
-			sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-			w := 0
-			for i, p := range ps {
-				if i == 0 || p != ps[i-1] {
-					ps[w] = p
-					w++
-				}
-			}
-			backing = backing[:mark+w]
-			g.Preds[u] = backing[mark : mark+w : mark+w]
-			count += w
+			w := sortedSet(backing[row:])
+			backing = backing[:row+w]
+			g.predOff[u+1] = int32(w)
 		}
-		edgeCounts[k] = count
+		backings[k] = backing
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range edgeCounts {
-		g.edges += c
+	for u := 0; u < n; u++ {
+		g.predOff[u+1] += g.predOff[u]
+	}
+	g.preds = make([]int32, 0, g.predOff[n])
+	for _, b := range backings {
+		g.preds = append(g.preds, b...)
 	}
 
-	// Stage 4: successor lists. Degrees first, then one ordered fill over
-	// ascending u, so every Succs[p] comes out sorted exactly as the serial
-	// build's append order produces.
-	outdeg := make([]int32, n)
-	for u := range g.Preds {
-		for _, p := range g.Preds[u] {
-			outdeg[p]++
-		}
-	}
-	flat := make([]int32, g.edges)
-	offs := make([]int32, n+1)
-	for p := 0; p < n; p++ {
-		offs[p+1] = offs[p] + outdeg[p]
-	}
-	pos := make([]int32, n)
-	copy(pos, offs[:n])
-	for u := 0; u < n; u++ {
-		for _, p := range g.Preds[u] {
-			flat[pos[p]] = int32(u)
-			pos[p]++
-		}
-	}
-	for p := 0; p < n; p++ {
-		if outdeg[p] > 0 {
-			g.Succs[p] = flat[offs[p]:offs[p+1]:offs[p+1]]
-		}
-	}
+	// Stage 4: the successor rows, exactly as the serial build makes them.
+	g.buildSuccs()
 	return g, nil
 }
 
-// replayArray replays one array's access stream (already in global program
-// order) against its element states, returning the dependence edges the
-// stream induces. Identical to the inner loop of the serial BuildDeps,
-// restricted to a single array.
-func replayArray(a *sema.Array, stream []accessRec) []edge {
-	st := make([]elemState, a.Elems())
-	for i := range st {
-		st[i].lastWriter = -1
-	}
-	var edges []edge
-	add := func(from, to int32) {
-		if from < 0 || from == to {
-			return
-		}
-		edges = append(edges, edge{from: from, to: to})
-	}
-	for _, rec := range stream {
-		es := &st[rec.lin]
-		if rec.write {
-			add(es.lastWriter, rec.u)      // output
-			for _, r := range es.readers { // anti
-				add(r, rec.u)
+// replayArray replays one array's access stream, given as consecutive
+// parts in program order, through elemState.access like the serial
+// BuildDeps, returning its edges grouped by ascending target.
+func replayArray(a *sema.Array, parts [][]accessRec) []edge {
+	total, reads := 0, 0
+	for _, part := range parts {
+		total += len(part)
+		for _, rec := range part {
+			if !rec.write {
+				reads++
 			}
-			es.lastWriter = rec.u
-			es.readers = es.readers[:0]
-		} else {
-			add(es.lastWriter, rec.u) // flow
-			if m := len(es.readers); m == 0 || es.readers[m-1] != rec.u {
-				es.readers = append(es.readers, rec.u)
+		}
+	}
+	if total == 0 {
+		return nil
+	}
+	st := make([]elemState, a.Elems())
+	// Every access adds at most one output or flow edge, and every read
+	// at most one anti edge and one reader node, so neither slice grows.
+	edges := make([]edge, 0, total+reads)
+	arena := make([]reader, 0, reads)
+	var from []int32
+	for _, part := range parts {
+		for _, rec := range part {
+			from, arena = st[rec.lin].access(rec.u, rec.write, from[:0], arena)
+			for _, f := range from {
+				edges = append(edges, edge{from: f, to: rec.u})
 			}
 		}
 	}
@@ -726,20 +681,18 @@ func (s *Space) VerifySchedule(g *DepGraph, order []int) error {
 	if len(order) != n {
 		return fmt.Errorf("interp: schedule has %d entries, want %d", len(order), n)
 	}
-	pos := make([]int, n)
-	seen := make([]bool, n)
+	pos := make([]int, n) // 1 + position in order; 0 = not yet seen
 	for p, id := range order {
 		if id < 0 || id >= n {
 			return fmt.Errorf("interp: schedule entry %d out of range", id)
 		}
-		if seen[id] {
+		if pos[id] != 0 {
 			return fmt.Errorf("interp: iteration %d scheduled twice", id)
 		}
-		seen[id] = true
-		pos[id] = p
+		pos[id] = p + 1
 	}
 	for u := 0; u < n; u++ {
-		for _, p := range g.Preds[u] {
+		for _, p := range g.Preds(u) {
 			if pos[p] >= pos[u] {
 				return fmt.Errorf("interp: dependence violated: %s must precede %s",
 					s.IterAt(int(p)), s.IterAt(u))

@@ -118,12 +118,12 @@ nest L { for i = 1 to 9 { A[i] = A[i-1]; } }
 `)
 	g := s.BuildDeps()
 	for u := 1; u < 9; u++ {
-		if len(g.Preds[u]) != 1 || g.Preds[u][0] != int32(u-1) {
-			t.Errorf("Preds[%d] = %v", u, g.Preds[u])
+		if len(g.Preds(u)) != 1 || g.Preds(u)[0] != int32(u-1) {
+			t.Errorf("Preds[%d] = %v", u, g.Preds(u))
 		}
 	}
-	if len(g.Preds[0]) != 0 {
-		t.Errorf("Preds[0] = %v", g.Preds[0])
+	if len(g.Preds(0)) != 0 {
+		t.Errorf("Preds[0] = %v", g.Preds(0))
 	}
 	if g.NumEdges() != 8 {
 		t.Errorf("edges = %d", g.NumEdges())
@@ -160,8 +160,8 @@ nest L2 { for i = 0 to 4 { B[i] = A[i]; } }
 	// flow via A[i] and anti via B[i].
 	for i := 0; i < 5; i++ {
 		u := 5 + i
-		if len(g.Preds[u]) != 1 || g.Preds[u][0] != int32(i) {
-			t.Errorf("Preds[%d] = %v", u, g.Preds[u])
+		if len(g.Preds(u)) != 1 || g.Preds(u)[0] != int32(i) {
+			t.Errorf("Preds[%d] = %v", u, g.Preds(u))
 		}
 	}
 }
@@ -178,25 +178,25 @@ nest M { for i = 0 to 3 { B[0] = A[i]; } }
 	g := s.BuildDeps()
 	for u := 1; u < 10; u++ {
 		found := false
-		for _, p := range g.Preds[u] {
+		for _, p := range g.Preds(u) {
 			if p == int32(u-1) {
 				found = true
 			}
 		}
 		if !found {
-			t.Errorf("missing anti edge %d -> %d: %v", u-1, u, g.Preds[u])
+			t.Errorf("missing anti edge %d -> %d: %v", u-1, u, g.Preds(u))
 		}
 	}
 	// Output chain in nest M (ids 10..13).
 	for u := 11; u <= 13; u++ {
 		found := false
-		for _, p := range g.Preds[u] {
+		for _, p := range g.Preds(u) {
 			if p == int32(u-1) {
 				found = true
 			}
 		}
 		if !found {
-			t.Errorf("missing output edge %d -> %d: %v", u-1, u, g.Preds[u])
+			t.Errorf("missing output edge %d -> %d: %v", u-1, u, g.Preds(u))
 		}
 	}
 }
@@ -249,7 +249,7 @@ nest M { for i = 0 to 9 { read A[i]; } }
 		// Random legal schedule via randomized Kahn's algorithm.
 		indeg := make([]int, n)
 		for u := 0; u < n; u++ {
-			indeg[u] = len(g.Preds[u])
+			indeg[u] = len(g.Preds(u))
 		}
 		var ready []int
 		for u := 0; u < n; u++ {
@@ -263,7 +263,7 @@ nest M { for i = 0 to 9 { read A[i]; } }
 			u := ready[k]
 			ready = append(ready[:k], ready[k+1:]...)
 			order = append(order, u)
-			for _, v := range g.Succs[u] {
+			for _, v := range g.Succs(u) {
 				indeg[v]--
 				if indeg[v] == 0 {
 					ready = append(ready, int(v))

@@ -155,6 +155,9 @@ type Engine struct {
 	// genPool recycles trace.Generators, so schedule entries share their
 	// working buffers instead of allocating one each.
 	genPool sync.Pool
+	// schedPool recycles core.Schedulers, so cold schedules share their
+	// iteration-sized scratch.
+	schedPool sync.Pool
 }
 
 // DefaultCacheSize bounds the score LRU (and the schedule memo).
@@ -197,6 +200,7 @@ func NewEngine(a apps.App, cacheSize int) (*Engine, error) {
 		scheds:    newLRUCache(max(64, cacheSize/4)),
 	}
 	e.genPool.New = func() any { return new(trace.Generator) }
+	e.schedPool.New = func() any { return r.NewScheduler() }
 	e.declared = make(Assignment, e.numArrays)
 	e.arrayBytes = make([]int64, e.numArrays)
 	for _, arr := range prog.Arrays {
@@ -517,7 +521,9 @@ func (e *Engine) scoreIn(phase int, a Assignment, needBase bool) (*Score, error)
 	restr, err := e.entryFor(e.schedKey(phase, numDisks, a), phase, func() ([]int, int, error) {
 		// The primary vector is only needed when the schedule memo misses.
 		primary := e.primaryVec(a, nil)
-		sched, err := e.R.ScheduleSubsetWithPrimary(numDisks, primary, iterIDs(e.phaseRange(phase)))
+		sch := e.schedPool.Get().(*core.Scheduler)
+		sched, err := sch.ScheduleSubsetWithPrimary(numDisks, primary, iterIDs(e.phaseRange(phase)))
+		e.schedPool.Put(sch)
 		if err != nil {
 			return nil, 0, err
 		}

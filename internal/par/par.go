@@ -36,6 +36,11 @@ type Assignment struct {
 // Subsets returns, per processor, its iteration ids in program order.
 func (a *Assignment) Subsets() [][]int {
 	out := make([][]int, a.Procs)
+	for p, l := range a.Loads() {
+		if l > 0 {
+			out[p] = make([]int, 0, l)
+		}
+	}
 	for id, p := range a.Owner {
 		out[p] = append(out[p], id)
 	}
@@ -72,8 +77,8 @@ func (a *Assignment) Imbalance() float64 {
 // execution model.
 func (a *Assignment) CheckIntraNest(r *core.Restructurer) error {
 	space := r.Space
-	for u := range r.Graph.Preds {
-		for _, p := range r.Graph.Preds[u] {
+	for u := 0; u < r.Graph.NumIterations(); u++ {
+		for _, p := range r.Graph.Preds(u) {
 			if space.Nest(u) == space.Nest(int(p)) && a.Owner[u] != a.Owner[int(p)] {
 				return fmt.Errorf("par: intra-nest dependence %v -> %v crosses processors %d -> %d",
 					space.IterAt(int(p)), space.IterAt(u), a.Owner[p], a.Owner[u])
@@ -333,8 +338,8 @@ func DataSpacePartition(r *core.Restructurer, procs int) (*Assignment, error) {
 func (a *Assignment) repairIllegalNests(r *core.Restructurer, base *Assignment) error {
 	space := r.Space
 	bad := map[int]bool{}
-	for u := range r.Graph.Preds {
-		for _, p := range r.Graph.Preds[u] {
+	for u := 0; u < r.Graph.NumIterations(); u++ {
+		for _, p := range r.Graph.Preds(u) {
 			if nu := space.Nest(u); nu == space.Nest(int(p)) && a.Owner[u] != a.Owner[int(p)] {
 				bad[nu] = true
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sort"
 
 	"diskreuse/internal/core"
 	"diskreuse/internal/interp"
@@ -578,7 +579,7 @@ func VerifyPhases(space *interp.Space, g *interp.DepGraph, phases []Phase) error
 		}
 	}
 	for v := 0; v < n; v++ {
-		for _, u32 := range g.Preds[v] {
+		for _, u32 := range g.Preds(v) {
 			u := int(u32)
 			switch {
 			case phaseOf[u] < phaseOf[v]:
@@ -595,6 +596,40 @@ func VerifyPhases(space *interp.Space, g *interp.DepGraph, phases []Phase) error
 		}
 	}
 	return nil
+}
+
+// ScheduledPhases builds one phase per nest (the barrier phases of §6.2)
+// from each processor's iteration ids in program order, such as
+// par.Assignment.Subsets returns. A processor's share of a nest is then
+// one contiguous run of its list; a non-nil sch restructures each run with
+// the Fig. 3 scheduler, and a nil one keeps program order.
+func ScheduledPhases(space *interp.Space, subsets [][]int, sch *core.Scheduler) ([]Phase, error) {
+	numNests := len(space.NestFirst)
+	phases := make([]Phase, numNests)
+	for k := range phases {
+		phases[k].PerProc = make([][]int, len(subsets))
+	}
+	for p, sub := range subsets {
+		for lo := 0; lo < len(sub); {
+			k := space.Nest(sub[lo])
+			end := space.NumIterations()
+			if k+1 < numNests {
+				end = space.NestFirst[k+1]
+			}
+			hi := lo + sort.SearchInts(sub[lo:], end)
+			order := sub[lo:hi:hi]
+			if sch != nil {
+				s, err := sch.ScheduleFor(order)
+				if err != nil {
+					return nil, err
+				}
+				order = s.Order
+			}
+			phases[k].PerProc[p] = order
+			lo = hi
+		}
+	}
+	return phases, nil
 }
 
 // NestPhases builds one phase per nest from a per-processor assignment of

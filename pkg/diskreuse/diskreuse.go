@@ -237,30 +237,14 @@ func (s *System) phases(restructured bool, procs int) ([]trace.Phase, error) {
 	if err != nil {
 		return nil, err
 	}
-	numNests := len(s.prog.Nests)
-	perProc := make([][]int, procs)
-	for p, sub := range asg.Subsets() {
-		byNest := make([][]int, numNests)
-		for _, id := range sub {
-			k := s.r.Space.Nest(id)
-			byNest[k] = append(byNest[k], id)
-		}
-		for _, group := range byNest {
-			if len(group) == 0 {
-				continue
-			}
-			order := group
-			if restructured {
-				sched, err := s.r.ScheduleFor(group)
-				if err != nil {
-					return nil, err
-				}
-				order = sched.Order
-			}
-			perProc[p] = append(perProc[p], order...)
-		}
+	var sch *core.Scheduler
+	if restructured {
+		sch = s.r.NewScheduler()
 	}
-	phases := trace.NestPhases(s.r.Space, perProc, numNests)
+	phases, err := trace.ScheduledPhases(s.r.Space, asg.Subsets(), sch)
+	if err != nil {
+		return nil, err
+	}
 	if err := trace.VerifyPhases(s.r.Space, s.r.Graph, phases); err != nil {
 		return nil, err
 	}
