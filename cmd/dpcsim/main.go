@@ -328,7 +328,7 @@ func run(o options) (err error) {
 		if err := viz.Render(human, timeline.Intervals(), o.timeline, model.RPMMax); err != nil {
 			return err
 		}
-		writeStateShares(human, tels[0])
+		writeStateShares(human, results[0])
 	}
 
 	// Energy normalized to the NoPM baseline, when it was simulated.
@@ -420,18 +420,19 @@ func (o options) simConfig(pol sim.Policy, model disk.Model, tel *obs.SimTelemet
 }
 
 // writeStateShares prints each disk's percentage of time in each state,
-// from the run's telemetry; a disk with no accounted time is skipped.
-func writeStateShares(w io.Writer, tel *obs.SimTelemetry) {
+// from the run's per-disk meters; a disk with no accounted time is
+// skipped.
+func writeStateShares(w io.Writer, res *sim.Result) {
 	fmt.Fprintf(w, "disk  busy%%  idle%%  standby%%  transition%%\n")
-	for d := range tel.Disks {
-		in := &tel.Disks[d].TimeIn
-		total := in[obs.DiskBusy] + in[obs.DiskIdle] + in[obs.DiskStandby] + in[obs.DiskTransition]
+	for d := range res.PerDisk {
+		m := &res.PerDisk[d].Meter
+		total := m.TotalTime()
 		if total <= 0 {
 			continue
 		}
 		fmt.Fprintf(w, "%4d  %5.1f  %5.1f  %8.1f  %11.1f\n", d,
-			100*in[obs.DiskBusy]/total, 100*in[obs.DiskIdle]/total,
-			100*in[obs.DiskStandby]/total, 100*in[obs.DiskTransition]/total)
+			100*m.ActiveTime/total, 100*m.IdleTime/total,
+			100*m.StandbyTime/total, 100*m.TransitionTime/total)
 	}
 }
 

@@ -507,12 +507,6 @@ type Observers struct {
 	Attribution *obs.ProcAttribution
 }
 
-// runVersion simulates one version against the memoized artifacts with a
-// private telemetry collector — the harness path.
-func (art *Artifacts) runVersion(v Version, opt Options) (RunResult, error) {
-	return art.RunVersionObserved(v, opt, Observers{})
-}
-
 // RunVersion simulates one version against the memoized artifacts and
 // returns its raw (unnormalized) measurement. It only reads art, so any
 // number of RunVersion calls may run concurrently over the same artifacts.
@@ -648,7 +642,7 @@ func RunAppContext(ctx context.Context, a apps.App, opt Options) (*AppResult, er
 	versions := versionsOf(opt)
 	ar := &AppResult{App: a, DataBytes: dataBytes(art.prog), Results: make([]RunResult, len(versions))}
 	err = ForEach(ctx, len(versions), opt.Jobs, func(ctx context.Context, i int) error {
-		rr, err := art.runVersion(versions[i], opt)
+		rr, err := art.RunVersion(versions[i], opt)
 		if err != nil {
 			return err
 		}
@@ -718,7 +712,7 @@ func RunSuiteContext(ctx context.Context, opt Options) (*SuiteResult, error) {
 	}
 	err = ForEach(ctx, len(suite)*len(versions), opt.Jobs, func(ctx context.Context, k int) error {
 		i, j := k/len(versions), k%len(versions)
-		rr, err := arts[i].runVersion(versions[j], opt)
+		rr, err := arts[i].RunVersion(versions[j], opt)
 		if err != nil {
 			return err
 		}

@@ -4,12 +4,7 @@ import (
 	"fmt"
 
 	"diskreuse/internal/apps"
-	"diskreuse/internal/core"
-	"diskreuse/internal/disk"
-	"diskreuse/internal/layout"
 	"diskreuse/internal/layoutopt"
-	"diskreuse/internal/sim"
-	"diskreuse/internal/trace"
 )
 
 // CheckLayoutSearch is family 8 — layout-search fidelity: the re-attribution
@@ -19,9 +14,11 @@ import (
 //     menus produce bit-identical beams — same survivors in the same order
 //     with the same canonical keys, energies, run counts, and disk spans.
 //   - Exactness: every beam survivor is re-scored through the independent
-//     full pipeline — a fresh parse, semantic analysis, per-array
-//     re-striping, restructuring, trace generation, and simulation — and
-//     all three energies and the run count must match bit for bit.
+//     full pipeline, layoutopt.EvaluateAssignment — a fresh parse,
+//     semantic analysis, per-array re-striping, restructuring, trace
+//     generation, and simulation, sharing nothing with the engine but the
+//     program text — and all three energies and the run count must match
+//     bit for bit.
 //
 // Together these are the engine's load-bearing claims: the search may prune
 // and memoize however it likes, but what it reports must be exactly what
@@ -76,89 +73,17 @@ func CheckLayoutSearch(src string, jobs int) error {
 	}
 
 	for i, s := range serial.Beam {
-		want, err := evalAssignment(app, s.Assignment)
+		want, err := layoutopt.EvaluateAssignment(app, s.Assignment)
 		if err != nil {
 			return fmt.Errorf("full pipeline for beam[%d] %s: %w", i, s.Key, err)
 		}
-		if s.BaseEnergy != want.base || s.TTPMEnergy != want.ttpm ||
-			s.TDRPMEnergy != want.tdrpm || s.Runs != want.runs {
+		if s.BaseEnergy != want.BaseEnergy || s.TTPMEnergy != want.TTPMEnergy ||
+			s.TDRPMEnergy != want.TDRPMEnergy || s.Runs != want.Runs {
 			return fmt.Errorf("beam[%d] %s diverged from full pipeline: "+
 				"base %v/%v ttpm %v/%v tdrpm %v/%v runs %d/%d",
-				i, s.Key, s.BaseEnergy, want.base, s.TTPMEnergy, want.ttpm,
-				s.TDRPMEnergy, want.tdrpm, s.Runs, want.runs)
+				i, s.Key, s.BaseEnergy, want.BaseEnergy, s.TTPMEnergy, want.TTPMEnergy,
+				s.TDRPMEnergy, want.TDRPMEnergy, s.Runs, want.Runs)
 		}
 	}
 	return nil
-}
-
-type pipelineScore struct {
-	base, ttpm, tdrpm float64
-	runs              int
-}
-
-// evalAssignment runs the complete pipeline from source text under a
-// per-array layout assignment — sharing nothing with the engine but the
-// program text.
-func evalAssignment(app apps.App, specs layoutopt.Assignment) (pipelineScore, error) {
-	var out pipelineScore
-	prog, err := app.Compile()
-	if err != nil {
-		return out, err
-	}
-	if len(prog.Arrays) != len(specs) {
-		return out, fmt.Errorf("assignment has %d specs for %d arrays", len(specs), len(prog.Arrays))
-	}
-	for _, arr := range prog.Arrays {
-		arr.Stripe = specs[arr.Index]
-	}
-	lay, err := layout.New(prog, 0)
-	if err != nil {
-		return out, err
-	}
-	r, err := core.New(prog, lay)
-	if err != nil {
-		return out, err
-	}
-	sched, err := r.DiskReuseSchedule()
-	if err != nil {
-		return out, err
-	}
-	if err := r.Verify(sched); err != nil {
-		return out, err
-	}
-	model := disk.Ultrastar36Z15()
-	gen := trace.GenConfig{
-		ComputePerIter:  app.ComputePerIter,
-		ServiceEstimate: model.FullSpeedService(lay.PageSize),
-	}
-	origTrace, err := trace.Generate(r, trace.SinglePhase(r.OriginalSchedule()), gen)
-	if err != nil {
-		return out, err
-	}
-	restrTrace, err := trace.Generate(r, trace.SinglePhase(sched), gen)
-	if err != nil {
-		return out, err
-	}
-	runSim := func(reqs []trace.Request, pol sim.Policy) (float64, error) {
-		pt, err := sim.PrepareTrace(reqs, lay.PageDisk, lay.NumDisks())
-		if err != nil {
-			return 0, err
-		}
-		res, err := sim.RunPrepared(pt, sim.Config{Model: model, Policy: pol})
-		if err != nil {
-			return 0, err
-		}
-		return res.Energy, nil
-	}
-	out.runs = core.Stats(sched, lay.NumDisks()).Runs
-	if out.base, err = runSim(origTrace, sim.NoPM); err != nil {
-		return out, err
-	}
-	if out.ttpm, err = runSim(restrTrace, sim.TPM); err != nil {
-		return out, err
-	}
-	if out.tdrpm, err = runSim(restrTrace, sim.DRPM); err != nil {
-		return out, err
-	}
-	return out, nil
 }

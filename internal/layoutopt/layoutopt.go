@@ -19,6 +19,7 @@ import (
 	"diskreuse/internal/core"
 	"diskreuse/internal/disk"
 	"diskreuse/internal/layout"
+	"diskreuse/internal/sema"
 	"diskreuse/internal/sim"
 	"diskreuse/internal/trace"
 )
@@ -77,12 +78,46 @@ func (r Result) Best() float64 {
 // layout: compile, re-stripe every array, restructure, generate the trace,
 // and simulate Base/T-TPM/T-DRPM.
 func Evaluate(a apps.App, c Candidate) (Result, error) {
+	spec := ast.StripeSpec{Unit: c.Unit, Factor: c.Factor, Start: c.Start}
+	r, err := evaluate(a, func(prog *sema.Program) error {
+		for _, arr := range prog.Arrays {
+			arr.Stripe = spec
+		}
+		return nil
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	r.Candidate = c
+	return r, nil
+}
+
+// EvaluateAssignment is Evaluate under a per-array layout assignment: the
+// full pipeline from source text, sharing nothing with the Engine. The
+// Result's Candidate is zero, since no one uniform candidate describes the
+// layout; it is the exactness oracle for the engine's scores.
+func EvaluateAssignment(a apps.App, specs Assignment) (Result, error) {
+	return evaluate(a, func(prog *sema.Program) error {
+		if len(prog.Arrays) != len(specs) {
+			return fmt.Errorf("layoutopt: assignment has %d specs for %d arrays", len(specs), len(prog.Arrays))
+		}
+		for _, arr := range prog.Arrays {
+			arr.Stripe = specs[arr.Index]
+		}
+		return nil
+	})
+}
+
+// evaluate compiles the application, re-stripes its arrays with restripe,
+// restructures, generates the original and restructured traces, and
+// simulates Base/T-TPM/T-DRPM.
+func evaluate(a apps.App, restripe func(*sema.Program) error) (Result, error) {
 	prog, err := a.Compile()
 	if err != nil {
 		return Result{}, err
 	}
-	for _, arr := range prog.Arrays {
-		arr.Stripe = ast.StripeSpec{Unit: c.Unit, Factor: c.Factor, Start: c.Start}
+	if err := restripe(prog); err != nil {
+		return Result{}, err
 	}
 	lay, err := layout.New(prog, 0)
 	if err != nil {
@@ -123,10 +158,7 @@ func Evaluate(a apps.App, c Candidate) (Result, error) {
 		}
 		return res.Energy, nil
 	}
-	out := Result{
-		Candidate: c,
-		Runs:      core.Stats(sched, lay.NumDisks()).Runs,
-	}
+	out := Result{Runs: core.Stats(sched, lay.NumDisks()).Runs}
 	if out.BaseEnergy, err = runSim(origTrace, sim.NoPM); err != nil {
 		return Result{}, err
 	}

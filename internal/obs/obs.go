@@ -1,9 +1,10 @@
 // Package obs is the repository's zero-dependency observability leaf:
 // hierarchical spans with monotonic timings (Tracer/Span), atomic counters,
 // worker-pool occupancy statistics (PoolStats), the simulator's interval
-// stream (Interval, IntervalSink, Tee, IntervalLog) and its event telemetry
-// (SimTelemetry — idle-period histograms, state transitions, and the
-// idle-locality metric of the paper's §5 argument), a report layer
+// stream (Interval, IntervalSink, Tee, IntervalLog, and ClassifyTransition,
+// the one rule it is read by) and its idle-locality telemetry
+// (SimTelemetry — idle-period histograms and the idle-locality metric of
+// the paper's §5 argument), a report layer
 // (Report) that renders per-app × per-version tables in text, JSON, or CSV,
 // and the command-line flag block the binaries share (Flags, Session).
 //

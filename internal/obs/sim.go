@@ -2,10 +2,7 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"math"
-	"strings"
-	"text/tabwriter"
 )
 
 // DiskState classifies one interval of simulated disk activity.
@@ -69,18 +66,18 @@ const (
 )
 
 // ClassifyTransition classifies a DiskTransition interval to rpm, given
-// the state and speed of the same disk's previous interval (DiskBusy at 0
-// when there is none): a transition to RPM 0 is a spin-down; one out of
-// standby, or straight off the spin-down that put the disk there, is a
-// TPM spin-up; any other transition at a positive speed is a DRPM level
-// shift. It is the one rule every transition counter in the repository
-// reads the stream by. It takes scalars, not Intervals, because it runs
-// on every interval of a replay.
-func ClassifyTransition(prev DiskState, prevRPM, rpm int) Transition {
+// the disk's spindle speed before it — the RPM of its previous transition,
+// or full speed when there is none: a transition to RPM 0 is a spin-down,
+// one from RPM 0 is a TPM spin-up (also straight off a spin-down, with no
+// standby span between), and any other is a DRPM level shift. It is the
+// one rule the repository reads the stream by: the power meter prices
+// transitions with it and the live counters count them with it. It takes
+// scalars, not Intervals, because it runs on every transition of a replay.
+func ClassifyTransition(spindle, rpm int) Transition {
 	switch {
 	case rpm == 0:
 		return SpinDown
-	case prev == DiskStandby || (prev == DiskTransition && prevRPM == 0):
+	case spindle == 0:
 		return SpinUp
 	}
 	return SpeedShift
@@ -222,15 +219,12 @@ type IdleStats struct {
 	LongestIdleS float64 `json:"longest_idle_s"`
 }
 
-// DiskTelemetry accumulates one disk's event telemetry from its interval
-// stream: time in each state, classified transition counts, and the
-// request-free (idle-period) histogram. Intervals must be observed in
-// increasing time order — the order the simulator guarantees per disk.
+// DiskTelemetry accumulates one disk's idle locality from its interval
+// stream: the request-free (idle-period) histogram and its summary. Time in
+// state and transition counts are the power meter's, which every
+// sim.Result carries per disk. Intervals must be observed in increasing
+// time order — the order the simulator guarantees per disk.
 type DiskTelemetry struct {
-	// TimeIn is seconds spent in each DiskState (indexed by DiskState).
-	TimeIn [NumDiskStates]float64
-	// Transition counts, classified from the interval stream.
-	SpinUps, SpinDowns, SpeedShifts int
 	// IdleHist is the log-2 histogram of request-free period lengths.
 	IdleHist [IdleBucketCount]int
 	// Idle-locality accumulators over closed request-free periods.
@@ -240,40 +234,21 @@ type DiskTelemetry struct {
 
 	// Run state machine: a request-free period is a maximal span of
 	// consecutive non-busy intervals between busy ones.
-	prev             DiskState
-	prevRPM          int
 	inRun            bool
 	runStart, runEnd float64
 }
 
 // observe folds one interval into the disk's telemetry.
 func (d *DiskTelemetry) observe(iv Interval) {
-	if iv.To < iv.From {
-		iv.To = iv.From
-	}
-	if int(iv.State) < len(d.TimeIn) {
-		d.TimeIn[iv.State] += iv.To - iv.From
-	}
-	if iv.State == DiskTransition {
-		switch ClassifyTransition(d.prev, d.prevRPM, iv.RPM) {
-		case SpinDown:
-			d.SpinDowns++
-		case SpinUp:
-			d.SpinUps++
-		case SpeedShift:
-			d.SpeedShifts++
-		}
-	}
 	if iv.State == DiskBusy {
 		d.closeRun()
-	} else {
-		if !d.inRun {
-			d.inRun = true
-			d.runStart = iv.From
-		}
-		d.runEnd = iv.To
+		return
 	}
-	d.prev, d.prevRPM = iv.State, iv.RPM
+	if !d.inRun {
+		d.inRun = true
+		d.runStart = iv.From
+	}
+	d.runEnd = max(iv.To, iv.From)
 }
 
 // closeRun finishes the open request-free period, if any.
@@ -300,7 +275,7 @@ func (d *DiskTelemetry) Idle() IdleStats {
 	return st
 }
 
-// SimTelemetry is the IntervalSink that collects per-disk event telemetry
+// SimTelemetry is the IntervalSink that collects per-disk idle locality
 // for one simulation run. State is strictly per disk, so it meets the
 // sink's concurrency contract without locking. A nil SimTelemetry is a
 // valid no-op sink.
@@ -378,48 +353,4 @@ func (t *SimTelemetry) Histogram() [IdleBucketCount]int {
 		}
 	}
 	return h
-}
-
-// WriteText renders the per-disk telemetry and the aggregate idle-period
-// histogram as a human-readable table.
-func (t *SimTelemetry) WriteText(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "Disk\tBusy (s)\tIdle (s)\tStandby (s)\tTransition (s)\tSpinUps\tSpinDowns\tShifts\tIdle periods\tMean idle (s)\tLongest idle (s)")
-	for i := range t.Disks {
-		d := &t.Disks[i]
-		idle := d.Idle()
-		fmt.Fprintf(tw, "%d\t%.3f\t%.3f\t%.3f\t%.3f\t%d\t%d\t%d\t%d\t%.3f\t%.3f\n",
-			i, d.TimeIn[DiskBusy], d.TimeIn[DiskIdle], d.TimeIn[DiskStandby], d.TimeIn[DiskTransition],
-			d.SpinUps, d.SpinDowns, d.SpeedShifts,
-			idle.Periods, idle.MeanIdleS, idle.LongestIdleS)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	hist := t.Histogram()
-	maxN := 0
-	for _, n := range hist {
-		if n > maxN {
-			maxN = n
-		}
-	}
-	if maxN == 0 {
-		return nil
-	}
-	if _, err := fmt.Fprintln(w, "Idle-period histogram (all disks):"); err != nil {
-		return err
-	}
-	for b, n := range hist {
-		if n == 0 {
-			continue
-		}
-		bar := strings.Repeat("#", 1+n*40/maxN)
-		if _, err := fmt.Fprintf(w, "  %-16s %6d %s\n", IdleBucketLabel(b), n, bar); err != nil {
-			return err
-		}
-	}
-	return nil
 }

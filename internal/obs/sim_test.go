@@ -45,9 +45,43 @@ func TestIdleBucket(t *testing.T) {
 	}
 }
 
+// TestClassifyTransition pins the one transition rule: to rpm 0 is a
+// spin-down, from rpm 0 a spin-up — including one taken straight off a
+// spin-down, with no standby span between — and anything else a shift.
+func TestClassifyTransition(t *testing.T) {
+	for _, c := range []struct {
+		spindle, rpm int
+		want         Transition
+	}{
+		{15000, 0, SpinDown},       // TPM spin-down from full speed
+		{3000, 0, SpinDown},        // to 0 from any speed
+		{0, 15000, SpinUp},         // out of standby, or straight off a spin-down
+		{15000, 12000, SpeedShift}, // DRPM lowering
+		{12000, 15000, SpeedShift}, // DRPM raise
+		{0, 0, SpinDown},           // a second spin-down is still a spin-down
+	} {
+		if got := ClassifyTransition(c.spindle, c.rpm); got != c.want {
+			t.Errorf("ClassifyTransition(%d, %d) = %d, want %d", c.spindle, c.rpm, got, c.want)
+		}
+	}
+	// The spin-up-after-spin-down case, read off a stream as every reader
+	// does: the spindle is the previous transition's RPM.
+	spindle, kinds := 15000, []Transition{}
+	for _, rpm := range []int{0, 15000} {
+		kinds = append(kinds, ClassifyTransition(spindle, rpm))
+		spindle = rpm
+	}
+	if !reflect.DeepEqual(kinds, []Transition{SpinDown, SpinUp}) {
+		t.Errorf("spin-down then spin-up classified as %v", kinds)
+	}
+}
+
 // TestTransitionClassification walks a TPM-shaped interval stream through
-// one disk: spin-down (transition at rpm 0), standby, spin-up (transition
-// after standby), and a DRPM shift (transition between active speeds).
+// one disk — spin-down (transition at rpm 0), standby, spin-up (transition
+// after standby), and two DRPM shifts (transitions between active speeds)
+// — and checks the request-free runs it leaves: every non-busy state,
+// transitions included, belongs to the run. The meter's counts and times
+// for the same stream are pinned in internal/power.
 func TestTransitionClassification(t *testing.T) {
 	tel := NewSimTelemetry(1)
 	tel.Observe(Interval{Disk: 0, From: 0, To: 1, State: DiskBusy, RPM: 15000})
@@ -63,16 +97,6 @@ func TestTransitionClassification(t *testing.T) {
 	tel.Observe(Interval{Disk: 0, From: 70.5, To: 71, State: DiskBusy, RPM: 15000})
 	tel.Finish()
 
-	d := &tel.Disks[0]
-	if d.SpinDowns != 1 || d.SpinUps != 1 || d.SpeedShifts != 2 {
-		t.Errorf("transitions = down:%d up:%d shift:%d, want 1/1/2", d.SpinDowns, d.SpinUps, d.SpeedShifts)
-	}
-	if got := d.TimeIn[DiskBusy]; math.Abs(got-1.6) > 1e-9 {
-		t.Errorf("busy time = %g, want 1.6", got)
-	}
-	if got := d.TimeIn[DiskStandby]; math.Abs(got-45.5) > 1e-9 {
-		t.Errorf("standby time = %g, want 45.5", got)
-	}
 	// Request-free runs: [1,60.9] (idle+down+standby+up), [61,70.5], none open.
 	idle := tel.IdleLocality()
 	if idle.Periods != 2 {
@@ -90,7 +114,8 @@ func TestTransitionClassification(t *testing.T) {
 }
 
 // A spin-up may also follow the spin-down transition directly (request
-// arrives mid-spin-down, no standby interval in between).
+// arrives mid-spin-down, no standby interval in between): the whole span
+// up to the next busy interval is one request-free run.
 func TestSpinUpAfterSpinDownTransition(t *testing.T) {
 	tel := NewSimTelemetry(1)
 	tel.Observe(Interval{Disk: 0, From: 0, To: 10, State: DiskIdle, RPM: 15000})
@@ -98,9 +123,8 @@ func TestSpinUpAfterSpinDownTransition(t *testing.T) {
 	tel.Observe(Interval{Disk: 0, From: 11, To: 21, State: DiskTransition, RPM: 15000}) // immediately reversed
 	tel.Observe(Interval{Disk: 0, From: 21, To: 22, State: DiskBusy, RPM: 15000})
 	tel.Finish()
-	d := &tel.Disks[0]
-	if d.SpinDowns != 1 || d.SpinUps != 1 || d.SpeedShifts != 0 {
-		t.Errorf("transitions = down:%d up:%d shift:%d, want 1/1/0", d.SpinDowns, d.SpinUps, d.SpeedShifts)
+	if idle := tel.IdleLocality(); idle.Periods != 1 || idle.LongestIdleS != 21 || idle.TotalIdleS != 21 {
+		t.Errorf("idle locality = %+v, want one 21 s run", idle)
 	}
 }
 
@@ -151,16 +175,8 @@ func TestAggregationAcrossDisks(t *testing.T) {
 	if got := tel.IdleLocality(); got != idle {
 		t.Errorf("out-of-range Observe changed telemetry: %+v", got)
 	}
-
-	var sb strings.Builder
-	if err := tel.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"Disk", "Idle periods", "Idle-period histogram", "[2^3, 2^4) s"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("WriteText missing %q:\n%s", want, out)
-		}
+	if h := tel.Histogram(); h[IdleBucket(1)] != 1 || h[IdleBucket(8)] != 1 {
+		t.Errorf("aggregate histogram = %v, want one 1 s and one 8 s period", h)
 	}
 }
 
@@ -209,7 +225,7 @@ func TestTeeAndIntervalLog(t *testing.T) {
 	if got := log.Intervals(); !reflect.DeepEqual(got, want) {
 		t.Errorf("log = %v, want disk-major %v", got, want)
 	}
-	if tel.Disks[0].TimeIn[DiskIdle] != 2 || tel.Disks[1].TimeIn[DiskIdle] != 4 || tel.IdleLocality().Periods != 2 {
+	if tel.Disks[0].TotalIdle != 2 || tel.Disks[1].TotalIdle != 4 || tel.IdleLocality().Periods != 2 {
 		t.Errorf("teed telemetry missed intervals: %+v", tel.Disks)
 	}
 }

@@ -14,12 +14,16 @@
 // power at the current speed.
 package power
 
-import "diskreuse/internal/disk"
+import (
+	"diskreuse/internal/disk"
+	"diskreuse/internal/obs"
+)
 
 // Meter accumulates per-state durations and energy for one disk. It is the
-// single place energy is computed, so the simulator's accounting identity
-// (energy = Σ state power × state time + Σ transition energies) holds by
-// construction and is checkable in tests.
+// fold of the disk's interval stream — the simulator charges it each span
+// it emits — and the single place energy is computed, so the accounting
+// identity (energy = Σ state power × state time + Σ transition energies)
+// holds by construction and is checkable in tests.
 type Meter struct {
 	M disk.Model
 
@@ -35,10 +39,16 @@ type Meter struct {
 
 	SpinUps, SpinDowns int // TPM transitions
 	SpeedShifts        int // DRPM level changes
+
+	// spindle is the speed of the last transition charged (full speed
+	// before the first): the speed a transition is classified and priced
+	// from.
+	spindle int
 }
 
-// NewMeter returns a Meter for the given disk model.
-func NewMeter(m disk.Model) *Meter { return &Meter{M: m} }
+// NewMeter returns a Meter for the given disk model, spinning at full
+// speed.
+func NewMeter(m disk.Model) *Meter { return &Meter{M: m, spindle: m.RPMMax} }
 
 // IdlePowerAt returns the idle (spinning, not servicing) power at rpm.
 func IdlePowerAt(m disk.Model, rpm int) float64 { return idlePower(&m, rpm) }
@@ -47,8 +57,9 @@ func IdlePowerAt(m disk.Model, rpm int) float64 { return idlePower(&m, rpm) }
 // speed plus the constant activity delta from the data sheet.
 func ActivePowerAt(m disk.Model, rpm int) float64 { return activePower(&m, rpm) }
 
-// idlePower and activePower take the model by pointer so the Meter's
-// per-request charges read it in place instead of copying it per call.
+// idlePower, activePower and shiftEnergy take the model by pointer so
+// Meter.Charge reads it in place instead of copying it per call: a copy
+// gives Charge a stack frame and slowed the replay by a few percent.
 func idlePower(m *disk.Model, rpm int) float64 {
 	if rpm <= 0 {
 		rpm = m.RPMMax
@@ -76,7 +87,9 @@ func ShiftTime(m disk.Model, from, to int) float64 {
 
 // ShiftEnergy returns the energy to move between two RPM levels, scaled
 // linearly from the full transition energies by the speed delta.
-func ShiftEnergy(m disk.Model, from, to int) float64 {
+func ShiftEnergy(m disk.Model, from, to int) float64 { return shiftEnergy(&m, from, to) }
+
+func shiftEnergy(m *disk.Model, from, to int) float64 {
 	if from == to {
 		return 0
 	}
@@ -94,55 +107,44 @@ func abs(x int) int {
 	return x
 }
 
-// Active charges dt seconds of servicing at rpm.
-func (e *Meter) Active(dt float64, rpm int) {
+// Charge folds one span of the disk's interval stream: dt seconds in
+// state at rpm. Busy, idle and standby time is priced at the state's power
+// for rpm; a non-positive span charges nothing. A transition, classified
+// by obs.ClassifyTransition from the spindle speed the meter last saw,
+// costs the full spin-down or spin-up energy, or ShiftEnergy from that
+// speed to rpm. dt must be the duration the simulator accounted, never an
+// interval's To-From: (from+dt)-from is not dt in floating point.
+func (e *Meter) Charge(state obs.DiskState, dt float64, rpm int) {
+	if state == obs.DiskTransition {
+		switch obs.ClassifyTransition(e.spindle, rpm) {
+		case obs.SpinDown:
+			e.SpinDowns++
+			e.TransitionEnergy += e.M.SpinDownEnergy
+		case obs.SpinUp:
+			e.SpinUps++
+			e.TransitionEnergy += e.M.SpinUpEnergy
+		default:
+			e.SpeedShifts++
+			e.TransitionEnergy += shiftEnergy(&e.M, e.spindle, rpm)
+		}
+		e.TransitionTime += dt
+		e.spindle = rpm
+		return
+	}
 	if dt <= 0 {
 		return
 	}
-	e.ActiveTime += dt
-	e.ActiveEnergy += activePower(&e.M, rpm) * dt
-}
-
-// Idle charges dt seconds of request-free spinning at rpm.
-func (e *Meter) Idle(dt float64, rpm int) {
-	if dt <= 0 {
-		return
+	switch state {
+	case obs.DiskBusy:
+		e.ActiveTime += dt
+		e.ActiveEnergy += activePower(&e.M, rpm) * dt
+	case obs.DiskIdle:
+		e.IdleTime += dt
+		e.IdleEnergy += idlePower(&e.M, rpm) * dt
+	case obs.DiskStandby:
+		e.StandbyTime += dt
+		e.StandbyEnergy += e.M.PowerStandby * dt
 	}
-	e.IdleTime += dt
-	e.IdleEnergy += idlePower(&e.M, rpm) * dt
-}
-
-// Standby charges dt seconds spun down.
-func (e *Meter) Standby(dt float64) {
-	if dt <= 0 {
-		return
-	}
-	e.StandbyTime += dt
-	e.StandbyEnergy += e.M.PowerStandby * dt
-}
-
-// SpinDown charges a full idle->standby transition (TPM).
-func (e *Meter) SpinDown() {
-	e.SpinDowns++
-	e.TransitionTime += e.M.SpinDownTime
-	e.TransitionEnergy += e.M.SpinDownEnergy
-}
-
-// SpinUp charges a full standby->active transition (TPM).
-func (e *Meter) SpinUp() {
-	e.SpinUps++
-	e.TransitionTime += e.M.SpinUpTime
-	e.TransitionEnergy += e.M.SpinUpEnergy
-}
-
-// Shift charges a DRPM speed change between two levels.
-func (e *Meter) Shift(from, to int) {
-	if from == to {
-		return
-	}
-	e.SpeedShifts++
-	e.TransitionTime += ShiftTime(e.M, from, to)
-	e.TransitionEnergy += ShiftEnergy(e.M, from, to)
 }
 
 // Total returns the accumulated energy in joules.

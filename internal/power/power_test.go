@@ -6,7 +6,16 @@ import (
 	"testing/quick"
 
 	"diskreuse/internal/disk"
+	"diskreuse/internal/obs"
 )
+
+// The tests charge spans as the simulator does: busy/idle/standby at a
+// speed, and transitions whose target speed the meter classifies.
+func spinDown(e *Meter) { e.Charge(obs.DiskTransition, e.M.SpinDownTime, 0) }
+func spinUp(e *Meter)   { e.Charge(obs.DiskTransition, e.M.SpinUpTime, e.M.RPMMax) }
+func shift(e *Meter, from, to int) {
+	e.Charge(obs.DiskTransition, ShiftTime(e.M, from, to), to)
+}
 
 func TestQuadraticIdlePower(t *testing.T) {
 	m := disk.Ultrastar36Z15()
@@ -68,12 +77,12 @@ func TestShiftCosts(t *testing.T) {
 func TestMeterAccounting(t *testing.T) {
 	m := disk.Ultrastar36Z15()
 	e := NewMeter(m)
-	e.Active(2, 15000) // 2s × 13.5 = 27 J
-	e.Idle(10, 15000)  // 10 × 10.2 = 102 J
-	e.Standby(4)       // 4 × 2.5 = 10 J
-	e.SpinDown()       // 13 J, 1.5 s
-	e.SpinUp()         // 135 J, 10.9 s
-	e.Shift(15000, 12000)
+	e.Charge(obs.DiskBusy, 2, 15000)  // 2s × 13.5 = 27 J
+	e.Charge(obs.DiskIdle, 10, 15000) // 10 × 10.2 = 102 J
+	e.Charge(obs.DiskStandby, 4, 0)   // 4 × 2.5 = 10 J
+	spinDown(e)                       // 13 J, 1.5 s
+	spinUp(e)                         // 135 J, 10.9 s
+	shift(e, 15000, 12000)
 	want := 27 + 102 + 10 + 13 + 135 + 13.0*0.2
 	if math.Abs(e.Total()-want) > 1e-9 {
 		t.Errorf("Total = %v, want %v", e.Total(), want)
@@ -87,9 +96,9 @@ func TestMeterAccounting(t *testing.T) {
 	}
 	// Negative/zero durations are ignored.
 	before := e.Total()
-	e.Active(-1, 15000)
-	e.Idle(0, 15000)
-	e.Standby(-5)
+	e.Charge(obs.DiskBusy, -1, 15000)
+	e.Charge(obs.DiskIdle, 0, 15000)
+	e.Charge(obs.DiskStandby, -5, 0)
 	if e.Total() != before {
 		t.Error("non-positive durations must not charge energy")
 	}
@@ -104,17 +113,17 @@ func TestQuickMeterMonotone(t *testing.T) {
 		levels := m.Levels()
 		rpm := levels[int(rpmSel)%len(levels)]
 		prev := 0.0
-		e.Active(float64(act)/10, rpm)
+		e.Charge(obs.DiskBusy, float64(act)/10, rpm)
 		if e.Total() < prev {
 			return false
 		}
 		prev = e.Total()
-		e.Idle(float64(idl)/10, rpm)
+		e.Charge(obs.DiskIdle, float64(idl)/10, rpm)
 		if e.Total() < prev {
 			return false
 		}
 		prev = e.Total()
-		e.Standby(float64(stb) / 10)
+		e.Charge(obs.DiskStandby, float64(stb)/10, 0)
 		if e.Total() < prev {
 			return false
 		}
@@ -145,11 +154,11 @@ func TestBreakdown(t *testing.T) {
 	if b := e.Breakdown(); b != (Breakdown{}) {
 		t.Errorf("empty meter breakdown = %+v, want all zeros", b)
 	}
-	e.Active(2, m.RPMMax)
-	e.Idle(10, m.RPMMax)
-	e.SpinDown()
-	e.Standby(30)
-	e.SpinUp()
+	e.Charge(obs.DiskBusy, 2, m.RPMMax)
+	e.Charge(obs.DiskIdle, 10, m.RPMMax)
+	spinDown(e)
+	e.Charge(obs.DiskStandby, 30, 0)
+	spinUp(e)
 	b := e.Breakdown()
 	if b.ActiveTimeS != e.ActiveTime || b.IdleTimeS != e.IdleTime ||
 		b.StandbyTimeS != e.StandbyTime || b.TransitionTimeS != e.TransitionTime {
@@ -164,5 +173,115 @@ func TestBreakdown(t *testing.T) {
 	}
 	if b.FracStandby <= 0 || b.FracStandby >= 1 {
 		t.Errorf("FracStandby = %v", b.FracStandby)
+	}
+}
+
+// TestChargeUsesAccountedDuration pins the hazard of pricing the stream:
+// the span [from, from+dt) does not have length dt in floating point, so
+// the meter must be charged the dt the simulator accounted. Every state's
+// time and energy must equal the dt-priced values bit for bit, and the
+// same span priced from To-From must not (the negative control that keeps
+// the check able to fail).
+func TestChargeUsesAccountedDuration(t *testing.T) {
+	m := disk.Ultrastar36Z15()
+	from, dt := 0.1, 0.2
+	span := (from + dt) - from
+	if span == dt {
+		t.Fatalf("(%v+%v)-%v == %v: pick a span that rounds", from, dt, from, dt)
+	}
+	meterTime := func(e *Meter, s obs.DiskState) (float64, float64) {
+		switch s {
+		case obs.DiskBusy:
+			return e.ActiveTime, e.ActiveEnergy
+		case obs.DiskIdle:
+			return e.IdleTime, e.IdleEnergy
+		case obs.DiskStandby:
+			return e.StandbyTime, e.StandbyEnergy
+		}
+		return e.TransitionTime, e.TransitionEnergy
+	}
+	for _, c := range []struct {
+		state obs.DiskState
+		rpm   int
+		power float64 // J/s, zero for a transition (a fixed cost)
+	}{
+		{obs.DiskBusy, m.RPMMin, ActivePowerAt(m, m.RPMMin)},
+		{obs.DiskIdle, m.RPMMin, IdlePowerAt(m, m.RPMMin)},
+		{obs.DiskStandby, 0, m.PowerStandby},
+		{obs.DiskTransition, 0, 0},
+	} {
+		e, bad := NewMeter(m), NewMeter(m)
+		e.Charge(c.state, dt, c.rpm)
+		bad.Charge(c.state, span, c.rpm)
+		gotT, gotE := meterTime(e, c.state)
+		wantE := c.power * dt
+		if c.state == obs.DiskTransition {
+			wantE = m.SpinDownEnergy
+		}
+		if gotT != dt || gotE != wantE {
+			t.Errorf("%v: time %v energy %v, want %v and %v exactly", c.state, gotT, gotE, dt, wantE)
+		}
+		if badT, _ := meterTime(bad, c.state); badT == gotT {
+			t.Errorf("%v: pricing To-From matched the accounted dt; the check cannot fail", c.state)
+		}
+	}
+}
+
+// meterStream charges a fresh meter with an interval stream, each span at
+// its interval's length.
+func meterStream(ivs []obs.Interval) *Meter {
+	e := NewMeter(disk.Ultrastar36Z15())
+	for _, iv := range ivs {
+		e.Charge(iv.State, iv.To-iv.From, iv.RPM)
+	}
+	return e
+}
+
+// TestMeterReadsTransitions charges a meter with a TPM-shaped stream and
+// two DRPM shifts: a spin-down (transition to rpm 0), standby, a spin-up
+// (transition from rpm 0), and shifts between spinning speeds.
+func TestMeterReadsTransitions(t *testing.T) {
+	e := meterStream([]obs.Interval{
+		{From: 0, To: 1, State: obs.DiskBusy, RPM: 15000},
+		{From: 1, To: 3, State: obs.DiskIdle, RPM: 15000},
+		{From: 3, To: 4.5, State: obs.DiskTransition, RPM: 0}, // spin-down
+		{From: 4.5, To: 50, State: obs.DiskStandby, RPM: 0},
+		{From: 50, To: 60.9, State: obs.DiskTransition, RPM: 15000}, // spin-up
+		{From: 60.9, To: 61, State: obs.DiskBusy, RPM: 15000},
+		{From: 61, To: 62, State: obs.DiskIdle, RPM: 15000},
+		{From: 62, To: 62.5, State: obs.DiskTransition, RPM: 9000}, // DRPM lowering: a shift
+		{From: 62.5, To: 70, State: obs.DiskIdle, RPM: 9000},
+		{From: 70, To: 70.5, State: obs.DiskTransition, RPM: 15000}, // DRPM raise: a shift
+		{From: 70.5, To: 71, State: obs.DiskBusy, RPM: 15000},
+	})
+	if e.SpinDowns != 1 || e.SpinUps != 1 || e.SpeedShifts != 2 {
+		t.Errorf("transitions = down:%d up:%d shift:%d, want 1/1/2", e.SpinDowns, e.SpinUps, e.SpeedShifts)
+	}
+	if math.Abs(e.ActiveTime-1.6) > 1e-9 {
+		t.Errorf("busy time = %g, want 1.6", e.ActiveTime)
+	}
+	if math.Abs(e.StandbyTime-45.5) > 1e-9 {
+		t.Errorf("standby time = %g, want 45.5", e.StandbyTime)
+	}
+	wantE := e.M.SpinDownEnergy + e.M.SpinUpEnergy + ShiftEnergy(e.M, 15000, 9000) + ShiftEnergy(e.M, 9000, 15000)
+	if math.Abs(e.TransitionEnergy-wantE) > 1e-9 {
+		t.Errorf("transition energy = %g, want %g", e.TransitionEnergy, wantE)
+	}
+}
+
+// A spin-up may also follow the spin-down transition directly (request
+// arrives mid-spin-down, no standby interval in between).
+func TestMeterSpinUpAfterSpinDown(t *testing.T) {
+	e := meterStream([]obs.Interval{
+		{From: 0, To: 10, State: obs.DiskIdle, RPM: 15000},
+		{From: 10, To: 11, State: obs.DiskTransition, RPM: 0},     // spin-down begins
+		{From: 11, To: 21, State: obs.DiskTransition, RPM: 15000}, // immediately reversed
+		{From: 21, To: 22, State: obs.DiskBusy, RPM: 15000},
+	})
+	if e.SpinDowns != 1 || e.SpinUps != 1 || e.SpeedShifts != 0 {
+		t.Errorf("transitions = down:%d up:%d shift:%d, want 1/1/0", e.SpinDowns, e.SpinUps, e.SpeedShifts)
+	}
+	if e.TransitionTime != 11 || e.TransitionEnergy != e.M.SpinDownEnergy+e.M.SpinUpEnergy {
+		t.Errorf("transition time %g energy %g", e.TransitionTime, e.TransitionEnergy)
 	}
 }

@@ -5,20 +5,21 @@ import (
 	"testing"
 
 	"diskreuse/internal/disk"
+	"diskreuse/internal/obs"
 )
 
 func TestVerifyMeterAcceptsModelDrivenAccumulation(t *testing.T) {
 	m := disk.Ultrastar36Z15()
 	e := NewMeter(m)
-	e.Active(1.5, m.RPMMax)
-	e.Idle(10, m.RPMMax)
-	e.Idle(3, m.RPMMin)
-	e.SpinDown()
-	e.Standby(60)
-	e.SpinUp()
-	e.Shift(m.RPMMax, m.RPMMin)
-	e.Shift(m.RPMMin, m.RPMMax)
-	e.Active(0.25, m.RPMMin)
+	e.Charge(obs.DiskBusy, 1.5, m.RPMMax)
+	e.Charge(obs.DiskIdle, 10, m.RPMMax)
+	e.Charge(obs.DiskIdle, 3, m.RPMMin)
+	spinDown(e)
+	e.Charge(obs.DiskStandby, 60, 0)
+	spinUp(e)
+	shift(e, m.RPMMax, m.RPMMin)
+	shift(e, m.RPMMin, m.RPMMax)
+	e.Charge(obs.DiskBusy, 0.25, m.RPMMin)
 	if err := VerifyMeter(e); err != nil {
 		t.Fatalf("honest meter rejected: %v", err)
 	}
@@ -28,11 +29,11 @@ func TestVerifyMeterRejectsTampering(t *testing.T) {
 	m := disk.Ultrastar36Z15()
 	fresh := func() *Meter {
 		e := NewMeter(m)
-		e.Active(2, m.RPMMax)
-		e.Idle(5, m.RPMMax)
-		e.SpinDown()
-		e.Standby(30)
-		e.SpinUp()
+		e.Charge(obs.DiskBusy, 2, m.RPMMax)
+		e.Charge(obs.DiskIdle, 5, m.RPMMax)
+		spinDown(e)
+		e.Charge(obs.DiskStandby, 30, 0)
+		spinUp(e)
 		return e
 	}
 	cases := []struct {

@@ -78,8 +78,14 @@ func BenchmarkSimRun(b *testing.B) {
 	b.Run("closed/serial", func(b *testing.B) { runFresh(b, mkCfg(TPM, true, 1)) })
 	b.Run("closed/prepared", func(b *testing.B) { runPrepared(b, mkCfg(TPM, true, 1)) })
 
-	// The harness pattern: one trace replayed under >= 3 policy versions.
+	// One serial prepared replay per policy: what each policy's spans cost
+	// the meter and the emit path, without the fan-out.
 	versions := []Policy{NoPM, TPM, DRPM}
+	for _, pol := range versions {
+		b.Run("policy/"+pol.String(), func(b *testing.B) { runPrepared(b, mkCfg(pol, false, 1)) })
+	}
+
+	// The harness pattern: one trace replayed under >= 3 policy versions.
 	b.Run("versions/unprepared", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, pol := range versions {

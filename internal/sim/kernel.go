@@ -112,7 +112,7 @@ func newReducers(cfg Config) []diskReducer {
 		meterModel.SpinDownEnergy *= w
 		meterModel.SpinUpEnergy *= w
 	}
-	lm := newLiveMetrics(cfg.Metrics, cfg.NumDisks)
+	lm := newLiveMetrics(cfg.Metrics, cfg.NumDisks, cfg.Model.RPMMax)
 	sink := cfg.Sink
 	if lm != nil {
 		sink = obs.Tee(sink, lm)

@@ -46,18 +46,18 @@ type liveMetrics struct {
 	// state mix; it only changes when a disk changes state.
 	inState [obs.NumDiskStates]*metrics.Gauge
 
-	// last is each disk's last-observed state and lastRPM its last
-	// transition's speed (plain slices: each entry is written only by the
-	// worker replaying that disk).
+	// last is each disk's last-observed state and lastRPM its spindle
+	// speed, the speed of its last transition (plain slices: each entry is
+	// written only by the worker replaying that disk).
 	last    []obs.DiskState
 	lastRPM []int
 }
 
 // newLiveMetrics resolves every handle the replay will touch. All disks
-// start in the idle state (spun up, no request in service), matching the
-// simulators' initial condition. Returns nil when reg is nil, so the hot
-// paths gate on one pointer check.
-func newLiveMetrics(reg *metrics.Registry, numDisks int) *liveMetrics {
+// start in the idle state at full speed rpmMax (spun up, no request in
+// service), matching the simulators' initial condition. Returns nil when
+// reg is nil, so the hot paths gate on one pointer check.
+func newLiveMetrics(reg *metrics.Registry, numDisks, rpmMax int) *liveMetrics {
 	if reg == nil {
 		return nil
 	}
@@ -84,6 +84,7 @@ func newLiveMetrics(reg *metrics.Registry, numDisks int) *liveMetrics {
 			lm.stateNow[d*obs.NumDiskStates+k] = reg.Gauge(metricDiskState, "1 for each disk's last observed state, else 0", disk, st)
 		}
 		lm.last[d] = obs.DiskIdle
+		lm.lastRPM[d] = rpmMax
 		lm.stateNow[d*obs.NumDiskStates+int(obs.DiskIdle)].Set(1)
 	}
 	lm.inState[obs.DiskIdle].Set(float64(numDisks))
@@ -100,7 +101,7 @@ func (lm *liveMetrics) Observe(iv obs.Interval) {
 	lm.stateSecs[base+int(iv.State)].Add(iv.To - iv.From)
 	last := lm.last[iv.Disk]
 	if iv.State == obs.DiskTransition {
-		switch obs.ClassifyTransition(last, lm.lastRPM[iv.Disk], iv.RPM) {
+		switch obs.ClassifyTransition(lm.lastRPM[iv.Disk], iv.RPM) {
 		case obs.SpinDown:
 			lm.spinDowns.Inc()
 		case obs.SpinUp:
@@ -108,8 +109,6 @@ func (lm *liveMetrics) Observe(iv obs.Interval) {
 		case obs.SpeedShift:
 			lm.shifts.Inc()
 		}
-		// The rule reads the previous speed only after a transition, so
-		// only transitions record it.
 		lm.lastRPM[iv.Disk] = iv.RPM
 	}
 	if iv.State != last {

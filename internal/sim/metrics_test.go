@@ -66,7 +66,7 @@ func TestMetricsBitIdentity(t *testing.T) {
 // The published values must reconcile with the run's own results: request
 // counter equals the replayed count, the energy gauge settles to
 // Result.Energy, the spin-event counters equal the meters' transition
-// counts exactly, per-disk occupancy matches the telemetry, and the
+// counts exactly, per-disk occupancy matches the meter, and the
 // current-state gauges always partition the disk population.
 func TestMetricsValues(t *testing.T) {
 	const nReq, nDisks = 20000, 8
@@ -79,11 +79,9 @@ func TestMetricsValues(t *testing.T) {
 		for _, stream := range []bool{false, true} {
 			for _, jobs := range []int{1, 8} {
 				reg := metrics.NewRegistry()
-				tel := obs.NewSimTelemetry(nDisks)
 				c := cfg(pol, nDisks)
 				c.Jobs = jobs
 				c.Metrics = reg
-				c.Sink = tel
 				var res *Result
 				if stream {
 					src := trace.NewSliceSource(pt.Sorted(), 777)
@@ -117,18 +115,18 @@ func TestMetricsValues(t *testing.T) {
 						t.Errorf("%s: %s events = %v, meters count %d", name, event, v, want)
 					}
 				}
-				// Per-disk occupancy counters agree with the telemetry's
-				// time-in-state to float tolerance (both fold the same
-				// intervals, but in different summation orders).
+				// Per-disk occupancy counters agree with the meter's
+				// time-in-state to float tolerance (the counters sum the
+				// intervals' To-From, the meter the accounted durations).
 				for d := 0; d < nDisks; d++ {
-					ds := &tel.Disks[d]
+					times := meterTimes(&res.PerDisk[d].Meter)
 					for k := 0; k < obs.NumDiskStates; k++ {
 						state := obs.DiskState(k)
 						got, _ := reg.Value(metricDiskStateSeconds,
 							metrics.L("disk", strconv.Itoa(d)), metrics.L("state", state.String()))
-						want := ds.TimeIn[state]
+						want := times[state]
 						if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
-							t.Errorf("%s disk %d %s: occupancy %v, telemetry %v", name, d, state, got, want)
+							t.Errorf("%s disk %d %s: occupancy %v, meter %v", name, d, state, got, want)
 						}
 					}
 				}

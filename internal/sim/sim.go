@@ -331,6 +331,9 @@ func (cfg Config) normalize(traceDisks int) (Config, error) {
 	if traceDisks > 0 && cfg.NumDisks != traceDisks {
 		return cfg, fmt.Errorf("sim: Config.NumDisks %d does not match the prepared trace's %d disks", cfg.NumDisks, traceDisks)
 	}
+	if cfg.Policy < NoPM || cfg.Policy > DRPM {
+		return cfg, fmt.Errorf("sim: unknown Policy %v (want NoPM, TPM or DRPM)", cfg.Policy)
+	}
 	if cfg.Jobs < 0 {
 		return cfg, fmt.Errorf("sim: Jobs %d must be >= 0 (0 selects GOMAXPROCS, 1 forces the serial path)", cfg.Jobs)
 	}
@@ -546,47 +549,26 @@ func (ds *diskSim) syncSubs() {
 	}
 }
 
-// The charge helpers account a state span in the energy meter and emit
-// the corresponding interval to the sink.
-
-func (ds *diskSim) emit(state obs.DiskState, from, to float64, rpm int) {
-	if ds.sink == nil || to <= from {
-		return
+// emit accounts one span of the disk's state — dt seconds in state at rpm,
+// starting at from: it forwards the span to the sink when there is one
+// and the span is not empty, and charges it to the energy meter. The meter
+// gets dt itself, never (from+dt)-from, which can differ in the last bit.
+// The meter goes last so that nothing stays live across its call.
+func (ds *diskSim) emit(st *DiskStats, state obs.DiskState, from, dt float64, rpm int) {
+	if to := from + dt; ds.sink != nil && to > from {
+		ds.sink.Observe(obs.Interval{Disk: ds.id, From: from, To: to, State: state, RPM: rpm})
 	}
-	ds.sink.Observe(obs.Interval{Disk: ds.id, From: from, To: to, State: state, RPM: rpm})
+	st.Meter.Charge(state, dt, rpm)
 }
 
-func (ds *diskSim) chargeIdle(st *DiskStats, from, dt float64, rpm int) {
-	st.Meter.Idle(dt, rpm)
-	ds.emit(obs.DiskIdle, from, from+dt, rpm)
-}
-
-func (ds *diskSim) chargeActive(st *DiskStats, from, dt float64, rpm int) {
-	st.Meter.Active(dt, rpm)
-	ds.emit(obs.DiskBusy, from, from+dt, rpm)
-}
-
-func (ds *diskSim) chargeStandby(st *DiskStats, from, dt float64) {
-	st.Meter.Standby(dt)
-	ds.emit(obs.DiskStandby, from, from+dt, 0)
-}
-
-func (ds *diskSim) chargeSpinDown(st *DiskStats, from float64) {
-	st.Meter.SpinDown()
-	ds.emit(obs.DiskTransition, from, from+ds.m.SpinDownTime, 0)
-}
-
-func (ds *diskSim) chargeSpinUp(st *DiskStats, from float64) {
-	st.Meter.SpinUp()
-	ds.emit(obs.DiskTransition, from, from+ds.m.SpinUpTime, ds.m.RPMMax)
-}
-
-// chargeShift accounts a DRPM speed change and returns its duration.
-func (ds *diskSim) chargeShift(st *DiskStats, from float64, fromRPM, toRPM int) float64 {
-	st.Meter.Shift(fromRPM, toRPM)
-	dt := power.ShiftTime(ds.m, fromRPM, toRPM)
-	ds.emit(obs.DiskTransition, from, from+dt, toRPM)
-	return dt
+// shiftTo moves a DRPM spindle to rpm at the node clock, which the shift
+// stalls.
+func (ds *diskSim) shiftTo(st *DiskStats, rpm int) {
+	shift := power.ShiftTime(ds.m, ds.rpm, rpm)
+	ds.emit(st, obs.DiskTransition, ds.clock, shift, rpm)
+	ds.clock += shift
+	ds.syncSubs()
+	ds.rpm = rpm
 }
 
 // service handles one request issued at the given time and returns its
@@ -605,7 +587,7 @@ func (ds *diskSim) service(issue float64, size int64, st *DiskStats) (completion
 		if gap >= ds.m.BreakEven {
 			st.GapsOverBreakEven++
 		}
-		nodeReady = ds.advanceGap(gap, st)
+		nodeReady = ds.advanceGap(gap, st, false)
 		ds.syncSubs()
 	}
 	// Dispatch to the least-loaded physical disk (RAID-level striping).
@@ -629,18 +611,15 @@ func (ds *diskSim) service(issue float64, size int64, st *DiskStats) (completion
 	// instead of waiting out the response-time window.
 	if ds.cfg.Policy == DRPM && ds.rpm < ds.m.RPMMax {
 		if loadWait > queuePressureFactor*ds.m.FullSpeedService(size) {
-			old := ds.rpm
-			ds.rpm = ds.m.RPMMax
 			ds.target = ds.m.RPMMax
-			ds.clock += ds.chargeShift(st, ds.clock, old, ds.rpm)
-			ds.syncSubs()
+			ds.shiftTo(st, ds.m.RPMMax)
 			if ds.sub[k] > dispatch {
 				dispatch = ds.sub[k]
 			}
 		}
 	}
 	svc := ds.m.ServiceTime(size, ds.rpm)
-	ds.chargeActive(st, dispatch, svc, ds.rpm)
+	ds.emit(st, obs.DiskBusy, dispatch, svc, ds.rpm)
 	completion = dispatch + svc // the data is ready for the processor here
 	ds.sub[k] = completion
 	if completion > ds.clock {
@@ -656,10 +635,7 @@ func (ds *diskSim) service(issue float64, size int64, st *DiskStats) (completion
 	// the shift occupies the disk but the already-delivered data does not
 	// wait for it.
 	if ds.cfg.Policy == DRPM && ds.rpm < ds.target {
-		next := ds.m.ClampRPM(ds.rpm + ds.m.RPMStep)
-		ds.clock += ds.chargeShift(st, ds.clock, ds.rpm, next)
-		ds.syncSubs()
-		ds.rpm = next
+		ds.shiftTo(st, ds.m.ClampRPM(ds.rpm+ds.m.RPMStep))
 		st.LastCompletion = ds.clock
 	}
 	return completion, resp
@@ -674,19 +650,17 @@ func (ds *diskSim) finish(gap float64, st *DiskStats) {
 	if gap > st.LongestGap {
 		st.LongestGap = gap
 	}
-	ds.advanceGapTail(gap, st)
+	ds.advanceGap(gap, st, true)
 }
 
 // advanceGap consumes an idle gap according to the policy and returns the
 // time service can begin (gap start time is ds.clock; the returned time is
-// ds.clock + gap + any wake-up penalty).
-func (ds *diskSim) advanceGap(gap float64, st *DiskStats) float64 {
+// ds.clock + gap + any wake-up penalty). A tail gap has no terminating
+// request: a TPM disk that spins down stays down, a DRPM disk coasts and
+// stays slow.
+func (ds *diskSim) advanceGap(gap float64, st *DiskStats, tail bool) float64 {
 	begin := ds.clock
 	switch ds.cfg.Policy {
-	case NoPM:
-		ds.chargeIdle(st, begin, gap, ds.m.RPMMax)
-		return begin + gap
-
 	case TPM:
 		thr := ds.cfg.TPMThreshold
 		arrivalAt := begin + gap
@@ -699,16 +673,19 @@ func (ds *diskSim) advanceGap(gap float64, st *DiskStats) float64 {
 			for ds.hintIdx < len(ds.hints) && ds.hints[ds.hintIdx] <= arrivalAt {
 				ds.hintIdx++
 			}
-			ds.chargeIdle(st, begin, gap, ds.m.RPMMax)
-			return begin + gap
+			break
 		}
 		// Idle until the threshold fires, spin down, stand by until either
 		// a proactive hint or the request itself triggers the spin-up;
 		// service starts once the spin-up completes (and never before the
 		// spin-down finished, for gaps barely over the threshold).
-		ds.chargeIdle(st, begin, thr, ds.m.RPMMax)
-		ds.chargeSpinDown(st, begin+thr)
+		ds.emit(st, obs.DiskIdle, begin, thr, ds.m.RPMMax)
+		ds.emit(st, obs.DiskTransition, begin+thr, ds.m.SpinDownTime, 0)
 		spinDownDone := begin + thr + ds.m.SpinDownTime
+		if tail {
+			ds.emit(st, obs.DiskStandby, spinDownDone, gap-thr-ds.m.SpinDownTime, 0)
+			return arrivalAt
+		}
 		wakeStart := arrivalAt
 		if ds.hintIdx < len(ds.hints) && ds.hints[ds.hintIdx] <= arrivalAt {
 			// Proactive early wake; a directive arriving while the
@@ -721,15 +698,15 @@ func (ds *diskSim) advanceGap(gap float64, st *DiskStats) float64 {
 		if spinDownDone > wakeStart {
 			wakeStart = spinDownDone
 		}
-		if wakeStart > spinDownDone {
-			ds.chargeStandby(st, spinDownDone, wakeStart-spinDownDone)
-		}
-		ds.chargeSpinUp(st, wakeStart)
+		// An empty standby span (a wake right at spinDownDone) charges
+		// and emits nothing.
+		ds.emit(st, obs.DiskStandby, spinDownDone, wakeStart-spinDownDone, 0)
+		ds.emit(st, obs.DiskTransition, wakeStart, ds.m.SpinUpTime, ds.m.RPMMax)
 		ready := wakeStart + ds.m.SpinUpTime
 		if ready < arrivalAt {
 			// The hint hid the whole wake-up: the disk idles, spinning,
 			// until the request arrives.
-			ds.chargeIdle(st, ready, arrivalAt-ready, ds.m.RPMMax)
+			ds.emit(st, obs.DiskIdle, ready, arrivalAt-ready, ds.m.RPMMax)
 			ready = arrivalAt
 		}
 		return ready
@@ -756,49 +733,28 @@ func (ds *diskSim) advanceGap(gap float64, st *DiskStats) float64 {
 				// At or below both the operating point and the floor, or
 				// recovery is pending: idle out the gap (recovery happens
 				// as requests are serviced, never during idleness).
-				ds.chargeIdle(st, cursor, remaining, ds.rpm)
+				ds.emit(st, obs.DiskIdle, cursor, remaining, ds.rpm)
 				return begin + gap
 			}
 			shift := power.ShiftTime(ds.m, ds.rpm, next)
 			if remaining < dwell+shift {
-				ds.chargeIdle(st, cursor, remaining, ds.rpm)
+				ds.emit(st, obs.DiskIdle, cursor, remaining, ds.rpm)
 				return begin + gap
 			}
 			if dwell > 0 {
-				ds.chargeIdle(st, cursor, dwell, ds.rpm)
+				ds.emit(st, obs.DiskIdle, cursor, dwell, ds.rpm)
 				cursor += dwell
 				remaining -= dwell
 			}
-			cursor += ds.chargeShift(st, cursor, ds.rpm, next)
+			ds.emit(st, obs.DiskTransition, cursor, shift, next)
+			cursor += shift
 			remaining -= shift
 			ds.rpm = next
 		}
 	}
-	ds.chargeIdle(st, begin, gap, ds.m.RPMMax)
+	// NoPM, and a TPM gap under the threshold: idle at full speed.
+	ds.emit(st, obs.DiskIdle, begin, gap, ds.m.RPMMax)
 	return begin + gap
-}
-
-// advanceGapTail is advanceGap without a terminating request: TPM disks
-// that spin down stay down; DRPM disks coast and stay slow.
-func (ds *diskSim) advanceGapTail(gap float64, st *DiskStats) {
-	begin := ds.clock
-	switch ds.cfg.Policy {
-	case TPM:
-		thr := ds.cfg.TPMThreshold
-		if gap < thr {
-			ds.chargeIdle(st, begin, gap, ds.m.RPMMax)
-			return
-		}
-		ds.chargeIdle(st, begin, thr, ds.m.RPMMax)
-		ds.chargeSpinDown(st, begin+thr)
-		if rest := gap - thr - ds.m.SpinDownTime; rest > 0 {
-			ds.chargeStandby(st, begin+thr+ds.m.SpinDownTime, rest)
-		}
-	case DRPM:
-		ds.advanceGap(gap, st)
-	default:
-		ds.chargeIdle(st, begin, gap, ds.m.RPMMax)
-	}
 }
 
 // observe feeds the DRPM controller: at each window boundary it compares

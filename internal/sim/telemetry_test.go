@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"diskreuse/internal/obs"
+	"diskreuse/internal/power"
 	"diskreuse/internal/trace"
 )
 
@@ -32,31 +33,52 @@ func telCfg(p Policy, disks, jobs int, tel *obs.SimTelemetry) Config {
 	return c
 }
 
-// TestTelemetryMatchesMeter cross-checks the event telemetry against the
-// power meter's independent bookkeeping: transition counts must agree
-// exactly, and per-state times within float tolerance.
+// meterTimes is a meter's time in each state, indexed by obs.DiskState.
+func meterTimes(m *power.Meter) [obs.NumDiskStates]float64 {
+	var t [obs.NumDiskStates]float64
+	t[obs.DiskBusy] = m.ActiveTime
+	t[obs.DiskIdle] = m.IdleTime
+	t[obs.DiskStandby] = m.StandbyTime
+	t[obs.DiskTransition] = m.TransitionTime
+	return t
+}
+
+// TestTelemetryMatchesMeter cross-checks the interval stream against the
+// power meter's fold of it: transition counts classified off the stream
+// by obs.ClassifyTransition must agree with the meter's exactly, and
+// per-state times summed as To-From within float tolerance (the meter
+// sums the accounted durations, which differ from To-From in the last
+// bits). The teed telemetry's idle locality is checked on the same run.
 func TestTelemetryMatchesMeter(t *testing.T) {
 	for _, pol := range []Policy{NoPM, TPM, DRPM} {
 		tel := obs.NewSimTelemetry(2)
-		res, err := runTrace(telemetryTrace(), evenDisk, telCfg(pol, 2, 1, tel))
+		log := obs.NewIntervalLog(2)
+		c := telCfg(pol, 2, 1, tel)
+		c.Sink = obs.Tee(tel, log)
+		res, err := runTrace(telemetryTrace(), evenDisk, c)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var timeIn [2][obs.NumDiskStates]float64
+		var counts [2][3]int // by obs.Transition
+		spindle := []int{c.Model.RPMMax, c.Model.RPMMax}
+		for _, iv := range log.Intervals() {
+			timeIn[iv.Disk][iv.State] += iv.To - iv.From
+			if iv.State == obs.DiskTransition {
+				counts[iv.Disk][obs.ClassifyTransition(spindle[iv.Disk], iv.RPM)]++
+				spindle[iv.Disk] = iv.RPM
+			}
+		}
 		for d, st := range res.PerDisk {
-			dt := &tel.Disks[d]
-			if dt.SpinUps != st.Meter.SpinUps || dt.SpinDowns != st.Meter.SpinDowns || dt.SpeedShifts != st.Meter.SpeedShifts {
-				t.Errorf("%v disk %d: telemetry transitions up/down/shift = %d/%d/%d, meter = %d/%d/%d",
-					pol, d, dt.SpinUps, dt.SpinDowns, dt.SpeedShifts,
+			n := counts[d]
+			if n[obs.SpinUp] != st.Meter.SpinUps || n[obs.SpinDown] != st.Meter.SpinDowns || n[obs.SpeedShift] != st.Meter.SpeedShifts {
+				t.Errorf("%v disk %d: stream transitions up/down/shift = %d/%d/%d, meter = %d/%d/%d",
+					pol, d, n[obs.SpinUp], n[obs.SpinDown], n[obs.SpeedShift],
 					st.Meter.SpinUps, st.Meter.SpinDowns, st.Meter.SpeedShifts)
 			}
-			for state, want := range map[obs.DiskState]float64{
-				obs.DiskBusy:       st.Meter.ActiveTime,
-				obs.DiskIdle:       st.Meter.IdleTime,
-				obs.DiskStandby:    st.Meter.StandbyTime,
-				obs.DiskTransition: st.Meter.TransitionTime,
-			} {
-				if got := dt.TimeIn[state]; math.Abs(got-want) > 1e-9 {
-					t.Errorf("%v disk %d: time in %v = %v, meter says %v", pol, d, state, got, want)
+			for state, want := range meterTimes(&st.Meter) {
+				if got := timeIn[d][state]; math.Abs(got-want) > 1e-9 {
+					t.Errorf("%v disk %d: time in %v = %v, meter says %v", pol, d, obs.DiskState(state), got, want)
 				}
 			}
 		}
@@ -133,9 +155,10 @@ func TestTelemetryClosedLoop(t *testing.T) {
 }
 
 // TestNormalizeValidation covers the consolidated Config validation added
-// with the telemetry work: every tunable rejects negatives with an error
-// naming the field, and a mis-sized Sink is caught up front instead of
-// silently dropping events.
+// with the telemetry work: every tunable rejects negatives and an unknown
+// Policy is rejected (rather than replayed as NoPM) with an error naming
+// the field, and a mis-sized Sink is caught up front instead of silently
+// dropping events.
 func TestNormalizeValidation(t *testing.T) {
 	reqs := []trace.Request{{Arrival: 0, Block: 0, Size: 4096}}
 	for _, tc := range []struct {
@@ -148,6 +171,8 @@ func TestNormalizeValidation(t *testing.T) {
 		{"DRPMRaise", func(c *Config) { c.DRPMRaise = -5 }},
 		{"DRPMDwell", func(c *Config) { c.DRPMDwell = -1 }},
 		{"ThinkEstimate", func(c *Config) { c.ThinkEstimate = -0.5 }},
+		{"Policy", func(c *Config) { c.Policy = Policy(7) }},
+		{"Policy", func(c *Config) { c.Policy = -1 }},
 	} {
 		c := cfg(NoPM, 1)
 		tc.mut(&c)
