@@ -155,6 +155,17 @@ func run(o options) (err error) {
 	if o.timeline > 0 && len(pols) > 1 {
 		return fmt.Errorf("-timeline requires a single policy, got %d", len(pols))
 	}
+	// The block-to-disk mapping divides by both, so reject them before any
+	// trace is read.
+	if o.unit <= 0 {
+		return fmt.Errorf("stripe unit %d must be a positive byte count", o.unit)
+	}
+	if o.pageSize <= 0 {
+		return fmt.Errorf("page size %d must be a positive byte count", o.pageSize)
+	}
+	if o.unit%o.pageSize != 0 {
+		return fmt.Errorf("stripe unit %d must be a multiple of the page size %d", o.unit, o.pageSize)
+	}
 	sess, err := o.Start()
 	if err != nil {
 		return err
@@ -234,9 +245,6 @@ func run(o options) (err error) {
 			return err
 		}
 		sp.End()
-	}
-	if o.unit%o.pageSize != 0 {
-		return fmt.Errorf("stripe unit %d must be a multiple of the page size %d", o.unit, o.pageSize)
 	}
 	pagesPerStripe := o.unit / o.pageSize
 	diskOf := func(block int64) (int, error) {

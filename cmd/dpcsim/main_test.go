@@ -178,6 +178,45 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsStriping: a non-positive stripe unit or page size is an
+// error naming the value, never a divide-by-zero in the block-to-disk
+// mapping, and it is reported before any trace is read.
+func TestRunRejectsStriping(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		unit, page int64
+		want       string
+	}{
+		{"zero unit", 0, 4096, "stripe unit 0"},
+		{"zero page", 32 << 10, 0, "page size 0"},
+		{"zero both", 0, 0, "stripe unit 0"},
+		{"negative unit", -32 << 10, 4096, "stripe unit -32768"},
+		{"negative page", 32 << 10, -4096, "page size -4096"},
+		{"unit not a page multiple", 1000, 4096, "multiple of the page size"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resetFlags(t)
+			inR, inW, err := os.Pipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			oldIn := os.Stdin
+			os.Stdin = inR
+			defer func() { os.Stdin = oldIn; inR.Close() }()
+			go func() {
+				inW.WriteString("0.0 0 4096 R 0\n")
+				inW.Close()
+			}()
+			o := base()
+			o.policy, o.unit, o.pageSize = "none", tc.unit, tc.page
+			err = run(o)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("unit %d page %d: err = %v, want one naming %q", tc.unit, tc.page, err, tc.want)
+			}
+		})
+	}
+}
+
 // TestJSONStdout is the -json contract: stdout holds exactly one JSON
 // document (the human result blocks move to stderr), with TPM spin-ups and
 // a NoPM-normalized energy for every policy.

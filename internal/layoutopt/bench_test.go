@@ -102,7 +102,9 @@ func BenchmarkEngineCacheHit(b *testing.B) {
 // plus two (partially cached) replays — the engine must score candidates at
 // least 10x faster than the full per-candidate pipeline (compile,
 // restructure, generate, simulate). Measured on this workload the gap is
-// ~17x; 10x leaves slack for a noisy shared runner.
+// ~17x; 10x leaves slack for a noisy shared runner. The regime itself is
+// pinned without timing: across the fast loop the schedule memo gains no
+// entry and every score is a score-cache miss.
 func TestReattributedScorerFaster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -135,6 +137,8 @@ func TestReattributedScorerFaster(t *testing.T) {
 	// Per-iteration minima filter out scheduler noise on shared runners.
 	const kFast = 20
 	fast := time.Duration(1<<62 - 1)
+	scheds := e.scheds.len()
+	hits0, misses0 := e.CacheStats()
 	for i := 0; i < kFast; i++ {
 		specs := base.Clone()
 		// Units disjoint from base's 32K, so every score is a cache miss
@@ -146,6 +150,13 @@ func TestReattributedScorerFaster(t *testing.T) {
 		}
 		if d := time.Since(t0); d < fast {
 			fast = d
+		}
+		if n := e.scheds.len(); n != scheds {
+			t.Fatalf("score %d: schedule memo grew from %d to %d entries; the candidate was rescheduled, not re-attributed", i, scheds, n)
+		}
+		if hits, misses := e.CacheStats(); hits != hits0 || misses != misses0+int64(i+1) {
+			t.Fatalf("score %d: score cache hits=%d misses=%d, want hits=%d misses=%d (every score a miss)",
+				i, hits, misses, hits0, misses0+int64(i+1))
 		}
 	}
 	const kFull = 3

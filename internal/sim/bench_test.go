@@ -45,9 +45,8 @@ func BenchmarkSimRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mkCfg := func(pol Policy, closed bool, jobs int) Config {
+	mkCfg := func(pol Policy, jobs int) Config {
 		c := cfg(pol, nDisks)
-		c.ClosedLoop = closed
 		c.Jobs = jobs
 		return c
 	}
@@ -71,25 +70,23 @@ func BenchmarkSimRun(b *testing.B) {
 	}
 
 	par := runtime.GOMAXPROCS(0)
-	b.Run("open/serial", func(b *testing.B) { runFresh(b, mkCfg(TPM, false, 1)) })
-	b.Run("open/parallel", func(b *testing.B) { runFresh(b, mkCfg(TPM, false, par)) })
-	b.Run("open/serial-prepared", func(b *testing.B) { runPrepared(b, mkCfg(TPM, false, 1)) })
-	b.Run("open/parallel-prepared", func(b *testing.B) { runPrepared(b, mkCfg(TPM, false, par)) })
-	b.Run("closed/serial", func(b *testing.B) { runFresh(b, mkCfg(TPM, true, 1)) })
-	b.Run("closed/prepared", func(b *testing.B) { runPrepared(b, mkCfg(TPM, true, 1)) })
+	b.Run("open/serial", func(b *testing.B) { runFresh(b, mkCfg(TPM, 1)) })
+	b.Run("open/parallel", func(b *testing.B) { runFresh(b, mkCfg(TPM, par)) })
+	b.Run("open/serial-prepared", func(b *testing.B) { runPrepared(b, mkCfg(TPM, 1)) })
+	b.Run("open/parallel-prepared", func(b *testing.B) { runPrepared(b, mkCfg(TPM, par)) })
 
 	// One serial prepared replay per policy: what each policy's spans cost
 	// the meter and the emit path, without the fan-out.
 	versions := []Policy{NoPM, TPM, DRPM}
 	for _, pol := range versions {
-		b.Run("policy/"+pol.String(), func(b *testing.B) { runPrepared(b, mkCfg(pol, false, 1)) })
+		b.Run("policy/"+pol.String(), func(b *testing.B) { runPrepared(b, mkCfg(pol, 1)) })
 	}
 
 	// The harness pattern: one trace replayed under >= 3 policy versions.
 	b.Run("versions/unprepared", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, pol := range versions {
-				if _, err := runTrace(reqs, diskOf, mkCfg(pol, false, par)); err != nil {
+				if _, err := runTrace(reqs, diskOf, mkCfg(pol, par)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -102,7 +99,7 @@ func BenchmarkSimRun(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, pol := range versions {
-				if _, err := RunPrepared(vpt, mkCfg(pol, false, par)); err != nil {
+				if _, err := RunPrepared(vpt, mkCfg(pol, par)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -13,19 +13,19 @@ import (
 	"diskreuse/internal/trace"
 )
 
-// The open-loop replay kernel. The open-loop model is feedback-free across
-// disks: a policy-induced stall delays that disk's queue but never the
-// issue stream, so a disk's trajectory — and its energy — is a pure
-// function of the arrival-ordered subsequence of requests attributed to
-// it. Disks meet only in the final makespan, which bills every disk's idle
-// tail. Every open-loop replay (RunPrepared, RunStream, EnergyScorer)
-// therefore takes the same three steps: carve the requests into per-disk
-// index lists (diskCarve), replay each list on that disk's reducer
-// (diskReducer.replay, fanned out over Config.Jobs by replayPass), and fold
-// the reducers in disk order before running the finish tail (foldDisks).
-// The fold fixes the float summation order, so results are bit-identical
-// at every worker count and every chunking. Intervals bypass the fold:
-// each disk's worker feeds them straight to the per-disk Config.Sink.
+// The replay kernel. The open-loop replay is feedback-free across disks: a
+// policy-induced stall delays that disk's queue but never the issue
+// stream, so a disk's trajectory — and its energy — is a pure function of
+// the arrival-ordered subsequence of requests attributed to it. Disks meet
+// only in the final makespan, which bills every disk's idle tail. Every
+// replay (RunPrepared, RunStream, EnergyScorer) therefore takes the same
+// three steps: carve the requests into per-disk index lists (diskCarve),
+// replay each list on that disk's reducer (diskReducer.replay, fanned out
+// over Config.Jobs by replayPass), and fold the reducers in disk order
+// before running the finish tail (foldDisks). The fold fixes the float
+// summation order, so results are bit-identical at every worker count and
+// every chunking. Intervals bypass the fold: each disk's worker feeds them
+// straight to the per-disk Config.Sink.
 
 // minParallelRequests is the auto-mode (Jobs 0) cutoff below which a
 // replay pass stays serial: spawning a worker per disk costs more than
@@ -87,7 +87,7 @@ func (c *diskCarve) build(n, numDisks int, diskOf func(i int) (int, error)) erro
 	return nil
 }
 
-// diskReducer is one disk's open-loop replay state: the disk simulator,
+// diskReducer is one disk's replay state: the disk simulator,
 // its stats, and the partial response-time sum and makespan the fold
 // combines. A reducer is a value, so a copy is a snapshot — except ds.sub,
 // which a copy must clone before replaying.

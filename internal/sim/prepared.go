@@ -4,12 +4,12 @@ import "diskreuse/internal/trace"
 
 // PreparedTrace is the replay-ready form of a request trace against a
 // fixed block-to-disk mapping: the arrival sort, per-request disk
-// attribution, per-disk index carve, and per-processor grouping are all
-// done once by PrepareTrace, so any number of policy or parameter variants
-// can replay the same trace through RunPrepared without repeating the
-// bucketing work — bucket once, replay many. The experiment harness
-// prepares each execution's trace once and shares it read-only across all
-// of an application's version simulations.
+// attribution and per-disk index carve are all done once by PrepareTrace,
+// so any number of policy or parameter variants can replay the same trace
+// through RunPrepared without repeating the bucketing work — bucket once,
+// replay many. The experiment harness prepares each execution's trace once
+// and shares it read-only across all of an application's version
+// simulations.
 //
 // A PreparedTrace is immutable after PrepareTrace returns; concurrent
 // RunPrepared calls against the same value are safe.
@@ -21,15 +21,13 @@ type PreparedTrace struct {
 	// replay exactly.
 	sorted []trace.Request
 	// perDisk[d] lists, in arrival order, the indices into sorted of the
-	// requests disk d services: the diskCarve the open-loop replay walks,
-	// 4 bytes per request. The closed-loop replay rebuilds its per-request
-	// disk table from it per run.
+	// requests disk d services: the diskCarve the replay walks, 4 bytes per
+	// request.
 	perDisk [][]int32
-	// procIDs lists processor ids in first-appearance order; procReqs[k]
-	// holds the indices into sorted of the requests procIDs[k] issued,
-	// carved from one flat backing (see trace.ProcStreams).
-	procIDs  []int
-	procReqs [][]int
+	// minProc and maxProc bound the trace's processor ids (both 0 for an
+	// empty trace), so RunPrepared can check an Attribution's processor
+	// range without walking the requests.
+	minProc, maxProc int
 }
 
 // NumDisks returns the disk count the trace was prepared against.
@@ -52,27 +50,32 @@ func (pt *PreparedTrace) Source() trace.Source {
 
 // PrepareTrace attributes every request of reqs to its disk and buckets the
 // trace for replay: one stable arrival sort (skipped when reqs is already
-// sorted, the common case for generated traces), one per-disk index carve,
-// and one per-processor grouping. diskOf maps a request's block number to
-// its disk using the striping information, exactly as the paper's
-// simulator consumes externally provided striping parameters. reqs is
-// never mutated.
+// sorted, the common case for generated traces) and one per-disk index
+// carve, which also records the processor-id range. diskOf maps a
+// request's block number to its disk using the striping information,
+// exactly as the paper's simulator consumes externally provided striping
+// parameters. reqs is never mutated.
 func PrepareTrace(reqs []trace.Request, diskOf func(block int64) (int, error), numDisks int) (*PreparedTrace, error) {
 	sorted := reqs
 	if !trace.SortedByArrival(reqs) {
 		sorted = append([]trace.Request(nil), reqs...)
 		trace.SortByArrival(sorted)
 	}
+	pt := &PreparedTrace{numDisks: numDisks, sorted: sorted}
 	var c diskCarve
-	if err := c.build(len(sorted), numDisks, func(i int) (int, error) { return diskOf(sorted[i].Block) }); err != nil {
+	err := c.build(len(sorted), numDisks, func(i int) (int, error) {
+		r := &sorted[i]
+		if i == 0 || r.Proc < pt.minProc {
+			pt.minProc = r.Proc
+		}
+		if i == 0 || r.Proc > pt.maxProc {
+			pt.maxProc = r.Proc
+		}
+		return diskOf(r.Block)
+	})
+	if err != nil {
 		return nil, err
 	}
-	procIDs, procReqs := trace.ProcStreams(sorted)
-	return &PreparedTrace{
-		numDisks: numDisks,
-		sorted:   sorted,
-		perDisk:  c.perDisk,
-		procIDs:  procIDs,
-		procReqs: procReqs,
-	}, nil
+	pt.perDisk = c.perDisk
+	return pt, nil
 }

@@ -104,8 +104,8 @@ func TestParallelOpenLoopMatchesSerial(t *testing.T) {
 }
 
 // TestRunPreparedMatchesRun pins the bucket-once-replay-many contract: one
-// PreparedTrace reused across every policy and both replay models gives
-// results identical to preparing from scratch per run.
+// PreparedTrace reused across every policy gives results identical to
+// preparing from scratch per run.
 func TestRunPreparedMatchesRun(t *testing.T) {
 	const disks = 8
 	reqs := randomTrace(9, 900, disks, 4)
@@ -118,27 +118,24 @@ func TestRunPreparedMatchesRun(t *testing.T) {
 		t.Fatalf("prepared trace: %d disks, %d requests", pt.NumDisks(), pt.Requests())
 	}
 	for _, pol := range []Policy{NoPM, TPM, DRPM} {
-		for _, closed := range []bool{false, true} {
-			c := cfg(pol, disks)
-			c.ClosedLoop = closed
-			direct, err := runTrace(reqs, diskOf, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reused, err := RunPrepared(pt, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(reused, direct) {
-				t.Errorf("%v closed=%v: prepared-trace reuse changed the result", pol, closed)
-			}
+		c := cfg(pol, disks)
+		direct, err := runTrace(reqs, diskOf, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused, err := RunPrepared(pt, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(reused, direct) {
+			t.Errorf("%v: prepared-trace reuse changed the result", pol)
 		}
 	}
 }
 
 // TestPrepareTraceNotMutatedByRun pins the immutability contract behind
 // the harness's read-only sharing: replaying a PreparedTrace — serial,
-// parallel, closed-loop, RAID-striped — must leave every prepared
+// parallel, RAID-striped, with an attribution — must leave every prepared
 // artifact bit-identical, so concurrent RunPrepared calls are safe.
 func TestPrepareTraceNotMutatedByRun(t *testing.T) {
 	const disks = 4
@@ -152,18 +149,17 @@ func TestPrepareTraceNotMutatedByRun(t *testing.T) {
 	for d := range pt.perDisk {
 		perDisk[d] = append([]int32(nil), pt.perDisk[d]...)
 	}
-	procIDs := append([]int(nil), pt.procIDs...)
-	procReqs := make([][]int, len(pt.procReqs))
-	for k := range pt.procReqs {
-		procReqs[k] = append([]int(nil), pt.procReqs[k]...)
+	minProc, maxProc := pt.minProc, pt.maxProc
+	if minProc != 0 || maxProc != 2 {
+		t.Fatalf("prepared processor range [%d, %d], want [0, 2]", minProc, maxProc)
 	}
 
 	for _, pol := range []Policy{NoPM, TPM, DRPM} {
-		for _, closed := range []bool{false, true} {
+		for _, jobs := range []int{1, 3} {
 			c := cfg(pol, disks)
-			c.ClosedLoop = closed
-			c.Jobs = 3
+			c.Jobs = jobs
 			c.RAIDWidth = 2
+			c.Attribution = obs.NewProcAttribution(disks, 3)
 			if _, err := RunPrepared(pt, c); err != nil {
 				t.Fatal(err)
 			}
@@ -179,52 +175,15 @@ func TestPrepareTraceNotMutatedByRun(t *testing.T) {
 	if !reflect.DeepEqual(pt.perDisk, perDisk) {
 		t.Error("Run mutated the prepared per-disk carve")
 	}
-	if !reflect.DeepEqual(pt.procIDs, procIDs) || !reflect.DeepEqual(pt.procReqs, procReqs) {
-		t.Error("Run mutated the prepared processor streams")
+	if pt.minProc != minProc || pt.maxProc != maxProc {
+		t.Error("Run mutated the prepared processor range")
 	}
 }
 
-// TestClosedLoopTieBreakIsInsertionIndependent pins the streamHeap
-// tie-break: processors whose next issues fall at the exact same time are
-// serviced in processor-id order, so permuting equal-arrival input lines
-// (which permutes the heap's insertion history) cannot change the replay.
-func TestClosedLoopTieBreakIsInsertionIndependent(t *testing.T) {
-	// Three processors, identical arrival clocks, per-processor sizes: the
-	// service order at each tie determines each request's queueing delay,
-	// so any insertion-order dependence would show in ResponseTime.
-	mk := func(order []int) []trace.Request {
-		var reqs []trace.Request
-		for step := 0; step < 5; step++ {
-			for _, p := range order {
-				reqs = append(reqs, trace.Request{
-					Arrival: float64(step) * 2,
-					Block:   0,
-					Size:    4096 << p,
-					Proc:    p,
-				})
-			}
-		}
-		return reqs
-	}
-	c := cfg(NoPM, 1)
-	c.ClosedLoop = true
-	c.AsyncDepth = 1
-	fwd, err := runTrace(mk([]int{0, 1, 2}), oneDisk, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rev, err := runTrace(mk([]int{2, 1, 0}), oneDisk, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fwd, rev) {
-		t.Errorf("equal-time replay depends on input permutation: %+v vs %+v", fwd, rev)
-	}
-}
-
-// TestConfigValidation covers the explicit knob validation: negative Jobs,
-// RAIDWidth, and AsyncDepth are rejected with messages naming the field,
-// and RunPrepared enforces NumDisks consistency with the prepared trace.
+// TestConfigValidation covers the explicit knob validation: negative Jobs
+// and RAIDWidth are rejected with messages naming the field, and
+// RunPrepared enforces NumDisks consistency with the prepared trace and an
+// Attribution's processor range.
 func TestConfigValidation(t *testing.T) {
 	reqs := []trace.Request{{Arrival: 0, Block: 0, Size: 4096}}
 	for _, tc := range []struct {
@@ -233,7 +192,6 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"Jobs", func(c *Config) { c.Jobs = -1 }},
 		{"RAIDWidth", func(c *Config) { c.RAIDWidth = -2 }},
-		{"AsyncDepth", func(c *Config) { c.AsyncDepth = -3 }},
 	} {
 		c := cfg(NoPM, 1)
 		tc.mut(&c)
@@ -264,5 +222,47 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := PrepareTrace(reqs, func(int64) (int, error) { return 7, nil }, 2); err == nil {
 		t.Error("disk index out of range must fail")
+	}
+
+	// An Attribution must cover every processor id of the trace, at both
+	// ends of its range; an empty trace has none to cover.
+	procs := []trace.Request{
+		{Arrival: 0, Block: 0, Size: 4096, Proc: 1},
+		{Arrival: 1, Block: 1, Size: 4096, Proc: 2},
+		{Arrival: 2, Block: 0, Size: 4096, Proc: 0},
+	}
+	for _, tc := range []struct {
+		lo, hi, attrProcs int
+		want              string // "" when the run must succeed
+	}{
+		{0, 2, 3, ""},
+		{0, 2, 2, "processor id 2"},
+		{-1, 2, 3, "processor id -1"},
+		{0, 3, 3, "processor id 3"},
+	} {
+		tr := append([]trace.Request(nil), procs...)
+		tr[2].Proc, tr[1].Proc = tc.lo, tc.hi
+		pt, err := PrepareTrace(tr, modDisk(2), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cfg(NoPM, 2)
+		c.Attribution = obs.NewProcAttribution(2, tc.attrProcs)
+		_, err = RunPrepared(pt, c)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("procs [%d, %d] into %d: %v", tc.lo, tc.hi, tc.attrProcs, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("procs [%d, %d] into %d: err = %v, want one naming %q", tc.lo, tc.hi, tc.attrProcs, err, tc.want)
+		}
+	}
+	empty, err := PrepareTrace(nil, oneDisk, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cfg(NoPM, 1)
+	c.Attribution = obs.NewProcAttribution(1, 1)
+	if _, err := RunPrepared(empty, c); err != nil {
+		t.Errorf("empty trace with an attribution: %v", err)
 	}
 }

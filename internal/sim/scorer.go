@@ -96,15 +96,11 @@ const scorerCacheBytes = 64 << 20
 // NewEnergyScorer prepares a memoizing scorer over an arrival-ordered
 // request stream under cfg. sorted is aliased, never mutated.
 // cfg.NumDisks is ignored (each Score call supplies its own disk count);
-// features that observe per-request events or couple disks — ClosedLoop,
-// Sink, Attribution, Hints, Span — must be off, since
-// memoized replays are skipped, not re-observed.
+// features that observe per-request events — Sink, Attribution, Hints,
+// Span — must be off, since memoized replays are skipped, not re-observed.
 func NewEnergyScorer(sorted []trace.Request, cfg Config) (*EnergyScorer, error) {
 	if !trace.SortedByArrival(sorted) {
 		return nil, fmt.Errorf("sim: EnergyScorer stream must be sorted by arrival")
-	}
-	if cfg.ClosedLoop {
-		return nil, fmt.Errorf("sim: EnergyScorer replays open-loop only")
 	}
 	if cfg.Sink != nil || cfg.Attribution != nil || cfg.Span != nil || len(cfg.Hints) > 0 {
 		return nil, fmt.Errorf("sim: EnergyScorer cannot drive per-request observers (Sink/Attribution/Span/Hints)")

@@ -128,10 +128,6 @@ func TestEnergyScorerRejections(t *testing.T) {
 		!strings.Contains(err.Error(), "sorted by arrival") {
 		t.Fatalf("unsorted: err = %v", err)
 	}
-	if _, err := NewEnergyScorer(reqs, Config{Model: model, ClosedLoop: true}); err == nil ||
-		!strings.Contains(err.Error(), "open-loop") {
-		t.Fatalf("closed loop: err = %v", err)
-	}
 	if _, err := NewEnergyScorer(reqs, Config{Model: model, Sink: obs.NewIntervalLog(1)}); err == nil ||
 		!strings.Contains(err.Error(), "observers") {
 		t.Fatalf("record: err = %v", err)

@@ -3,6 +3,11 @@
 // node), applies a power-management policy — none, TPM spin-down, or DRPM
 // dynamic speed-setting — and reports disk energy and disk I/O time.
 //
+// The replay is open-loop, as in the paper, whose simulator "is driven by
+// externally-provided disk I/O request traces": every request arrives at
+// the time the trace gives it, so a policy-induced stall delays that
+// disk's queue but never feeds back into the issue stream.
+//
 // Policies:
 //
 //   - NoPM: the disk idles at full speed between requests. This is the
@@ -17,7 +22,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"diskreuse/internal/disk"
@@ -51,31 +55,6 @@ type Config struct {
 	// at a single step below full speed — the modest savings/penalty
 	// balance reported for DRPM on unmodified codes.
 	DRPMLower float64
-	// DRPMDwell is how long a DRPM disk lingers at a speed level during an
-	// idle period before coasting further down.
-	DRPMDwell float64
-
-	// ClosedLoop selects the replay model. The default (false) is the
-	// paper's methodology: the simulator "is driven by externally-provided
-	// disk I/O request traces" — arrival times are fixed, so a policy-
-	// induced stall delays that disk's queue but never feeds back into the
-	// issue stream. With ClosedLoop true, each processor re-issues its
-	// requests only as earlier ones complete (per AsyncDepth), modeling a
-	// blocking application; stalls then propagate and can cascade across
-	// disks.
-	ClosedLoop bool
-
-	// ThinkEstimate is the per-request service estimate the trace
-	// generator used for its clocks; the closed-loop replay recovers each
-	// request's think time as the arrival gap minus this estimate. Zero
-	// selects the full-speed service time of a 4-KiB page.
-	ThinkEstimate float64
-
-	// AsyncDepth is the number of outstanding requests a processor may
-	// have in flight before blocking on the oldest (closed-loop replay
-	// only) — the prefetch depth of the parallel I/O library. Zero selects
-	// DefaultAsyncDepth; 1 means fully synchronous I/O.
-	AsyncDepth int
 
 	// Hints are compiler-inserted proactive spin-up directives (the [25]
 	// extension): a TPM disk that spun down begins its spin-up at the hint
@@ -85,17 +64,16 @@ type Config struct {
 
 	// Sink, when non-nil, receives every state interval of every disk as
 	// the simulation accounts it, and Finish when the run completes. It
-	// must be sized for the run's disk count. The open-loop replay feeds
-	// it straight from the sharded per-disk workers, each disk's intervals
-	// in time order, so what a per-disk sink accumulates is identical at
-	// every Jobs value. Compose several sinks with obs.Tee.
+	// must be sized for the run's disk count. The replay feeds it straight
+	// from the sharded per-disk workers, each disk's intervals in time
+	// order, so what a per-disk sink accumulates is identical at every Jobs
+	// value. Compose several sinks with obs.Tee.
 	Sink obs.IntervalSink
 
 	// Span, when non-nil, receives one "disk-replay" child span per disk
-	// of an in-memory open-loop replay, so a trace export shows the
-	// simulator's fan-out; RunStream opens one "stream-replay" child
-	// instead, with no per-disk or per-chunk children, and the closed-loop
-	// model one "closed-replay" child.
+	// of an in-memory replay, so a trace export shows the simulator's
+	// fan-out; RunStream opens one "stream-replay" child instead, with no
+	// per-disk or per-chunk children.
 	Span *obs.Span
 
 	// Attribution, when non-nil, accumulates per-(disk, processor)
@@ -126,39 +104,35 @@ type Config struct {
 	// are rejected.
 	RAIDWidth int
 
-	// Jobs bounds how many disks replay concurrently in the open-loop
-	// model. The open-loop replay is feedback-free across disks (a
-	// policy-induced stall delays that disk's queue but never feeds back
-	// into the issue stream), so the per-disk replays are independent and
-	// fan out over a bounded worker pool. Zero selects
-	// runtime.GOMAXPROCS(0), with a small-trace cutoff that keeps tiny
-	// replays serial; 1 forces the fully serial path; negative values are
-	// rejected. Results are bit-identical at every Jobs value: each disk
-	// writes its own stats slot, and the per-disk partial response-time
-	// sums and makespans are folded in disk order — the same float
-	// summation order as the serial path.
-	// The closed-loop replay is inherently cross-disk sequential (stalls
-	// propagate through the shared issue heap) and ignores Jobs.
+	// Jobs bounds how many disks replay concurrently. The replay is
+	// feedback-free across disks (a policy-induced stall delays that disk's
+	// queue but never feeds back into the issue stream), so the per-disk
+	// replays are independent and fan out over a bounded worker pool. Zero
+	// selects runtime.GOMAXPROCS(0), with a small-trace cutoff that keeps
+	// tiny replays serial; 1 forces the fully serial path; negative values
+	// are rejected. Results are bit-identical at every Jobs value: each
+	// disk writes its own stats slot, and the per-disk partial
+	// response-time sums and makespans are folded in disk order — the same
+	// float summation order as the serial path.
 	Jobs int
 }
-
-// DefaultAsyncDepth is the default per-processor outstanding-request
-// window.
-const DefaultAsyncDepth = 8
 
 // Default DRPM controller constants. DRPMRaise/DRPMLower bracket the
 // response-time degradation the controller tolerates; the defaults let the
 // disk trade roughly one speed level's worth of service-time increase for
 // its quadratic power reduction, matching the modest savings/penalty
-// balance reported for DRPM on unmodified codes. The coast dwell is of the
-// same order as the TPM break-even time: coasting below the operating
-// point costs a multi-second recovery ramp when the next burst arrives, so
-// it must only happen during idleness long enough to amortize it.
+// balance reported for DRPM on unmodified codes.
 const (
 	DefaultDRPMRaise = 1.15
 	DefaultDRPMLower = 1.07
-	DefaultDRPMDwell = 0.7
 )
+
+// drpmDwell is how long (seconds) a DRPM disk lingers at a speed level
+// during an idle period before coasting further down. Coasting below the
+// operating point costs a multi-second recovery ramp when the next burst
+// arrives, so it must only happen during idleness long enough to amortize
+// it.
+const drpmDwell = 0.7
 
 // queuePressureFactor is the queue-wait (in full-speed service times) past
 // which a DRPM disk abandons gradual control and ramps to full speed even
@@ -227,48 +201,11 @@ type Result struct {
 	Policy       Policy
 }
 
-// procStream is one processor's request sequence with recovered think
-// times: think[k] is the compute delay between completing request k-1 and
-// issuing request k. The requests themselves live in the prepared trace;
-// idx holds their positions in its arrival order.
-type procStream struct {
-	proc  int       // processor id (the heap tie-break)
-	idx   []int     // indices into the prepared trace's sorted order
-	think []float64 // recovered compute gaps, one per request
-	next  int       // position in idx of the next request to issue
-	ready float64   // time the processor can issue it
-	// completions is a ring of the last AsyncDepth completion times; a new
-	// request blocks on the completion AsyncDepth requests back.
-	completions []float64
-}
-
-// streamHeap orders processors by the issue time of their next request,
-// breaking exact-time ties by processor id so the replay order depends
-// only on the trace, never on the heap's insertion history.
-type streamHeap []*procStream
-
-func (h streamHeap) Len() int { return len(h) }
-func (h streamHeap) Less(i, j int) bool {
-	if h[i].ready != h[j].ready {
-		return h[i].ready < h[j].ready
-	}
-	return h[i].proc < h[j].proc
-}
-func (h streamHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *streamHeap) Push(x any)   { *h = append(*h, x.(*procStream)) }
-func (h *streamHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// RunPrepared replays a prepared trace under one configuration. The
-// default (open-loop) replay is the paper's trace-driven methodology with
-// fixed arrival times; cfg.ClosedLoop instead re-issues each processor's
-// requests only as earlier ones complete. Disks service requests FIFO in
-// issue order either way.
+// RunPrepared replays a prepared trace under one configuration: the
+// paper's trace-driven methodology, with arrival times fixed by the trace
+// and each disk servicing its requests FIFO in arrival order. It is
+// RunStream's per-chunk pass fed the whole trace at once over the stored
+// carve, so the two paths are bit-identical.
 //
 // cfg.NumDisks zero adopts the prepared trace's disk count; any other
 // value must match it. RunPrepared only reads pt, so concurrent calls may
@@ -278,8 +215,8 @@ func RunPrepared(pt *PreparedTrace, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if attr := cfg.Attribution; attr != nil {
-		for _, p := range pt.procIDs {
+	if attr := cfg.Attribution; attr != nil && len(pt.sorted) > 0 {
+		for _, p := range [2]int{pt.minProc, pt.maxProc} {
 			if p < 0 || p >= attr.NumProcs() {
 				return nil, fmt.Errorf("sim: Attribution sized for %d processors but the trace has processor id %d (size it with obs.NewProcAttribution)",
 					attr.NumProcs(), p)
@@ -293,16 +230,8 @@ func RunPrepared(pt *PreparedTrace, cfg Config) (*Result, error) {
 		Policy:   cfg.Policy,
 	}
 	reds := newReducers(cfg)
-	if cfg.ClosedLoop {
-		sp := cfg.Span.Child("closed-replay")
-		runClosedLoop(pt, cfg, reds, res)
-		sp.End()
-	} else {
-		// The open-loop replay is RunStream's per-chunk pass, fed the
-		// whole prepared trace at once over its stored carve.
-		if err := replayPass(&cfg, reds, pt.sorted, pt.perDisk, cfg.Span); err != nil {
-			return nil, err
-		}
+	if err := replayPass(&cfg, reds, pt.sorted, pt.perDisk, cfg.Span); err != nil {
+		return nil, err
 	}
 	foldDisks(&cfg, reds, res)
 	return res, nil
@@ -340,9 +269,6 @@ func (cfg Config) normalize(traceDisks int) (Config, error) {
 	if cfg.RAIDWidth < 0 {
 		return cfg, fmt.Errorf("sim: RAIDWidth %d must be >= 0 (0 or 1 models one disk per I/O node)", cfg.RAIDWidth)
 	}
-	if cfg.AsyncDepth < 0 {
-		return cfg, fmt.Errorf("sim: AsyncDepth %d must be >= 0 (0 selects the default depth %d)", cfg.AsyncDepth, DefaultAsyncDepth)
-	}
 	if cfg.TPMThreshold < 0 {
 		return cfg, fmt.Errorf("sim: TPMThreshold %v must be >= 0 (0 selects the model's break-even time)", cfg.TPMThreshold)
 	}
@@ -351,12 +277,6 @@ func (cfg Config) normalize(traceDisks int) (Config, error) {
 	}
 	if cfg.DRPMRaise < 0 {
 		return cfg, fmt.Errorf("sim: DRPMRaise %v must be >= 0 (0 selects the default %v)", cfg.DRPMRaise, DefaultDRPMRaise)
-	}
-	if cfg.DRPMDwell < 0 {
-		return cfg, fmt.Errorf("sim: DRPMDwell %v must be >= 0 (0 selects the default %v)", cfg.DRPMDwell, DefaultDRPMDwell)
-	}
-	if cfg.ThinkEstimate < 0 {
-		return cfg, fmt.Errorf("sim: ThinkEstimate %v must be >= 0 (0 selects the full-speed service time of a 4-KiB page)", cfg.ThinkEstimate)
 	}
 	if cfg.Sink != nil && cfg.Sink.NumDisks() != cfg.NumDisks {
 		return cfg, fmt.Errorf("sim: Sink sized for %d disks but the run has %d (size every teed sink for NumDisks)", cfg.Sink.NumDisks(), cfg.NumDisks)
@@ -395,112 +315,10 @@ func (cfg Config) normalize(traceDisks int) (Config, error) {
 	if cfg.DRPMLower > 0 && cfg.DRPMLower >= cfg.DRPMRaise {
 		return cfg, fmt.Errorf("sim: DRPMLower %v must be below DRPMRaise %v", cfg.DRPMLower, cfg.DRPMRaise)
 	}
-	if cfg.DRPMDwell == 0 {
-		cfg.DRPMDwell = DefaultDRPMDwell
-	}
-	if cfg.ThinkEstimate == 0 {
-		cfg.ThinkEstimate = cfg.Model.FullSpeedService(4096)
-	}
-	if cfg.AsyncDepth == 0 {
-		cfg.AsyncDepth = DefaultAsyncDepth
-	}
 	if cfg.RAIDWidth == 0 {
 		cfg.RAIDWidth = 1
 	}
 	return cfg, nil
-}
-
-// runClosedLoop replays the trace with per-processor feedback: each
-// processor issues its next request only after its compute gap and subject
-// to the AsyncDepth outstanding-request window. Stalls propagate through
-// the shared issue heap and can cascade across disks, so this path stays
-// sequential — but it reuses the prepared attribution: the issue loop
-// reads disks from a table rebuilt from the prepared carve and processor
-// streams from the prepared grouping, with no diskOf calls or map lookups
-// per request. Response times and the makespan fold straight into res in
-// issue order; the reducers' open-loop partials stay zero.
-func runClosedLoop(pt *PreparedTrace, cfg Config, reds []diskReducer, res *Result) {
-	sorted := pt.sorted
-	diskIdx := make([]int32, len(sorted))
-	for d, idx := range pt.perDisk {
-		for _, i := range idx {
-			diskIdx[i] = int32(d)
-		}
-	}
-	// Think times depend on cfg.ThinkEstimate, so they too are recovered
-	// per run — into one flat backing carved per stream, reusing the prepared
-	// per-processor index lists.
-	streams := make([]procStream, len(pt.procIDs))
-	thinkBacking := make([]float64, len(sorted))
-	ringBacking := make([]float64, cfg.AsyncDepth*len(pt.procIDs))
-	off := 0
-	for k, p := range pt.procIDs {
-		idx := pt.procReqs[k]
-		think := thinkBacking[off : off+len(idx)]
-		off += len(idx)
-		think[0] = sorted[idx[0]].Arrival
-		for j := 1; j < len(idx); j++ {
-			t := sorted[idx[j]].Arrival - sorted[idx[j-1]].Arrival - cfg.ThinkEstimate
-			if t < 0 {
-				t = 0
-			}
-			think[j] = t
-		}
-		streams[k] = procStream{
-			proc:        p,
-			idx:         idx,
-			think:       think,
-			ready:       think[0],
-			completions: ringBacking[k*cfg.AsyncDepth : (k+1)*cfg.AsyncDepth],
-		}
-	}
-
-	// The heap never outgrows the processor count: Pop shrinks the slice
-	// and Push re-appends within the same backing array, so sizing the
-	// capacity once keeps the issue loop allocation-free.
-	hs := make(streamHeap, 0, len(streams))
-	h := &hs
-	for k := range streams {
-		heap.Push(h, &streams[k])
-	}
-	var served reqCounter
-	if lm := reds[0].ds.lm; lm != nil {
-		served.c = lm.requests
-	}
-	defer served.flush()
-	for h.Len() > 0 {
-		ps := heap.Pop(h).(*procStream)
-		k := ps.next
-		i := ps.idx[k]
-		r, d := sorted[i], int(diskIdx[i])
-		issue := ps.ready
-		st := &reds[d].st
-		busy0 := st.BusyTime
-		completion, resp := reds[d].ds.service(issue, r.Size, st)
-		served.inc()
-		if attr := cfg.Attribution; attr != nil {
-			attr.Observe(d, r.Proc, st.BusyTime-busy0, resp)
-		}
-		res.ResponseTime += resp
-		if completion > res.Makespan {
-			res.Makespan = completion
-		}
-		ps.completions[k%cfg.AsyncDepth] = completion
-		ps.next++
-		if ps.next < len(ps.idx) {
-			// The processor issues the next request after its compute gap,
-			// but no sooner than the completion AsyncDepth requests back
-			// (the outstanding window is full until then).
-			ready := issue + ps.think[ps.next]
-			if ps.next >= cfg.AsyncDepth {
-				if w := ps.completions[(ps.next-cfg.AsyncDepth)%cfg.AsyncDepth]; w > ready {
-					ready = w
-				}
-			}
-			ps.ready = ready
-			heap.Push(h, ps)
-		}
-	}
 }
 
 // diskSim simulates one disk.
@@ -728,7 +546,7 @@ func (ds *diskSim) advanceGap(gap float64, st *DiskStats, tail bool) float64 {
 				next = ds.m.ClampRPM(ds.rpm - ds.m.RPMStep)
 			case ds.rpm > ds.m.RPMMin: // coast below it after a dwell
 				next = ds.m.ClampRPM(ds.rpm - ds.m.RPMStep)
-				dwell = ds.cfg.DRPMDwell
+				dwell = drpmDwell
 			default:
 				// At or below both the operating point and the floor, or
 				// recovery is pending: idle out the gap (recovery happens

@@ -265,22 +265,6 @@ func TestQueueingDelay(t *testing.T) {
 	if math.Abs(res.IOTime-2*svc) > 1e-9 { // busy time is just 2 services
 		t.Errorf("IOTime = %v, want %v", res.IOTime, 2*svc)
 	}
-	// The same two requests from ONE fully synchronous processor
-	// (AsyncDepth 1) replay closed-loop: the second is issued only after
-	// the first completes — no queueing in the response either.
-	for i := range reqs {
-		reqs[i].Proc = 0
-	}
-	c := cfg(NoPM, 1)
-	c.ClosedLoop = true
-	c.AsyncDepth = 1
-	res, err = runTrace(reqs, oneDisk, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.ResponseTime-2*svc) > 1e-9 {
-		t.Errorf("closed-loop ResponseTime = %v, want %v", res.ResponseTime, 2*svc)
-	}
 }
 
 // The headline behavior (§7.2): a trace whose per-disk accesses are
@@ -662,8 +646,8 @@ func TestMobileDiskMakesTPMViable(t *testing.T) {
 // TestSortedFastPathEquivalence pins the allocation-lean replay paths: a
 // shuffled trace must produce results identical to the same trace in
 // arrival order (the presorted fast path skips the defensive copy and the
-// per-disk stable re-sort), for both replay models and all policies — and
-// Run must never mutate the caller's slice.
+// per-disk stable re-sort), for all policies — and Run must never mutate
+// the caller's slice.
 func TestSortedFastPathEquivalence(t *testing.T) {
 	var sorted []trace.Request
 	for i := 0; i < 400; i++ {
@@ -693,20 +677,17 @@ func TestSortedFastPathEquivalence(t *testing.T) {
 
 	diskOf := func(block int64) (int, error) { return int(block % 4), nil }
 	for _, pol := range []Policy{NoPM, TPM, DRPM} {
-		for _, closed := range []bool{false, true} {
-			c := cfg(pol, 4)
-			c.ClosedLoop = closed
-			a, err := runTrace(sorted, diskOf, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := runTrace(shuffled, diskOf, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("%s closed=%v: shuffled input changed the result", pol, closed)
-			}
+		c := cfg(pol, 4)
+		a, err := runTrace(sorted, diskOf, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := runTrace(shuffled, diskOf, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: shuffled input changed the result", pol)
 		}
 	}
 	if !reflect.DeepEqual(shuffled, backup) {

@@ -15,10 +15,9 @@ import (
 // larger than RAM replays with the memory footprint of one chunk plus the
 // per-disk simulator state. The source must be arrival-sorted (generated
 // and synthesized traces are; RunStream verifies as it goes, across chunk
-// boundaries too) and the replay is open-loop only — the closed-loop model
-// needs every processor's full request stream in memory.
+// boundaries too).
 //
-// Each chunk is one pass of the open-loop kernel: carved per disk, then
+// Each chunk is one pass of the replay kernel: carved per disk, then
 // replayed over cfg.Jobs workers against persistent per-disk reducers,
 // which fold in disk order at the end. RunPrepared is the same loop fed
 // its whole trace as one pass, so the Result, each disk's interval
@@ -33,9 +32,6 @@ func RunStream(src trace.Source, diskOf func(block int64) (int, error), cfg Conf
 	cfg, err := cfg.normalize(0)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.ClosedLoop {
-		return nil, fmt.Errorf("sim: the streaming replay is open-loop only (the closed-loop model needs the whole trace in memory; decode it and use RunPrepared)")
 	}
 
 	sp := cfg.Span.Child("stream-replay")

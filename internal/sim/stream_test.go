@@ -165,13 +165,6 @@ func TestRunStreamValidation(t *testing.T) {
 			t.Fatal("chunk-boundary sort violation accepted")
 		}
 	})
-	t.Run("closed-loop", func(t *testing.T) {
-		c := cfg(TPM, nDisks)
-		c.ClosedLoop = true
-		if _, err := RunStream(trace.NewSliceSource(sorted, 0), diskOf, c); err == nil {
-			t.Fatal("closed-loop streaming accepted")
-		}
-	})
 	t.Run("no-disk-count", func(t *testing.T) {
 		c := cfg(TPM, nDisks)
 		c.NumDisks = 0

@@ -141,19 +141,6 @@ func TestTelemetryComposesWithRecord(t *testing.T) {
 	}
 }
 
-// TestTelemetryClosedLoop: the closed-loop replay feeds the same sink.
-func TestTelemetryClosedLoop(t *testing.T) {
-	tel := obs.NewSimTelemetry(2)
-	c := telCfg(TPM, 2, 1, tel)
-	c.ClosedLoop = true
-	if _, err := runTrace(telemetryTrace(), evenDisk, c); err != nil {
-		t.Fatal(err)
-	}
-	if idle := tel.IdleLocality(); idle.Periods == 0 {
-		t.Errorf("closed-loop telemetry empty: %+v", idle)
-	}
-}
-
 // TestNormalizeValidation covers the consolidated Config validation added
 // with the telemetry work: every tunable rejects negatives and an unknown
 // Policy is rejected (rather than replayed as NoPM) with an error naming
@@ -169,8 +156,6 @@ func TestNormalizeValidation(t *testing.T) {
 		{"TPMThreshold", func(c *Config) { c.TPMThreshold = -1 }},
 		{"DRPMWindow", func(c *Config) { c.DRPMWindow = -1 }},
 		{"DRPMRaise", func(c *Config) { c.DRPMRaise = -5 }},
-		{"DRPMDwell", func(c *Config) { c.DRPMDwell = -1 }},
-		{"ThinkEstimate", func(c *Config) { c.ThinkEstimate = -0.5 }},
 		{"Policy", func(c *Config) { c.Policy = Policy(7) }},
 		{"Policy", func(c *Config) { c.Policy = -1 }},
 	} {

@@ -556,7 +556,7 @@ func (r *Reader) Close() error {
 }
 
 // DecodeBinary reads a whole binary trace into memory — the bridge for
-// consumers that need random access (e.g. the closed-loop replay) or for
+// consumers that need the whole trace at once (sim.PrepareTrace) or for
 // binary traces arriving on a non-seekable stream.
 func DecodeBinary(rd io.Reader) ([]Request, error) {
 	r, err := NewReader(rd)

@@ -120,35 +120,3 @@ func SortedByArrival(reqs []Request) bool {
 	}
 	return true
 }
-
-// ProcStreams groups reqs by processor id: it returns the processor ids in
-// first-appearance order and, for each, the indices of that processor's
-// requests in input order. The index lists are carved out of one flat
-// backing array sized by a counting pass, so the grouping costs two sweeps
-// and three allocations regardless of the processor count. The closed-loop
-// simulator hoists this grouping into trace preparation, leaving its issue
-// loop free of map lookups.
-func ProcStreams(reqs []Request) (procIDs []int, perProc [][]int) {
-	count := map[int]int{}
-	for _, r := range reqs {
-		count[r.Proc]++
-	}
-	slot := make(map[int]int, len(count))
-	procIDs = make([]int, 0, len(count))
-	perProc = make([][]int, 0, len(count))
-	backing := make([]int, len(reqs))
-	off := 0
-	for i, r := range reqs {
-		k, ok := slot[r.Proc]
-		if !ok {
-			k = len(procIDs)
-			slot[r.Proc] = k
-			procIDs = append(procIDs, r.Proc)
-			n := count[r.Proc]
-			perProc = append(perProc, backing[off:off:off+n])
-			off += n
-		}
-		perProc[k] = append(perProc[k], i)
-	}
-	return procIDs, perProc
-}

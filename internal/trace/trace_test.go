@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -485,31 +484,6 @@ func TestQuickPageCacheMatchesStampScan(t *testing.T) {
 				t.Fatalf("trial %d: page %d resident in reference only", trial, p)
 			}
 		}
-	}
-}
-
-func TestProcStreams(t *testing.T) {
-	reqs := []Request{
-		{Proc: 3}, {Proc: 1}, {Proc: 3}, {Proc: 0}, {Proc: 1}, {Proc: 3},
-	}
-	ids, per := ProcStreams(reqs)
-	if want := []int{3, 1, 0}; !reflect.DeepEqual(ids, want) {
-		t.Errorf("procIDs = %v, want first-appearance order %v", ids, want)
-	}
-	want := [][]int{{0, 2, 5}, {1, 4}, {3}}
-	if !reflect.DeepEqual(per, want) {
-		t.Errorf("perProc = %v, want %v", per, want)
-	}
-	// The flat carve must size each stream exactly: appending one more
-	// index to any stream may not alias into its neighbor's backing.
-	per[0] = append(per[0], 99)
-	if !reflect.DeepEqual(per[1], []int{1, 4}) {
-		t.Errorf("append to stream 0 corrupted stream 1: %v", per[1])
-	}
-
-	ids, per = ProcStreams(nil)
-	if len(ids) != 0 || len(per) != 0 {
-		t.Errorf("empty trace: ids=%v per=%v", ids, per)
 	}
 }
 
