@@ -358,11 +358,22 @@ func (s *Scheduler) ScheduleFor(subset []int) (*Schedule, error) {
 // ScheduleSubsetWithPrimary is Restructurer.ScheduleSubsetWithPrimary on
 // the scheduler's scratch.
 func (s *Scheduler) ScheduleSubsetWithPrimary(numDisks int, primary []int, subset []int) (*Schedule, error) {
-	members, err := s.admit(numDisks, primary, subset)
-	if err != nil {
+	sched := &Schedule{}
+	if err := s.ScheduleInto(sched, numDisks, primary, subset); err != nil {
 		return nil, err
 	}
-	return s.fig3(numDisks, members, primary)
+	return sched, nil
+}
+
+// ScheduleInto is ScheduleSubsetWithPrimary writing into dst and reusing
+// its Order and Disk backing, so a caller that is done with each schedule
+// before it asks for the next allocates none per call.
+func (s *Scheduler) ScheduleInto(dst *Schedule, numDisks int, primary []int, subset []int) error {
+	members, err := s.admit(numDisks, primary, subset)
+	if err != nil {
+		return err
+	}
+	return s.fig3(dst, numDisks, members, primary)
 }
 
 // admit validates a schedule request and marks its members, returning
@@ -406,12 +417,13 @@ func (s *Scheduler) admit(numDisks int, primary []int, subset []int) ([]int, err
 	return members, nil
 }
 
-// fig3 runs DiskReuseSchedule's Fig. 3 loop over the marked members.
-// Edges with an endpoint outside them are ignored, so the smallest
-// unscheduled member is always ready (edges point forward in program
-// order) and every cycle over the disks schedules at least one member; a
-// cycle that schedules none is reported rather than repeated forever.
-func (s *Scheduler) fig3(numDisks int, members, primary []int) (*Schedule, error) {
+// fig3 runs DiskReuseSchedule's Fig. 3 loop over the marked members and
+// writes the schedule into dst. Edges with an endpoint outside them are
+// ignored, so the smallest unscheduled member is always ready (edges point
+// forward in program order) and every cycle over the disks schedules at
+// least one member; a cycle that schedules none is reported rather than
+// repeated forever.
+func (s *Scheduler) fig3(dst *Schedule, numDisks int, members, primary []int) error {
 	if cap(s.queues) < numDisks {
 		s.queues = make([]idHeap, numDisks)
 	}
@@ -432,12 +444,17 @@ func (s *Scheduler) fig3(numDisks int, members, primary []int) (*Schedule, error
 			queues[primary[id]].push(id)
 		}
 	}
-	order := make([]int, 0, len(members))
-	disks := make([]int, 0, len(members))
+	order, disks := dst.Order[:0], dst.Disk[:0]
+	if cap(order) < len(members) {
+		order = make([]int, 0, len(members))
+	}
+	if cap(disks) < len(members) {
+		disks = make([]int, 0, len(members))
+	}
 	for d, last := 0, -1; len(order) < len(members); d = (d + 1) % numDisks {
 		if d == 0 {
 			if len(order) == last {
-				return nil, fmt.Errorf("core: scheduling stuck with %d iterations pending", len(members)-len(order))
+				return fmt.Errorf("core: scheduling stuck with %d iterations pending", len(members)-len(order))
 			}
 			last = len(order)
 		}
@@ -455,7 +472,8 @@ func (s *Scheduler) fig3(numDisks int, members, primary []int) (*Schedule, error
 			}
 		}
 	}
-	return &Schedule{Order: order, Disk: disks, Space: s.space}, nil
+	*dst = Schedule{Order: order, Disk: disks, Space: s.space}
+	return nil
 }
 
 // Verify checks the schedule against the exact dependence graph.

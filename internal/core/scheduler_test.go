@@ -119,8 +119,9 @@ func procNestGroups(r *Restructurer, procs int) [][]int {
 
 // TestSchedulerReuse: one Scheduler run over every (processor, nest) group
 // of the Tiny apps gives exactly the schedules of a fresh Scheduler per
-// group — also across a forced epoch wrap — and Schedulers on concurrent
-// goroutines sharing one Restructurer agree with it too.
+// group — also across a forced epoch wrap, and also when ScheduleInto
+// reuses one Schedule's backing for every group — and Schedulers on
+// concurrent goroutines sharing one Restructurer agree with it too.
 func TestSchedulerReuse(t *testing.T) {
 	for _, app := range apps.Suite(apps.Tiny) {
 		p, err := app.Compile()
@@ -163,6 +164,15 @@ func TestSchedulerReuse(t *testing.T) {
 		if err := check("reused", s); err != nil {
 			t.Fatal(err)
 		}
+		var into Schedule
+		for i, g := range groups {
+			if err := s.ScheduleInto(&into, s.numDisks, s.primary, g); err != nil {
+				t.Fatalf("%s ScheduleInto group %d: %v", app.Name, i, err)
+			}
+			if !reflect.DeepEqual(into.Order, want[i].Order) || !reflect.DeepEqual(into.Disk, want[i].Disk) {
+				t.Fatalf("%s ScheduleInto group %d: schedule differs from a fresh scheduler's", app.Name, i)
+			}
+		}
 		var wg sync.WaitGroup
 		errs := make([]error, 8)
 		for w := range errs {
@@ -183,7 +193,8 @@ func TestSchedulerReuse(t *testing.T) {
 
 // A Scheduler's per-call allocations are the returned schedule alone —
 // the Schedule and its Order and Disk slices — whatever the size of the
-// group scheduled: its scratch is sized once, not per call.
+// group scheduled: its scratch is sized once, not per call. ScheduleInto
+// into a Schedule already large enough allocates nothing.
 func TestSchedulerAllocsIndependentOfGroupSize(t *testing.T) {
 	r := build(t, producerConsumerSrc)
 	s := r.NewScheduler()
@@ -203,6 +214,15 @@ func TestSchedulerAllocsIndependentOfGroupSize(t *testing.T) {
 		})
 		if got != 3 {
 			t.Errorf("ScheduleFor over %d iterations: %v allocations per call, want 3", len(subset), got)
+		}
+		var dst Schedule
+		got = testing.AllocsPerRun(10, func() {
+			if err := s.ScheduleInto(&dst, s.numDisks, s.primary, subset); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("ScheduleInto over %d iterations: %v allocations per call, want 0", len(subset), got)
 		}
 	}
 }

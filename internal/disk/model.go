@@ -152,16 +152,33 @@ func (m *Model) ClampRPM(r int) int {
 // and media transfer rate scale linearly with RPM (the physical basis of
 // DRPM's energy/performance trade).
 func (m *Model) ServiceTime(bytes int64, rpm int) float64 {
-	if rpm <= 0 {
-		rpm = m.RPMMax
-	}
-	scale := float64(m.RPMMax) / float64(rpm)
-	rot := m.AvgRotation * scale
-	xfer := float64(bytes) / (m.TransferRate / scale)
-	return m.AvgSeek + rot + xfer
+	return m.Terms(rpm).Time(bytes)
 }
 
 // FullSpeedService is ServiceTime at RPMMax.
 func (m *Model) FullSpeedService(bytes int64) float64 {
 	return m.ServiceTime(bytes, m.RPMMax)
+}
+
+// ServiceTerms are ServiceTime's speed-dependent terms at one rotational
+// speed. A simulator computes them when its spindle changes speed, not for
+// every request; ServiceTime is Terms followed by Time, so a cached copy
+// gives bit-identical times. The explicit conversion rounds the rotational
+// term on its own, so no platform fuses it into Time's additions.
+type ServiceTerms struct {
+	seek, rot, rate float64
+}
+
+// Terms returns the service terms at rpm (RPMMax when rpm <= 0).
+func (m *Model) Terms(rpm int) ServiceTerms {
+	if rpm <= 0 {
+		rpm = m.RPMMax
+	}
+	scale := float64(m.RPMMax) / float64(rpm)
+	return ServiceTerms{seek: m.AvgSeek, rot: float64(m.AvgRotation * scale), rate: m.TransferRate / scale}
+}
+
+// Time returns the time to service a request of the given size.
+func (t ServiceTerms) Time(bytes int64) float64 {
+	return t.seek + t.rot + float64(bytes)/t.rate
 }

@@ -102,7 +102,8 @@ func BenchmarkEngineCacheHit(b *testing.B) {
 // plus two (partially cached) replays — the engine must score candidates at
 // least 10x faster than the full per-candidate pipeline (compile,
 // restructure, generate, simulate). Measured on this workload the gap is
-// ~17x; 10x leaves slack for a noisy shared runner. The regime itself is
+// ~14x (median of 15 standalone runs on a 2-vCPU shared host, 8.8x–17x);
+// 10x leaves slack for a noisy shared runner. The regime itself is
 // pinned without timing: across the fast loop the schedule memo gains no
 // entry and every score is a score-cache miss.
 func TestReattributedScorerFaster(t *testing.T) {

@@ -3,6 +3,7 @@ package layoutopt
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -82,26 +83,41 @@ func (s *Score) Best() float64 {
 const WholeProgram = -1
 
 // schedEntry memoizes everything downstream of one restructured schedule:
-// the request trace trace.Generator produces for it over the declared
-// layout (arrival/write/proc fixed; each Block a declared-layout page whose
-// disk any candidate re-derives through Engine.diskOf). Distinct
-// assignments frequently share a schedule — the primary vector only sees
-// arrays that ever come first in an iteration — so the entry is keyed by
-// the primary-relevant sub-key and reused across them. The per-policy
-// scorer pools hand each concurrent score its own scratch over the shared
-// immutable trace.
+// the two columns of the request trace trace.Generator produces for it over
+// the declared layout that scoring reads — 12 bytes per request. arrival
+// is what the energy replay reads (every request is one page, the layout's
+// page size); page is each request's declared-layout page, whose disk any
+// candidate re-derives through Engine.diskOf. Distinct assignments
+// frequently share a schedule — the primary vector only sees arrays that
+// ever come first in an iteration — so the entry is keyed by the
+// primary-relevant sub-key and reused across them. The per-policy scorer
+// pools hand each concurrent score its own scratch over the shared
+// immutable columns.
 type schedEntry struct {
 	once sync.Once
 	err  error
 
-	reqs []trace.Request
-	runs int
+	arrival []float64
+	page    []uint32
+	runs    int
 
-	// scorers pools per-policy memoizing EnergyScorers over reqs; index is
-	// the sim.Policy value. Scorers are single-goroutine, so each concurrent
-	// score borrows one (with its accumulated per-disk replay cache) and
-	// returns it.
+	// scorers pools per-policy memoizing EnergyScorers over arrival; index
+	// is the sim.Policy value. Scorers are single-goroutine, so each
+	// concurrent score borrows one (with its accumulated per-disk replay
+	// cache) and returns it.
 	scorers [3]sync.Pool
+}
+
+// coldScratch is the iteration-sized scratch one schedule-entry build
+// uses: the generator's working buffers, the Fig. 3 scheduler, its output
+// schedule, and the phase's id list and primary vector. The generator
+// consumes the schedule's order before the scratch goes back to the pool.
+type coldScratch struct {
+	gen     trace.Generator
+	sch     *core.Scheduler
+	sched   core.Schedule
+	ids     []int
+	primary []int
 }
 
 // Engine is the re-attribution-only layout scorer. It runs the front end
@@ -152,12 +168,9 @@ type Engine struct {
 	// attPool recycles per-candidate attribution scratch (one carve feeds
 	// both policy replays); Attribution.Build resizes across entries.
 	attPool sync.Pool
-	// genPool recycles trace.Generators, so schedule entries share their
-	// working buffers instead of allocating one each.
-	genPool sync.Pool
-	// schedPool recycles core.Schedulers, so cold schedules share their
-	// iteration-sized scratch.
-	schedPool sync.Pool
+	// coldPool recycles coldScratch, so schedule-entry builds share their
+	// iteration-sized buffers instead of allocating them each.
+	coldPool sync.Pool
 }
 
 // DefaultCacheSize bounds the score LRU (and the schedule memo).
@@ -173,6 +186,10 @@ func NewEngine(a apps.App, cacheSize int) (*Engine, error) {
 	lay, err := layout.New(prog, 0)
 	if err != nil {
 		return nil, err
+	}
+	// A memo entry keeps each request's page in 32 bits.
+	if pages := (lay.TotalBytes() + lay.PageSize - 1) / lay.PageSize; pages > math.MaxUint32+1 {
+		return nil, fmt.Errorf("layoutopt: %s spans %d pages; the layout search indexes at most 2^32", a.Name, pages)
 	}
 	// Reject the compute times the generator rejects before the front end
 	// runs.
@@ -199,8 +216,8 @@ func NewEngine(a apps.App, cacheSize int) (*Engine, error) {
 		scores:    newLRUCache(cacheSize),
 		scheds:    newLRUCache(max(64, cacheSize/4)),
 	}
-	e.genPool.New = func() any { return new(trace.Generator) }
-	e.schedPool.New = func() any { return r.NewScheduler() }
+	e.attPool.New = func() any { return new(sim.Attribution) }
+	e.coldPool.New = func() any { return &coldScratch{sch: r.NewScheduler()} }
 	e.declared = make(Assignment, e.numArrays)
 	e.arrayBytes = make([]int64, e.numArrays)
 	for _, arr := range prog.Arrays {
@@ -292,27 +309,23 @@ func (e *Engine) canonSpec(i int, s ast.StripeSpec) ast.StripeSpec {
 // Equivalent assignments (identical byte→disk maps and disk counts) map to
 // the same key.
 func (e *Engine) canonKey(phase int, a Assignment) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "p%d", phase)
-	for i, s := range a {
-		s = e.canonSpec(i, s)
-		fmt.Fprintf(&b, "|u%df%ds%d", s.Unit, s.Factor, s.Start)
-	}
-	return b.String()
+	return e.specKey(fmt.Sprintf("p%d", phase), a, nil)
 }
 
 // schedKey returns the schedule-memo key: only arrays that appear as some
 // iteration's first reference within the phase influence the primary vector
 // and hence the Fig. 3 schedule, so other arrays' specs are masked out.
 func (e *Engine) schedKey(phase, numDisks int, a Assignment) string {
-	first := e.firstIn[0]
-	if phase != WholeProgram {
-		first = e.firstIn[phase+1]
-	}
+	return e.specKey(fmt.Sprintf("p%d|d%d", phase, numDisks), a, e.firstIn[phase+1])
+}
+
+// specKey renders prefix and then each array's canonical spec, or "-" for
+// an array a non-nil mask leaves out.
+func (e *Engine) specKey(prefix string, a Assignment, mask []bool) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "p%d|d%d", phase, numDisks)
+	b.WriteString(prefix)
 	for i, s := range a {
-		if !first[i] {
+		if mask != nil && !mask[i] {
 			b.WriteString("|-")
 			continue
 		}
@@ -336,25 +349,26 @@ func (e *Engine) phaseRange(phase int) (lo, hi int) {
 	return space.NestFirst[phase], hi
 }
 
-// iterIDs lists the ids lo..hi-1.
-func iterIDs(lo, hi int) []int {
-	ids := make([]int, hi-lo)
-	for i := range ids {
-		ids[i] = lo + i
+// phaseIDs fills s.ids with the phase's ids in program order.
+func (e *Engine) phaseIDs(s *coldScratch, phase int) []int {
+	lo, hi := e.phaseRange(phase)
+	s.ids = s.ids[:0]
+	for id := lo; id < hi; id++ {
+		s.ids = append(s.ids, id)
 	}
-	return ids
+	return s.ids
 }
 
-// diskOf maps request i of reqs to its disk under specs. Each request's
-// Block is a page of the declared layout: the extent containing its byte
-// names the array, and since every extent base is aligned to its stripe
-// unit, the byte's distance from that base is the file offset SpecDisk
-// stripes — layout.PageDisk's inverse, applied to the candidate's specs.
-// The layout lays files out in array order, so extent k is array k's.
-func (e *Engine) diskOf(reqs []trace.Request, specs Assignment) func(i int) int {
+// diskOf maps request i of a memo entry to its disk under specs. page[i]
+// is a page of the declared layout: the extent containing its byte names
+// the array, and since every extent base is aligned to its stripe unit,
+// the byte's distance from that base is the file offset SpecDisk stripes —
+// layout.PageDisk's inverse, applied to the candidate's specs. The layout
+// lays files out in array order, so extent k is array k's.
+func (e *Engine) diskOf(page []uint32, specs Assignment) func(i int) int {
 	exts, pageSize := e.R.Layout.Extents, e.pageSize
 	return func(i int) int {
-		b := reqs[i].Block * pageSize
+		b := int64(page[i]) * pageSize
 		k := len(exts) - 1
 		for exts[k].Base > b {
 			k--
@@ -368,10 +382,7 @@ func (e *Engine) diskOf(reqs []trace.Request, specs Assignment) func(i int) int 
 // exactly attributeDisks' j==0 rule via the same striping arithmetic.
 func (e *Engine) primaryVec(a Assignment, dst []int) []int {
 	n := len(e.firstArr)
-	if cap(dst) < n {
-		dst = make([]int, n)
-	}
-	dst = dst[:n]
+	dst = slices.Grow(dst[:0], n)[:n]
 	for id := 0; id < n; id++ {
 		dst[id] = layout.SpecDisk(a[e.firstArr[id]], e.firstByte[id])
 	}
@@ -380,9 +391,9 @@ func (e *Engine) primaryVec(a Assignment, dst []int) []int {
 
 // entryFor returns the memoized schedule entry for key, building it on
 // first use. build produces the execution order of the phase's iterations
-// (and the schedule's run count) when the entry is new; the entry's trace
-// is that order run on one processor.
-func (e *Engine) entryFor(key string, phase int, build func() (order []int, runs int, err error)) (*schedEntry, error) {
+// (and the schedule's run count) on the pooled scratch when the entry is
+// new; the entry's columns are that order's trace on one processor.
+func (e *Engine) entryFor(key string, phase int, build func(s *coldScratch) (order []int, runs int, err error)) (*schedEntry, error) {
 	e.mu.Lock()
 	var en *schedEntry
 	if v, ok := e.scheds.get(key); ok {
@@ -393,22 +404,25 @@ func (e *Engine) entryFor(key string, phase int, build func() (order []int, runs
 	}
 	e.mu.Unlock()
 	en.once.Do(func() {
-		order, runs, err := build()
-		if err != nil {
-			en.err = err
+		s := e.coldPool.Get().(*coldScratch)
+		defer e.coldPool.Put(s)
+		var order []int
+		if order, en.runs, en.err = build(s); en.err != nil {
 			return
 		}
 		lo, hi := e.phaseRange(phase)
-		g := e.genPool.Get().(*trace.Generator)
-		en.reqs, en.err = g.GenerateRange(e.R, []trace.Phase{{PerProc: [][]int{order}}}, e.gen, lo, hi)
-		e.genPool.Put(g)
-		if en.err != nil {
+		var reqs []trace.Request
+		if reqs, en.err = s.gen.ViewRange(e.R, []trace.Phase{{PerProc: [][]int{order}}}, e.gen, lo, hi); en.err != nil {
 			return
 		}
-		en.runs = runs
+		en.arrival = make([]float64, len(reqs))
+		en.page = make([]uint32, len(reqs))
+		for i := range reqs {
+			en.arrival[i], en.page[i] = reqs[i].Arrival, uint32(reqs[i].Block)
+		}
 		for _, pol := range []sim.Policy{sim.NoPM, sim.TPM, sim.DRPM} {
 			cfg := sim.Config{Model: e.Model, Policy: pol}
-			sc, err := sim.NewEnergyScorer(en.reqs, cfg)
+			sc, err := sim.NewEnergyScorer(en.arrival, e.pageSize, cfg)
 			if err != nil {
 				en.err = err
 				return
@@ -425,8 +439,8 @@ func (e *Engine) entryFor(key string, phase int, build func() (order []int, runs
 // layout-independent baseline trace Base energies replay against.
 func (e *Engine) origEntry(phase int) (*schedEntry, error) {
 	key := fmt.Sprintf("p%d|orig", phase)
-	return e.entryFor(key, phase, func() ([]int, int, error) {
-		return iterIDs(e.phaseRange(phase)), 0, nil
+	return e.entryFor(key, phase, func(s *coldScratch) ([]int, int, error) {
+		return e.phaseIDs(s, phase), 0, nil
 	})
 }
 
@@ -456,16 +470,10 @@ func (e *Engine) scoreIn(phase int, a Assignment, needBase bool) (*Score, error)
 	key := e.canonKey(phase, a)
 	numDisks := a.NumDisks()
 
-	getAtt := func() *sim.Attribution {
-		if v := e.attPool.Get(); v != nil {
-			return v.(*sim.Attribution)
-		}
-		return &sim.Attribution{}
-	}
 	replayBoth := func(en *schedEntry, sc *Score) error {
-		att := getAtt()
+		att := e.attPool.Get().(*sim.Attribution)
 		defer e.attPool.Put(att)
-		if err := att.Build(len(en.reqs), e.diskOf(en.reqs, a), numDisks); err != nil {
+		if err := att.Build(len(en.page), e.diskOf(en.page, a), numDisks); err != nil {
 			return err
 		}
 		for _, pol := range []sim.Policy{sim.TPM, sim.DRPM} {
@@ -483,24 +491,20 @@ func (e *Engine) scoreIn(phase int, a Assignment, needBase bool) (*Score, error)
 		}
 		return nil
 	}
-	fillBase := func(sc *Score) error {
-		var ferr error
+	fillBase := func(sc *Score) (err error) {
 		sc.baseOnce.Do(func() {
-			orig, err := e.origEntry(phase)
-			if err != nil {
-				ferr = err
+			var orig *schedEntry
+			if orig, err = e.origEntry(phase); err != nil {
 				return
 			}
 			es := orig.scorers[sim.NoPM].Get().(*sim.EnergyScorer)
 			defer orig.scorers[sim.NoPM].Put(es)
-			sum, err := es.Score(e.diskOf(orig.reqs, a), numDisks)
-			if err != nil {
-				ferr = err
-				return
+			var sum sim.EnergySummary
+			if sum, err = es.Score(e.diskOf(orig.page, a), numDisks); err == nil {
+				sc.BaseEnergy = sum.Energy
 			}
-			sc.BaseEnergy = sum.Energy
 		})
-		return ferr
+		return err
 	}
 
 	e.mu.Lock()
@@ -518,16 +522,13 @@ func (e *Engine) scoreIn(phase int, a Assignment, needBase bool) (*Score, error)
 	e.mu.Unlock()
 	e.misses.Add(1)
 
-	restr, err := e.entryFor(e.schedKey(phase, numDisks, a), phase, func() ([]int, int, error) {
+	restr, err := e.entryFor(e.schedKey(phase, numDisks, a), phase, func(s *coldScratch) ([]int, int, error) {
 		// The primary vector is only needed when the schedule memo misses.
-		primary := e.primaryVec(a, nil)
-		sch := e.schedPool.Get().(*core.Scheduler)
-		sched, err := sch.ScheduleSubsetWithPrimary(numDisks, primary, iterIDs(e.phaseRange(phase)))
-		e.schedPool.Put(sch)
-		if err != nil {
+		s.primary = e.primaryVec(a, s.primary)
+		if err := s.sch.ScheduleInto(&s.sched, numDisks, s.primary, e.phaseIDs(s, phase)); err != nil {
 			return nil, 0, err
 		}
-		return sched.Order, core.Stats(sched, numDisks).Runs, nil
+		return s.sched.Order, core.Stats(&s.sched, numDisks).Runs, nil
 	})
 	if err != nil {
 		return nil, err

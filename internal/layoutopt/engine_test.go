@@ -377,3 +377,24 @@ func TestEngineRejections(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineRejectsPagesPast32Bits pins the memo's page bound: a program
+// whose declared layout spans more than 2^32 pages is refused with an
+// error before any per-page or per-element work, even when it touches
+// only a handful of elements.
+func TestEngineRejectsPagesPast32Bits(t *testing.T) {
+	// 2^40 elements of one page each.
+	const src = `
+array A[1048576][1048576] elem 4096 stripe(unit=64K, factor=2, start=0)
+
+nest Touch {
+  for i = 0 to 3 {
+    A[i][0] = A[i][0] + 1;
+  }
+}
+`
+	a := apps.App{Name: "huge", Source: src, ComputePerIter: 1e-3}
+	if _, err := NewEngine(a, 0); err == nil || !strings.Contains(err.Error(), "at most 2^32") {
+		t.Fatalf("want a 2^32-page error, got %v", err)
+	}
+}

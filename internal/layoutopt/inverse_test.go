@@ -2,6 +2,7 @@ package layoutopt
 
 import (
 	"testing"
+	"unsafe"
 
 	"diskreuse/internal/apps"
 )
@@ -34,23 +35,64 @@ func TestDiskOfInvertsDeclaredLayout(t *testing.T) {
 		}
 		arrays := map[int32]bool{}
 		for _, en := range []*schedEntry{orig, v.(*schedEntry)} {
-			if len(en.reqs) == 0 {
+			if len(en.page) == 0 {
 				t.Fatalf("%s: empty memo entry", name)
 			}
-			diskOf := e.diskOf(en.reqs, declared)
-			for i, rq := range en.reqs {
-				want, err := e.R.Layout.PageDisk(rq.Block)
+			diskOf := e.diskOf(en.page, declared)
+			for i, p := range en.page {
+				page := int64(p)
+				want, err := e.R.Layout.PageDisk(page)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := diskOf(i); got != want {
-					t.Fatalf("%s: request %d (page %d): diskOf = %d, PageDisk = %d", name, i, rq.Block, got, want)
+					t.Fatalf("%s: request %d (page %d): diskOf = %d, PageDisk = %d", name, i, page, got, want)
 				}
-				arrays[int32(e.R.Layout.ArrayOfPage(rq.Block).Index)] = true
+				arrays[int32(e.R.Layout.ArrayOfPage(page).Index)] = true
 			}
 		}
 		if len(arrays) < 2 {
 			t.Errorf("%s: requests touch %d arrays; the inverse needs several to be tested", name, len(arrays))
 		}
+	}
+}
+
+// TestScheduleMemoFootprint pins the memo's per-request storage: every
+// schedule entry — whole-program and per-phase, restructured and original
+// order — keeps at most 12 bytes per request, counted as the capacity of
+// its columns times their element sizes.
+func TestScheduleMemoFootprint(t *testing.T) {
+	a, err := apps.ByName("scf", apps.Tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(a, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for phase := WholeProgram; phase < e.NumPhases(); phase++ {
+		for _, c := range []Candidate{{Unit: 16 << 10, Factor: 2}, {Unit: 64 << 10, Factor: 4, Start: 1}} {
+			if _, err := e.ScoreIn(phase, Uniform(e.NumArrays(), c)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const maxBytesPerReq = 12
+	entries := 0
+	for key, el := range e.scheds.m {
+		en := el.Value.(*lruEntry).val.(*schedEntry)
+		n := len(en.arrival)
+		if n == 0 || len(en.page) != n {
+			t.Fatalf("%s: columns hold %d arrivals and %d pages", key, n, len(en.page))
+		}
+		bytes := cap(en.arrival)*int(unsafe.Sizeof(en.arrival[0])) + cap(en.page)*int(unsafe.Sizeof(en.page[0]))
+		if bytes > maxBytesPerReq*n {
+			t.Errorf("%s: %d bytes for %d requests (%.1f B/request), want <= %d", key, bytes, n, float64(bytes)/float64(n), maxBytesPerReq)
+		}
+		entries++
+	}
+	// Whole program plus each phase, each with its original-order entry.
+	if want := 2 * (e.NumPhases() + 1); entries < want {
+		t.Fatalf("memo holds %d entries, want at least %d", entries, want)
 	}
 }

@@ -151,16 +151,11 @@ func (e *Engine) PhaseSearch(opt PhaseOptions) (*PhaseResult, error) {
 			energy[p][c] = sc
 		}
 	}
-	for _, pol := range []sim.Policy{sim.TPM, sim.DRPM} {
-		plan, err := e.phasePlan(pol, cands, energy, opt.MigrateJPerByte)
-		if err != nil {
-			return nil, err
-		}
-		if pol == sim.TPM {
-			res.TPM = plan
-		} else {
-			res.DRPM = plan
-		}
+	if res.TPM, err = e.phasePlan(sim.TPM, cands, energy, opt.MigrateJPerByte); err != nil {
+		return nil, err
+	}
+	if res.DRPM, err = e.phasePlan(sim.DRPM, cands, energy, opt.MigrateJPerByte); err != nil {
+		return nil, err
 	}
 	sp.SetAttr("phases", strconv.Itoa(e.numNests))
 	sp.SetAttr("pool", strconv.Itoa(len(cands)))

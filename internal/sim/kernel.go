@@ -21,11 +21,13 @@ import (
 // replay (RunPrepared, RunStream, EnergyScorer) therefore takes the same
 // three steps: carve the requests into per-disk index lists (diskCarve),
 // replay each list on that disk's reducer (diskReducer.replay, fanned out
-// over Config.Jobs by replayPass), and fold the reducers in disk order
-// before running the finish tail (foldDisks). The fold fixes the float
-// summation order, so results are bit-identical at every worker count and
-// every chunking. Intervals bypass the fold: each disk's worker feeds them
-// straight to the per-disk Config.Sink.
+// over Config.Jobs by replayPass; the scorer's columnar replayColumn), and
+// fold the reducers in disk order before running the finish tail
+// (foldDisks). Both replay loops take one per-request step:
+// diskSim.service, which also folds the response time and makespan. The
+// fold fixes the float summation order, so results are bit-identical at
+// every worker count and every chunking. Intervals bypass the fold: each
+// disk's worker feeds them straight to the per-disk Config.Sink.
 
 // minParallelRequests is the auto-mode (Jobs 0) cutoff below which a
 // replay pass stays serial: spawning a worker per disk costs more than
@@ -92,8 +94,16 @@ func (c *diskCarve) build(n, numDisks int, diskOf func(i int) (int, error)) erro
 // combines. A reducer is a value, so a copy is a snapshot — except ds.sub,
 // which a copy must clone before replaying.
 type diskReducer struct {
-	ds       diskSim
-	st       DiskStats
+	ds diskSim
+	st DiskStats
+	reqFold
+}
+
+// reqFold is the per-request part of a disk's fold: its response-time sum
+// and makespan. A replay keeps it on its own stack while it runs — reducers
+// sit side by side in one slice, and per-request stores next to a
+// neighbouring disk's state would share its cache line across workers.
+type reqFold struct {
 	resp     float64
 	makespan float64
 }
@@ -120,7 +130,7 @@ func newReducers(cfg Config) []diskReducer {
 	reds := make([]diskReducer, cfg.NumDisks)
 	for d := range reds {
 		r := &reds[d]
-		r.ds = *newDiskSim(cfg)
+		r.ds = newDiskSim(cfg)
 		r.ds.id = d
 		r.ds.lm = lm
 		r.ds.sink = sink
@@ -139,22 +149,29 @@ func (r *diskReducer) replay(reqs []trace.Request, idx []int32, attr *obs.ProcAt
 	if r.ds.lm != nil {
 		served.c = r.ds.lm.requests
 	}
-	resp, makespan := r.resp, r.makespan
+	acc := r.reqFold
 	for _, i := range idx {
 		q := &reqs[i]
 		busy0 := r.st.BusyTime
-		completion, rt := r.ds.service(q.Arrival, q.Size, &r.st)
+		rt := r.ds.service(q.Arrival, q.Size, &r.st, &acc)
 		served.inc()
-		resp += rt
-		if completion > makespan {
-			makespan = completion
-		}
 		if attr != nil {
 			attr.Observe(r.ds.id, q.Proc, r.st.BusyTime-busy0, rt)
 		}
 	}
-	r.resp, r.makespan = resp, makespan
+	r.reqFold = acc
 	served.flush()
+}
+
+// replayColumn is replay over an arrival column whose requests all have
+// one size: the form a memoized schedule keeps. It drives no observer; the
+// scorer that calls it rejects them.
+func (r *diskReducer) replayColumn(arrival []float64, size int64, idx []int32) {
+	acc := r.reqFold
+	for _, i := range idx {
+		r.ds.service(arrival[i], size, &r.st, &acc)
+	}
+	r.reqFold = acc
 }
 
 // replayPass replays one arrival-ordered run of requests, carved per disk,

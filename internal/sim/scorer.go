@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"slices"
-
-	"diskreuse/internal/trace"
 )
 
 // EnergySummary is the scalar outcome of a memoized open-loop replay — the
@@ -60,7 +58,10 @@ type diskReplayEntry struct {
 }
 
 // EnergyScorer scores many disk attributions of one fixed request stream
-// under one policy configuration, memoizing per-disk replays.
+// under one policy configuration, memoizing per-disk replays. The stream
+// is columnar — each request's arrival time, and one request size for all
+// of them — because that is all an open-loop replay reads of a request
+// once its disk is known.
 //
 // The open-loop replay is feedback-free across disks: a disk's busy/idle
 // trajectory — and therefore its energy — is a pure function of the
@@ -77,8 +78,9 @@ type diskReplayEntry struct {
 // An EnergyScorer is not safe for concurrent use; parallel searches give
 // each worker its own via Clone (workers then build disjoint caches).
 type EnergyScorer struct {
-	sorted []trace.Request
-	cfg    Config // normalized; NumDisks varies per Score call
+	arrival []float64
+	size    int64
+	cfg     Config // normalized; NumDisks varies per Score call
 
 	entries map[uint64][]*diskReplayEntry
 	bytes   int // cached index bytes, for the flush bound
@@ -93,17 +95,24 @@ type EnergyScorer struct {
 // it is flushed wholesale (correctness is unaffected; only reuse resets).
 const scorerCacheBytes = 64 << 20
 
-// NewEnergyScorer prepares a memoizing scorer over an arrival-ordered
-// request stream under cfg. sorted is aliased, never mutated.
+// NewEnergyScorer prepares a memoizing scorer over a stream of requests of
+// size bytes each, arriving at arrival[i] in arrival order (the order
+// trace.SortedByArrival checks). arrival is aliased, never mutated.
 // cfg.NumDisks is ignored (each Score call supplies its own disk count);
 // features that observe per-request events — Sink, Attribution, Hints,
-// Span — must be off, since memoized replays are skipped, not re-observed.
-func NewEnergyScorer(sorted []trace.Request, cfg Config) (*EnergyScorer, error) {
-	if !trace.SortedByArrival(sorted) {
-		return nil, fmt.Errorf("sim: EnergyScorer stream must be sorted by arrival")
+// Span, Metrics — must be off, since memoized replays are skipped, not
+// re-observed.
+func NewEnergyScorer(arrival []float64, size int64, cfg Config) (*EnergyScorer, error) {
+	for i := 1; i < len(arrival); i++ {
+		if arrival[i] < arrival[i-1] {
+			return nil, fmt.Errorf("sim: EnergyScorer stream must be sorted by arrival")
+		}
 	}
-	if cfg.Sink != nil || cfg.Attribution != nil || cfg.Span != nil || len(cfg.Hints) > 0 {
-		return nil, fmt.Errorf("sim: EnergyScorer cannot drive per-request observers (Sink/Attribution/Span/Hints)")
+	if size <= 0 {
+		return nil, fmt.Errorf("sim: EnergyScorer request size %d must be positive", size)
+	}
+	if cfg.Sink != nil || cfg.Attribution != nil || cfg.Span != nil || cfg.Metrics != nil || len(cfg.Hints) > 0 {
+		return nil, fmt.Errorf("sim: EnergyScorer cannot drive per-request observers (Sink/Attribution/Span/Metrics/Hints)")
 	}
 	cfg.NumDisks = 0
 	norm, err := cfg.normalize(1)
@@ -111,7 +120,8 @@ func NewEnergyScorer(sorted []trace.Request, cfg Config) (*EnergyScorer, error) 
 		return nil, err
 	}
 	return &EnergyScorer{
-		sorted:  sorted,
+		arrival: arrival,
+		size:    size,
 		cfg:     norm,
 		entries: make(map[uint64][]*diskReplayEntry),
 		empty:   &diskReplayEntry{red: newReducers(norm)[0]},
@@ -122,7 +132,8 @@ func NewEnergyScorer(sorted []trace.Request, cfg Config) (*EnergyScorer, error) 
 // empty cache and its own scratch, for use from another goroutine.
 func (s *EnergyScorer) Clone() *EnergyScorer {
 	return &EnergyScorer{
-		sorted:  s.sorted,
+		arrival: s.arrival,
+		size:    s.size,
 		cfg:     s.cfg,
 		entries: make(map[uint64][]*diskReplayEntry),
 		empty:   s.empty,
@@ -139,7 +150,7 @@ const (
 // bit-for-bit — reusing cached per-disk replays where the attribution
 // leaves a disk's subsequence unchanged.
 func (s *EnergyScorer) Score(diskOf func(i int) int, numDisks int) (EnergySummary, error) {
-	if err := s.att.Build(len(s.sorted), diskOf, numDisks); err != nil {
+	if err := s.att.Build(len(s.arrival), diskOf, numDisks); err != nil {
 		return EnergySummary{}, err
 	}
 	return s.ScoreAttribution(&s.att)
@@ -149,8 +160,8 @@ func (s *EnergyScorer) Score(diskOf func(i int) int, numDisks int) (EnergySummar
 // several policies' scorers. att must have been built over a stream of the
 // same length.
 func (s *EnergyScorer) ScoreAttribution(att *Attribution) (EnergySummary, error) {
-	if att.n != len(s.sorted) {
-		return EnergySummary{}, fmt.Errorf("sim: attribution built over %d requests, stream has %d", att.n, len(s.sorted))
+	if att.n != len(s.arrival) {
+		return EnergySummary{}, fmt.Errorf("sim: attribution built over %d requests, stream has %d", att.n, len(s.arrival))
 	}
 	perDisk := att.carve.perDisk
 	if cap(s.reds) < len(perDisk) {
@@ -171,7 +182,7 @@ func (s *EnergyScorer) ScoreAttribution(att *Attribution) (EnergySummary, error)
 		IOTime:       s.res.IOTime,
 		ResponseTime: s.res.ResponseTime,
 		Makespan:     s.res.Makespan,
-		Requests:     len(s.sorted),
+		Requests:     len(s.arrival),
 	}, nil
 }
 
@@ -188,7 +199,7 @@ func (s *EnergyScorer) lookupOrReplay(h uint64, idx []int32) *diskReplayEntry {
 	}
 	en := &diskReplayEntry{idx: slices.Clone(idx), red: s.empty.red}
 	en.red.ds.sub = slices.Clone(s.empty.red.ds.sub)
-	en.red.replay(s.sorted, idx, nil)
+	en.red.replayColumn(s.arrival, s.size, idx)
 	if s.bytes += 4 * len(idx); s.bytes > scorerCacheBytes {
 		s.entries = make(map[uint64][]*diskReplayEntry)
 		s.bytes = 4 * len(idx)

@@ -329,8 +329,10 @@ type diskSim struct {
 	m     disk.Model
 	clock float64 // completion time of the last serviced request
 
-	rpm        int // current rotational speed
-	target     int // DRPM controller's chosen operating speed
+	rpm        int               // current rotational speed; set through setRPM
+	svc        disk.ServiceTerms // service terms at rpm
+	full       disk.ServiceTerms // service terms at RPMMax
+	target     int               // DRPM controller's chosen operating speed
 	winCount   int
 	winResp    float64
 	winFullEst float64
@@ -347,14 +349,23 @@ type diskSim struct {
 	sub []float64
 }
 
-func newDiskSim(cfg Config) *diskSim {
-	return &diskSim{
+func newDiskSim(cfg Config) diskSim {
+	ds := diskSim{
 		cfg:    cfg,
 		m:      cfg.Model,
-		rpm:    cfg.Model.RPMMax,
 		target: cfg.Model.RPMMax,
+		full:   cfg.Model.Terms(cfg.Model.RPMMax),
 		sub:    make([]float64, cfg.RAIDWidth),
 	}
+	ds.setRPM(cfg.Model.RPMMax)
+	return ds
+}
+
+// setRPM moves the spindle's speed to rpm and recomputes the service terms
+// at it, so service pays for the speed only when it changes.
+func (ds *diskSim) setRPM(rpm int) {
+	ds.rpm = rpm
+	ds.svc = ds.m.Terms(rpm)
 }
 
 // syncSubs clamps every physical disk's busy-until time up to the node
@@ -386,12 +397,14 @@ func (ds *diskSim) shiftTo(st *DiskStats, rpm int) {
 	ds.emit(st, obs.DiskTransition, ds.clock, shift, rpm)
 	ds.clock += shift
 	ds.syncSubs()
-	ds.rpm = rpm
+	ds.setRPM(rpm)
 }
 
-// service handles one request issued at the given time and returns its
-// completion time and response time (completion minus issue).
-func (ds *diskSim) service(issue float64, size int64, st *DiskStats) (completion, resp float64) {
+// service handles one request issued at the given time, folds its response
+// time (completion minus issue) and completion into acc, and returns the
+// response time. It is the one per-request step of every replay loop, so
+// the float order bit-identity rests on lives here only.
+func (ds *diskSim) service(issue float64, size int64, st *DiskStats, acc *reqFold) (resp float64) {
 	st.Requests++
 	// Idleness is an I/O-node property: the node is idle only when every
 	// physical disk behind it has finished (ds.clock is the latest such
@@ -428,7 +441,7 @@ func (ds *diskSim) service(issue float64, size int64, st *DiskStats) (completion
 	// load — ramp straight to full speed (the watermark mechanism of [13])
 	// instead of waiting out the response-time window.
 	if ds.cfg.Policy == DRPM && ds.rpm < ds.m.RPMMax {
-		if loadWait > queuePressureFactor*ds.m.FullSpeedService(size) {
+		if loadWait > queuePressureFactor*ds.full.Time(size) {
 			ds.target = ds.m.RPMMax
 			ds.shiftTo(st, ds.m.RPMMax)
 			if ds.sub[k] > dispatch {
@@ -436,14 +449,18 @@ func (ds *diskSim) service(issue float64, size int64, st *DiskStats) (completion
 			}
 		}
 	}
-	svc := ds.m.ServiceTime(size, ds.rpm)
+	svc := ds.svc.Time(size)
 	ds.emit(st, obs.DiskBusy, dispatch, svc, ds.rpm)
-	completion = dispatch + svc // the data is ready for the processor here
+	completion := dispatch + svc // the data is ready for the processor here
 	ds.sub[k] = completion
 	if completion > ds.clock {
 		ds.clock = completion
 	}
 	resp = completion - issue
+	acc.resp += resp
+	if completion > acc.makespan {
+		acc.makespan = completion
+	}
 	st.BusyTime += svc
 	st.ResponseTime += resp
 	st.LastCompletion = ds.clock
@@ -456,7 +473,7 @@ func (ds *diskSim) service(issue float64, size int64, st *DiskStats) (completion
 		ds.shiftTo(st, ds.m.ClampRPM(ds.rpm+ds.m.RPMStep))
 		st.LastCompletion = ds.clock
 	}
-	return completion, resp
+	return resp
 }
 
 // finish accounts the idle tail from the disk's last completion to the
@@ -567,7 +584,7 @@ func (ds *diskSim) advanceGap(gap float64, st *DiskStats, tail bool) float64 {
 			ds.emit(st, obs.DiskTransition, cursor, shift, next)
 			cursor += shift
 			remaining -= shift
-			ds.rpm = next
+			ds.setRPM(next)
 		}
 	}
 	// NoPM, and a TPM gap under the threshold: idle at full speed.
@@ -588,7 +605,7 @@ func (ds *diskSim) observe(resp, loadWait float64, size int64) {
 	}
 	ds.winCount++
 	ds.winResp += resp
-	ds.winFullEst += loadWait + ds.m.FullSpeedService(size)
+	ds.winFullEst += loadWait + ds.full.Time(size)
 	if ds.winCount < ds.cfg.DRPMWindow {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"diskreuse/internal/interp"
 )
@@ -34,7 +35,9 @@ func shuffled(lo, hi int, seed int64) []int {
 	return ids
 }
 
-// The whole-space domain is Generate itself.
+// The whole-space domain is Generate itself, and so is its view. A
+// compiled one-processor view is the generator's working buffer, with no
+// copy.
 func TestGenerateRangeWholeMatchesGenerate(t *testing.T) {
 	src := domainDecls + strings.Join(domainNests, "")
 	cfg := GenConfig{ComputePerIter: 1e-4}
@@ -57,6 +60,17 @@ func TestGenerateRangeWholeMatchesGenerate(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%v: GenerateRange over [0, %d) differs from Generate", e, n)
+			}
+			view, err := g.ViewRange(r, phases, cfg, 0, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(view, want) {
+				t.Errorf("%v: ViewRange over [0, %d) differs from Generate", e, n)
+			}
+			oneProc := len(phases[0].PerProc) == 1
+			if aliased := unsafe.SliceData(view) == unsafe.SliceData(g.work); aliased != (e == interp.EngineCompiled && oneProc) {
+				t.Errorf("%v, one processor %v: view aliases the working buffer = %v", e, oneProc, aliased)
 			}
 		}
 	}

@@ -166,8 +166,8 @@ func Generate(r *core.Restructurer, phases []Phase, cfg GenConfig) ([]Request, e
 // Generator is Generate with a working buffer kept across calls, so the
 // several executions one caller generates in turn share one presized
 // buffer instead of allocating one each. The zero value is ready to use.
-// A Generator must not be used by concurrent calls, and the traces it
-// returns never alias its buffer.
+// A Generator must not be used by concurrent calls. The traces Generate and
+// GenerateRange return never alias its buffer; ViewRange's may.
 type Generator struct {
 	work []Request // compiled path: requests in generation order
 	ends []int     // compiled path: end offset in work of each (phase, processor) run
@@ -183,8 +183,22 @@ func (g *Generator) Generate(r *core.Restructurer, phases []Phase, cfg GenConfig
 // and no id outside it. Clocks start at zero and first-touch state starts
 // empty, so the trace of one nest's range is the trace that nest produces
 // as a standalone program (its ids shifted, its pages those of the
-// combined layout).
+// combined layout). The trace is exact-size and the caller's to keep.
 func (g *Generator) GenerateRange(r *core.Restructurer, phases []Phase, cfg GenConfig, lo, hi int) ([]Request, error) {
+	return g.generateRange(r, phases, cfg, lo, hi, false)
+}
+
+// ViewRange is GenerateRange for a caller that keeps only some columns of
+// the trace: the trace it returns is valid until g's next call, and may be
+// g's own reusable buffer. A one-processor execution's trace is the
+// generator's working run itself, already in arrival order, so it needs no
+// merge and no copy; on several processors the merge allocates, as
+// GenerateRange's does.
+func (g *Generator) ViewRange(r *core.Restructurer, phases []Phase, cfg GenConfig, lo, hi int) ([]Request, error) {
+	return g.generateRange(r, phases, cfg, lo, hi, true)
+}
+
+func (g *Generator) generateRange(r *core.Restructurer, phases []Phase, cfg GenConfig, lo, hi int, view bool) ([]Request, error) {
 	if n := r.Space.NumIterations(); lo < 0 || lo > hi || hi > n {
 		return nil, fmt.Errorf("trace: iteration domain [%d, %d) outside [0, %d)", lo, hi, n)
 	}
@@ -208,7 +222,7 @@ func (g *Generator) GenerateRange(r *core.Restructurer, phases []Phase, cfg GenC
 	}
 	dom := newDomain(lo, hi)
 	if r.Space.Engine() == interp.EngineCompiled {
-		return g.generateCompiled(r, phases, cfg, procs, dom)
+		return g.generateCompiled(r, phases, cfg, procs, dom, view)
 	}
 	return generateInterp(r, phases, cfg, procs, dom)
 }
@@ -340,8 +354,10 @@ const touchTableMax = 1 << 24
 // Requests go into g's working buffer in generation order, where each
 // (phase, processor) pair leaves one run sorted by arrival (its clock only
 // moves forward), and mergeRuns then writes them in arrival order into an
-// exact-size trace. No sort is needed: this is the stable sort's order.
-func (g *Generator) generateCompiled(r *core.Restructurer, phases []Phase, cfg GenConfig, procs int, dom domain) ([]Request, error) {
+// exact-size trace. No sort is needed: this is the stable sort's order. On
+// one processor the runs follow each other in arrival order already, and a
+// view is the working buffer itself.
+func (g *Generator) generateCompiled(r *core.Restructurer, phases []Phase, cfg GenConfig, procs int, dom domain, view bool) ([]Request, error) {
 	numArrays := len(r.Space.Prog.Arrays)
 	numNests := len(r.Space.Prog.Nests)
 	pageBase := make([]int64, numArrays)
@@ -467,6 +483,9 @@ func (g *Generator) generateCompiled(r *core.Restructurer, phases []Phase, cfg G
 	g.work, g.ends = reqs[:0], ends[:0]
 	if err := dom.complete(); err != nil {
 		return nil, err
+	}
+	if view && procs == 1 {
+		return reqs, nil
 	}
 	// No arrival of a phase follows the barrier and no arrival of the next
 	// phase precedes it, so merging phase by phase yields the whole trace
