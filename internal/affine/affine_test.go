@@ -318,20 +318,6 @@ func TestVectorCloneAndString(t *testing.T) {
 	}
 }
 
-func TestAllLexNonNegative(t *testing.T) {
-	ok := Matrix{NewVector(0, 0), NewVector(1, -5), NewVector(0, 2)}
-	if !ok.AllLexNonNegative() {
-		t.Error("legal distance matrix rejected")
-	}
-	bad := Matrix{NewVector(0, 1), NewVector(-1, 3)}
-	if bad.AllLexNonNegative() {
-		t.Error("lex-negative row must be rejected")
-	}
-	if !(Matrix{}).AllLexNonNegative() {
-		t.Error("empty matrix is trivially legal")
-	}
-}
-
 func TestTermZeroAndEqualShapes(t *testing.T) {
 	if !Term("i", 0).IsZero() {
 		t.Error("Term with zero coefficient must be zero")

@@ -167,15 +167,3 @@ func (m Matrix) ParallelizableLoop(depth int) (int, bool) {
 	}
 	return 0, false
 }
-
-// AllLexNonNegative reports whether every row is the zero vector or
-// lexicographically positive, i.e. the matrix is a legal set of dependence
-// distances for the original program order.
-func (m Matrix) AllLexNonNegative() bool {
-	for _, d := range m {
-		if !d.IsZero() && !d.LexPositive() {
-			return false
-		}
-	}
-	return true
-}

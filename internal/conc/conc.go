@@ -204,23 +204,6 @@ func ChunkCount(n, jobs, minGrain int) int {
 	return jobs * chunksPerWorker
 }
 
-// ForEachChunk splits [0, n) into contiguous ranges — a few per worker, so
-// uneven ranges still balance — and runs fn(ctx, lo, hi) for each on the
-// ForEach pool. Chunk boundaries depend only on n and jobs (deterministic);
-// callers write results into per-index or per-chunk slots.
-func ForEachChunk(ctx context.Context, n, jobs int, fn func(ctx context.Context, lo, hi int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	chunks := Chunks(n, jobs*chunksPerWorker)
-	return ForEach(ctx, len(chunks), jobs, func(ctx context.Context, k int) error {
-		return fn(ctx, chunks[k][0], chunks[k][1])
-	})
-}
-
 // chunksPerWorker over-decomposes chunked sweeps so a straggler chunk does
 // not serialize the tail of the pass.
 const chunksPerWorker = 4

@@ -180,26 +180,6 @@ func TestChunksCoverAndPartition(t *testing.T) {
 	}
 }
 
-func TestForEachChunkVisitsEveryIndex(t *testing.T) {
-	for _, jobs := range []int{0, 1, 3} {
-		var hits [123]atomic.Int32
-		err := ForEachChunk(context.Background(), len(hits), jobs, func(_ context.Context, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				hits[i].Add(1)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Errorf("jobs=%d: index %d visited %d times", jobs, i, got)
-			}
-		}
-	}
-}
-
 // TestForEachRecordsPoolStats: a PoolStats sink on the context receives
 // per-task and per-pool observations from both the serial and the parallel
 // paths; without a sink the pool pays only the context lookup.

@@ -498,3 +498,19 @@ type csrGraph struct {
 
 func (g csrGraph) Preds(u int) []int32 { return g.preds[g.predOff[u]:g.predOff[u+1]] }
 func (g csrGraph) Succs(u int) []int32 { return g.succs[g.succOff[u]:g.succOff[u+1]] }
+
+// TestNewHugeSparseArray: a program declaring a 2^40-element array and
+// touching four elements gets its dependence graph; the front end sizes
+// element state by what the program touches, not by its declarations.
+func TestNewHugeSparseArray(t *testing.T) {
+	r := build(t, `
+array A[1048576][1048576] elem 8
+nest L { for i = 1 to 4 { A[i][0] = A[i-1][0]; } }
+`)
+	if n := r.Graph.NumIterations(); n != 4 {
+		t.Fatalf("graph has %d iterations, want 4", n)
+	}
+	if e := r.Graph.NumEdges(); e != 3 {
+		t.Errorf("graph has %d edges, want the 3-edge flow chain", e)
+	}
+}

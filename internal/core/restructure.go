@@ -291,28 +291,6 @@ func (r *Restructurer) ScheduleFor(subset []int) (*Schedule, error) {
 	return r.NewScheduler().ScheduleFor(subset)
 }
 
-// ScheduleWithPrimary runs the Fig. 3 scheduler over the whole iteration
-// space under a caller-supplied primary-disk attribution and disk count,
-// instead of the one the Restructurer computed from its own layout. The
-// iteration space and dependence graph are layout-independent, so a layout
-// search can build the Restructurer once and reschedule per candidate
-// layout by re-deriving only the primary vector — exactly the schedule a
-// fresh Restructurer over that layout would produce, without re-running
-// the front end. primary must have one entry per iteration, each in
-// [0, numDisks).
-func (r *Restructurer) ScheduleWithPrimary(numDisks int, primary []int) (*Schedule, error) {
-	return r.ScheduleSubsetWithPrimary(numDisks, primary, nil)
-}
-
-// ScheduleSubsetWithPrimary is ScheduleWithPrimary restricted to an
-// iteration subset (nil means all): dependence edges inside the subset are
-// enforced, edges entering from outside are assumed satisfied by the
-// caller's inter-subset ordering (e.g. phase barriers). This is the
-// per-phase leg of the phase-aware layout search.
-func (r *Restructurer) ScheduleSubsetWithPrimary(numDisks int, primary []int, subset []int) (*Schedule, error) {
-	return r.NewScheduler().ScheduleSubsetWithPrimary(numDisks, primary, subset)
-}
-
 // Scheduler runs the Fig. 3 scheduler over iteration subsets of one
 // Restructurer. Its scratch is sized to the iteration count once, so a
 // call costs O(subset + its edges), not O(iterations). A Scheduler is not
@@ -355,8 +333,17 @@ func (s *Scheduler) ScheduleFor(subset []int) (*Schedule, error) {
 	return s.ScheduleSubsetWithPrimary(s.numDisks, s.primary, subset)
 }
 
-// ScheduleSubsetWithPrimary is Restructurer.ScheduleSubsetWithPrimary on
-// the scheduler's scratch.
+// ScheduleSubsetWithPrimary runs the Fig. 3 scheduler over an iteration
+// subset (nil means all) under a caller-supplied primary-disk attribution
+// and disk count, instead of the one the Restructurer computed from its
+// own layout. The iteration space and dependence graph are
+// layout-independent, so a layout search can build the Restructurer once
+// and reschedule per candidate layout by re-deriving only the primary
+// vector: exactly the schedule a fresh Restructurer over that layout would
+// produce, without re-running the front end. primary must have one entry
+// per iteration, each in [0, numDisks). Dependence edges inside the subset
+// are enforced; edges entering from outside are assumed satisfied by the
+// caller's inter-subset ordering (e.g. phase barriers).
 func (s *Scheduler) ScheduleSubsetWithPrimary(numDisks int, primary []int, subset []int) (*Schedule, error) {
 	sched := &Schedule{}
 	if err := s.ScheduleInto(sched, numDisks, primary, subset); err != nil {

@@ -25,6 +25,7 @@ nest R { for i = 0 to 63 { B[64*i] = A[64*i]; } }
 // each subset member.
 func TestScheduleErrors(t *testing.T) {
 	r := build(t, schedSrc)
+	sch := r.NewScheduler()
 	n := r.Space.NumIterations()
 	nd := r.Layout.NumDisks()
 	good := func() []int {
@@ -52,7 +53,7 @@ func TestScheduleErrors(t *testing.T) {
 		if _, err := r.ScheduleFor(c.subset); err == nil || err.Error() != c.want {
 			t.Errorf("ScheduleFor %s: err = %v, want %q", c.name, err, c.want)
 		}
-		if _, err := r.ScheduleSubsetWithPrimary(nd, good(), c.subset); err == nil || err.Error() != c.want {
+		if _, err := sch.ScheduleSubsetWithPrimary(nd, good(), c.subset); err == nil || err.Error() != c.want {
 			t.Errorf("ScheduleSubsetWithPrimary %s: err = %v, want %q", c.name, err, c.want)
 		}
 	}
@@ -77,12 +78,12 @@ func TestScheduleErrors(t *testing.T) {
 		{"length before subset", nd, good()[:3], []int{-1}, "core: primary vector has 3 entries for 128 iterations"},
 	}
 	for _, c := range primaryCases {
-		if _, err := r.ScheduleSubsetWithPrimary(c.numDisks, c.primary, c.subset); err == nil || err.Error() != c.want {
+		if _, err := sch.ScheduleSubsetWithPrimary(c.numDisks, c.primary, c.subset); err == nil || err.Error() != c.want {
 			t.Errorf("ScheduleSubsetWithPrimary %s: err = %v, want %q", c.name, err, c.want)
 		}
 	}
 	// A bad primary disk outside the subset is never looked at.
-	if _, err := r.ScheduleSubsetWithPrimary(nd, badAt(100, nd), []int{0, 1, 2}); err != nil {
+	if _, err := sch.ScheduleSubsetWithPrimary(nd, badAt(100, nd), []int{0, 1, 2}); err != nil {
 		t.Errorf("bad primary outside the subset: %v", err)
 	}
 }

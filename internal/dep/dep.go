@@ -343,34 +343,3 @@ func solveDistance(iters []string, r1, r2 *sema.Ref) (affine.Vector, []bool, sol
 	}
 	return d, nil, solUnique
 }
-
-// DistanceMatrix gathers the exact distance vectors of all dependences of
-// the nest. allExact is false if any dependence lacks a constant distance,
-// in which case conservative consumers should treat the nest as fully
-// serialized.
-func DistanceMatrix(n *sema.Nest) (m affine.Matrix, allExact bool) {
-	allExact = true
-	for _, d := range AnalyzeNest(n) {
-		if !d.Exact {
-			allExact = false
-			continue
-		}
-		if d.Distance.IsZero() {
-			continue // loop-independent; carried by no loop
-		}
-		m = append(m, d.Distance)
-	}
-	return m, allExact
-}
-
-// ParallelizableLoop returns the outermost loop of the nest that can run in
-// parallel (0-based level), applying the §6.1 conditions to the nest's
-// distance matrix. ok is false when no loop is parallelizable (including
-// the conservative case of inexact dependences).
-func ParallelizableLoop(n *sema.Nest) (level int, ok bool) {
-	m, allExact := DistanceMatrix(n)
-	if !allExact {
-		return 0, false
-	}
-	return m.ParallelizableLoop(n.Depth())
-}

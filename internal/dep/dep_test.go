@@ -26,6 +26,33 @@ func nestOf(t *testing.T, src string) *sema.Nest {
 	return analyze(t, src).Nests[0]
 }
 
+// distanceMatrix gathers the exact distance vectors of all dependences of
+// the nest; allExact is false if any dependence lacks a constant distance.
+func distanceMatrix(n *sema.Nest) (m affine.Matrix, allExact bool) {
+	allExact = true
+	for _, d := range AnalyzeNest(n) {
+		if !d.Exact {
+			allExact = false
+			continue
+		}
+		if d.Distance.IsZero() {
+			continue // loop-independent; carried by no loop
+		}
+		m = append(m, d.Distance)
+	}
+	return m, allExact
+}
+
+// parallelizableLoop applies the §6.1 conditions to the nest's distance
+// matrix; an inexact dependence serializes the nest.
+func parallelizableLoop(n *sema.Nest) (level int, ok bool) {
+	m, allExact := distanceMatrix(n)
+	if !allExact {
+		return 0, false
+	}
+	return m.ParallelizableLoop(n.Depth())
+}
+
 func TestFlowDependenceDistanceOne(t *testing.T) {
 	// A[i] = A[i-1]: flow dependence with distance (1).
 	n := nestOf(t, `
@@ -63,7 +90,7 @@ nest L {
   }
 }
 `)
-	m, allExact := DistanceMatrix(n)
+	m, allExact := distanceMatrix(n)
 	if !allExact {
 		t.Fatal("should be exact")
 	}
@@ -81,7 +108,7 @@ nest L {
 	// Neither loop is parallelizable... actually loop 1 (j) IS
 	// parallelizable w.r.t. (1,0) via the lex-positive prefix, but (0,1)
 	// has d[1]=1 with zero prefix, so no loop is parallelizable.
-	if _, ok := ParallelizableLoop(n); ok {
+	if _, ok := parallelizableLoop(n); ok {
 		t.Error("no loop should be parallelizable")
 	}
 }
@@ -98,7 +125,7 @@ nest L {
   }
 }
 `)
-	level, ok := ParallelizableLoop(n)
+	level, ok := parallelizableLoop(n)
 	if !ok || level != 0 {
 		t.Errorf("ParallelizableLoop = %d,%v", level, ok)
 	}
@@ -116,7 +143,7 @@ nest L {
   }
 }
 `)
-	level, ok := ParallelizableLoop(n)
+	level, ok := parallelizableLoop(n)
 	if !ok || level != 1 {
 		t.Errorf("ParallelizableLoop = %d,%v", level, ok)
 	}
@@ -136,7 +163,7 @@ nest L { for i = 0 to 99 { A[2*i] = A[2*i+1]; } }
 	}
 	// The only dependences should be output self-dep distance... actually
 	// A[2i] = A[2i+1] has no self flow; writes hit distinct elements.
-	m, allExact := DistanceMatrix(n)
+	m, allExact := distanceMatrix(n)
 	if !allExact || len(m) != 0 {
 		t.Errorf("matrix = %v exact=%v", m, allExact)
 	}
@@ -165,7 +192,7 @@ nest L {
 	if !foundInexact {
 		t.Errorf("expected conservative dependence, got %v", deps)
 	}
-	if _, ok := ParallelizableLoop(n); ok {
+	if _, ok := parallelizableLoop(n); ok {
 		t.Error("conservative dependence must block parallelization")
 	}
 }
@@ -241,7 +268,7 @@ nest L {
   }
 }
 `)
-	m, allExact := DistanceMatrix(n)
+	m, allExact := distanceMatrix(n)
 	if !allExact || len(m) != 1 || !m[0].Equal(affine.NewVector(1, 1)) {
 		t.Errorf("matrix = %v exact = %v", m, allExact)
 	}
@@ -328,42 +355,6 @@ nest L {
 	}
 	if w[0] != (Interval{1, 10}) || w[1] != (Interval{0, 8}) {
 		t.Errorf("write region = %v", w)
-	}
-}
-
-func TestNestsInterfere(t *testing.T) {
-	p := analyze(t, `
-array A[100]
-array B[100]
-nest L1 { for i = 0 to 49 { A[i] = B[i]; } }
-nest L2 { for i = 0 to 49 { B[i] = A[i+50]; } }
-nest L3 { for i = 50 to 99 { A[i] = B[i]; } }
-`)
-	// L1 writes A[0..49], L2 reads A[50..99]: no overlap on A; but L1
-	// reads B[0..49] and L2 writes B[0..49]: interference via B.
-	arrs, err := NestsInterfere(p.Nests[0], p.Nests[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(arrs) != 1 || arrs[0].Name != "B" {
-		t.Errorf("interfere(L1,L2) = %v", arrs)
-	}
-	// L2 writes B[0..49]; L3 reads B[50..99] and writes A[50..99], which L2
-	// reads (A[50..99]): interference via A.
-	arrs, err = NestsInterfere(p.Nests[1], p.Nests[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(arrs) != 1 || arrs[0].Name != "A" {
-		t.Errorf("interfere(L2,L3) = %v", arrs)
-	}
-	// L1 and L3 touch disjoint halves of both arrays: independent.
-	arrs, err = NestsInterfere(p.Nests[0], p.Nests[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(arrs) != 0 {
-		t.Errorf("interfere(L1,L3) = %v", arrs)
 	}
 }
 

@@ -93,56 +93,3 @@ func regionsIntersect(a, b []Interval) bool {
 	}
 	return true
 }
-
-// NestsInterfere returns the arrays through which nest n1 (executing first)
-// and nest n2 may carry a cross-nest data dependence: some write region in
-// one nest overlaps an access region of the same array in the other. The
-// test is conservative (bounding boxes); an empty result proves the nests'
-// iterations can be freely interleaved.
-func NestsInterfere(n1, n2 *sema.Nest) ([]*sema.Array, error) {
-	type acc struct {
-		region []Interval
-		write  bool
-	}
-	collect := func(n *sema.Nest) (map[*sema.Array][]acc, error) {
-		m := map[*sema.Array][]acc{}
-		for _, s := range n.Stmts {
-			for _, a := range accesses(s) {
-				reg, err := RefRegion(n, a.ref)
-				if err != nil {
-					return nil, err
-				}
-				m[a.ref.Array] = append(m[a.ref.Array], acc{region: reg, write: a.write})
-			}
-		}
-		return m, nil
-	}
-	m1, err := collect(n1)
-	if err != nil {
-		return nil, err
-	}
-	m2, err := collect(n2)
-	if err != nil {
-		return nil, err
-	}
-	var out []*sema.Array
-	seen := map[*sema.Array]bool{}
-	for arr, as1 := range m1 {
-		as2, ok := m2[arr]
-		if !ok {
-			continue
-		}
-		for _, a1 := range as1 {
-			for _, a2 := range as2 {
-				if !a1.write && !a2.write {
-					continue
-				}
-				if regionsIntersect(a1.region, a2.region) && !seen[arr] {
-					seen[arr] = true
-					out = append(out, arr)
-				}
-			}
-		}
-	}
-	return out, nil
-}

@@ -75,8 +75,6 @@ type Options struct {
 	DRPMRaise    float64
 	DRPMLower    float64
 	RAIDWidth    int
-	// Trace generation overrides.
-	CachePages int
 	// Stream replays every version through the out-of-core streaming path
 	// (sim.RunStream over a chunked view of the prepared trace) instead of
 	// the in-memory replay. Results are bit-identical by construction; the
@@ -186,7 +184,7 @@ type RunResult struct {
 	MeanIdle    float64 // s
 	LongestIdle float64 // s
 	// IdleHist is the aggregate log-2 histogram of idle-period lengths
-	// (bucket i covers the obs.IdleBucketLabel(i) range). A fixed-size
+	// (obs.IdleBucket gives the bucket geometry). A fixed-size
 	// array keeps RunResult comparable.
 	IdleHist [obs.IdleBucketCount]int
 }
@@ -437,7 +435,6 @@ func PrepareApp(ctx context.Context, a apps.App, opt Options) (*Artifacts, error
 	}
 	genCfg := trace.GenConfig{
 		ComputePerIter:  a.ComputePerIter,
-		CachePages:      opt.CachePages,
 		ServiceEstimate: opt.Model.FullSpeedService(lay.PageSize),
 	}
 	// One generator for this call's executions: they take turns with its
@@ -554,12 +551,7 @@ func (art *Artifacts) RunVersionObserved(v Version, opt Options, obsv Observers)
 		if thr <= 0 {
 			thr = cfg.Model.BreakEven
 		}
-		var err error
-		cfg.Hints, err = trace.ProactiveHints(e.reqs, art.lay.PageDisk,
-			thr, cfg.Model.SpinDownTime, cfg.Model.SpinUpTime)
-		if err != nil {
-			return RunResult{}, fmt.Errorf("exp: %s/%s: %w", art.app.Name, v, err)
-		}
+		cfg.Hints = e.prep.ProactiveHints(thr, cfg.Model.SpinDownTime, cfg.Model.SpinUpTime)
 	}
 	var res *sim.Result
 	var err error

@@ -111,3 +111,60 @@ nest R { for i = 0 to %[2]d { B[0] = B[i]; } }
 		}
 	}
 }
+
+// hugeSparseSrc declares a 2^40-element array and touches four elements:
+// the element-state table must be sized by the accesses, not the
+// declaration (a dense table would be 8 TiB).
+const hugeSparseSrc = `
+array A[1048576][1048576] elem 8
+nest L { for i = 1 to 4 { A[i][0] = A[i-1][0]; } }
+`
+
+// TestBuildDepsSparseArray: both dependence builds take the map-backed
+// element states for an array declared far larger than its accesses, and
+// agree on the flow chain through it; every paper app keeps the dense
+// table.
+func TestBuildDepsSparseArray(t *testing.T) {
+	defer func(v int) { depCrossover = v }(depCrossover)
+	depCrossover = 1
+	ctx := context.Background()
+	s, err := BuildSpaceOpts(ctx, analyze(t, hugeSparseSrc), BuildOptions{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := newElemStates(s.Prog.Arrays[0], s.AccessCount()); st.sparse == nil {
+		t.Fatal("a 2^40-element array with 8 accesses should take the sparse element states")
+	}
+	for _, jobs := range []int{1, 2} {
+		g, err := s.BuildDepsCtx(ctx, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < 4; u++ {
+			want := []int32{}
+			if u > 0 {
+				want = []int32{int32(u - 1)}
+			}
+			if got := g.Preds(u); !slices.Equal(got, want) {
+				t.Errorf("jobs %d: Preds(%d) = %v, want %v", jobs, u, got, want)
+			}
+		}
+	}
+	for _, size := range []apps.Size{apps.Tiny, apps.Small, apps.Default} {
+		for _, app := range apps.Suite(size) {
+			p, err := app.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := BuildSpaceOpts(ctx, p, BuildOptions{Jobs: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, sz := range s.bucketSizes(0, s.NumIterations()) {
+				if sz > 0 && newElemStates(p.Arrays[i], sz).dense == nil {
+					t.Errorf("%s size %d: array %s left the dense element states", app.Name, size, p.Arrays[i].Name)
+				}
+			}
+		}
+	}
+}

@@ -470,6 +470,41 @@ func (es *elemState) access(u int32, write bool, preds []int32, arena []reader) 
 	return preds, arena
 }
 
+// denseElemFactor bounds how sparse an array's accesses may be for its
+// element states to live in a dense slice: one state per declared element
+// while the array has at most this many elements per access, and a map
+// over the touched elements past that. A huge declared array touched at a
+// few elements then costs its accesses, not its declaration.
+const denseElemFactor = 8
+
+// elemStates holds the elemState of every element of one array, dense or
+// keyed by linear element index; newElemStates picks the form from the
+// array's element count and access count. Both forms go through
+// elemState.access.
+type elemStates struct {
+	dense  []elemState
+	sparse map[int64]elemState
+}
+
+func newElemStates(a *sema.Array, accesses int) elemStates {
+	if elems := a.Elems(); elems <= denseElemFactor*int64(accesses) {
+		return elemStates{dense: make([]elemState, elems)}
+	}
+	return elemStates{sparse: make(map[int64]elemState, accesses)}
+}
+
+// access applies one access of iteration u to element lin (see
+// elemState.access).
+func (t elemStates) access(lin int64, u int32, write bool, preds []int32, arena []reader) ([]int32, []reader) {
+	if t.sparse == nil {
+		return t.dense[lin].access(u, write, preds, arena)
+	}
+	es := t.sparse[lin]
+	preds, arena = es.access(u, write, preds, arena)
+	t.sparse[lin] = es
+	return preds, arena
+}
+
 // BuildDeps replays the program in original order and constructs the exact
 // dependence graph. Every edge into u is emitted while u is replayed, so
 // u's row is appended straight onto the flat predecessor array and sorted
@@ -478,20 +513,21 @@ func (s *Space) BuildDeps() *DepGraph {
 	n := s.total
 	// The access count bounds the reader arena and, for typical programs,
 	// the edges.
-	acc := s.AccessCount()
+	acc := 0
+	states := make([]elemStates, len(s.Prog.Arrays))
+	for i, sz := range s.bucketSizes(0, n) {
+		acc += sz
+		states[i] = newElemStates(s.Prog.Arrays[i], sz)
+	}
 	g := &DepGraph{predOff: make([]int32, n+1), preds: make([]int32, 0, acc)}
 	arena := make([]reader, 0, acc)
-	states := make([][]elemState, len(s.Prog.Arrays))
-	for i, a := range s.Prog.Arrays {
-		states[i] = make([]elemState, a.Elems())
-	}
 	str := s.NewStreamer()
 	var buf []Access
 	for u := 0; u < n; u++ {
 		row := len(g.preds)
 		buf = str.Accesses(u, buf[:0])
 		for _, a := range buf {
-			g.preds, arena = states[a.Array.Index][a.Lin].access(int32(u), a.Write, g.preds, arena)
+			g.preds, arena = states[a.Array.Index].access(a.Lin, int32(u), a.Write, g.preds, arena)
 		}
 		g.preds = g.preds[:row+sortedSet(g.preds[row:])]
 		g.predOff[u+1] = int32(len(g.preds))
@@ -641,7 +677,7 @@ func (s *Space) BuildDepsCtx(ctx context.Context, jobs int) (*DepGraph, error) {
 }
 
 // replayArray replays one array's access stream, given as consecutive
-// parts in program order, through elemState.access like the serial
+// parts in program order, through elemStates.access like the serial
 // BuildDeps, returning its edges grouped by ascending target.
 func replayArray(a *sema.Array, parts [][]accessRec) []edge {
 	total, reads := 0, 0
@@ -656,7 +692,7 @@ func replayArray(a *sema.Array, parts [][]accessRec) []edge {
 	if total == 0 {
 		return nil
 	}
-	st := make([]elemState, a.Elems())
+	st := newElemStates(a, total)
 	// Every access adds at most one output or flow edge, and every read
 	// at most one anti edge and one reader node, so neither slice grows.
 	edges := make([]edge, 0, total+reads)
@@ -664,7 +700,7 @@ func replayArray(a *sema.Array, parts [][]accessRec) []edge {
 	var from []int32
 	for _, part := range parts {
 		for _, rec := range part {
-			from, arena = st[rec.lin].access(rec.u, rec.write, from[:0], arena)
+			from, arena = st.access(rec.lin, rec.u, rec.write, from[:0], arena)
 			for _, f := range from {
 				edges = append(edges, edge{from: f, to: rec.u})
 			}

@@ -361,7 +361,7 @@ func sameSpace(a, b *interp.Space) bool {
 // Jobs=1 and Jobs=jobs and requires bit-identical outputs at every stage:
 // Space (iteration arenas and NestFirst), DepGraph, per-iteration disk
 // attribution, the Fig. 3 schedule, and the program-order and restructured
-// request traces under both coalescing models.
+// request traces.
 func checkEngineParity(prog *sema.Program, lay *layout.Layout, computePerIter float64, jobs int) error {
 	ctx := context.Background()
 	for _, j := range []int{1, jobs} {
@@ -396,25 +396,21 @@ func checkEngineParity(prog *sema.Program, lay *layout.Layout, computePerIter fl
 		if !reflect.DeepEqual(schedC.Order, schedI.Order) || !reflect.DeepEqual(schedC.Disk, schedI.Disk) {
 			return fmt.Errorf("engine parity: disk-reuse schedule differs between engines (jobs=%d)", j)
 		}
-		for _, gcfg := range []trace.GenConfig{
-			{ComputePerIter: computePerIter},
-			{ComputePerIter: computePerIter, Coalesce: trace.LRU, CachePages: 8},
+		gcfg := trace.GenConfig{ComputePerIter: computePerIter}
+		for name, sched := range map[string]*core.Schedule{
+			"original":     rC.OriginalSchedule(),
+			"restructured": schedC,
 		} {
-			for name, sched := range map[string]*core.Schedule{
-				"original":     rC.OriginalSchedule(),
-				"restructured": schedC,
-			} {
-				reqC, err := trace.Generate(rC, trace.SinglePhase(sched), gcfg)
-				if err != nil {
-					return fmt.Errorf("engine parity: trace (compiled, %s, jobs=%d): %w", name, j, err)
-				}
-				reqI, err := trace.Generate(rI, trace.SinglePhase(sched), gcfg)
-				if err != nil {
-					return fmt.Errorf("engine parity: trace (interp, %s, jobs=%d): %w", name, j, err)
-				}
-				if !reflect.DeepEqual(reqC, reqI) {
-					return fmt.Errorf("engine parity: %s-order trace differs between engines (coalesce=%v, jobs=%d)", name, gcfg.Coalesce, j)
-				}
+			reqC, err := trace.Generate(rC, trace.SinglePhase(sched), gcfg)
+			if err != nil {
+				return fmt.Errorf("engine parity: trace (compiled, %s, jobs=%d): %w", name, j, err)
+			}
+			reqI, err := trace.Generate(rI, trace.SinglePhase(sched), gcfg)
+			if err != nil {
+				return fmt.Errorf("engine parity: trace (interp, %s, jobs=%d): %w", name, j, err)
+			}
+			if !reflect.DeepEqual(reqC, reqI) {
+				return fmt.Errorf("engine parity: %s-order trace differs between engines (jobs=%d)", name, j)
 			}
 		}
 	}

@@ -38,13 +38,6 @@ func NewDomain(vars ...string) *Domain {
 	return &Domain{Vars: append([]string(nil), vars...)}
 }
 
-// Clone returns a deep copy of d (without cached projections).
-func (d *Domain) Clone() *Domain {
-	out := NewDomain(d.Vars...)
-	out.Cons = append([]affine.Expr(nil), d.Cons...)
-	return out
-}
-
 // varIndex returns the position of name in d.Vars, or -1.
 func (d *Domain) varIndex(name string) int {
 	for i, v := range d.Vars {
@@ -77,30 +70,6 @@ func (d *Domain) AddRange(name string, lo, hi affine.Expr) error {
 		return err
 	}
 	return d.AddLE(v, hi)
-}
-
-// AddEQ constrains e == 0 (as two inequalities).
-func (d *Domain) AddEQ(e affine.Expr) error {
-	if err := d.AddGE(e); err != nil {
-		return err
-	}
-	return d.AddGE(e.Neg())
-}
-
-// Intersect returns the conjunction of d and o, which must share the same
-// variable list.
-func (d *Domain) Intersect(o *Domain) (*Domain, error) {
-	if len(d.Vars) != len(o.Vars) {
-		return nil, fmt.Errorf("iset: intersect over different variable lists")
-	}
-	for i := range d.Vars {
-		if d.Vars[i] != o.Vars[i] {
-			return nil, fmt.Errorf("iset: intersect over different variable lists")
-		}
-	}
-	out := d.Clone()
-	out.Cons = append(out.Cons, o.Cons...)
-	return out, nil
 }
 
 // Contains reports whether the integer point v satisfies every constraint.
@@ -256,13 +225,6 @@ func (d *Domain) Points() []affine.Vector {
 	var out []affine.Vector
 	d.Enumerate(func(v affine.Vector) { out = append(out, v.Clone()) })
 	return out
-}
-
-// IsEmpty reports whether the domain contains no integer points.
-func (d *Domain) IsEmpty() bool {
-	empty := true
-	d.Enumerate(func(affine.Vector) { empty = false })
-	return empty
 }
 
 // Count returns the number of integer points.

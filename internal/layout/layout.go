@@ -185,50 +185,3 @@ func (l *Layout) pageExtent(page int64) (Extent, int64, error) {
 	}
 	return ext, off, nil
 }
-
-// StripeRange describes the span of element linear indices of one stripe of
-// an array that lives on a particular disk.
-type StripeRange struct {
-	Disk     int
-	Stripe   int64 // stripe index within the array's file
-	FromElem int64 // first linear element index (inclusive)
-	ToElem   int64 // last linear element index (inclusive)
-}
-
-// StripesOnDisk enumerates the stripes of array a that live on disk d, in
-// file order. This is the quasi-affine structure behind the per-disk loop
-// nests the restructurer generates (the "for ss" stripe loops of Fig. 2(c)).
-func (l *Layout) StripesOnDisk(a *sema.Array, d int) []StripeRange {
-	s := a.Stripe
-	rel := d - s.Start
-	if rel < 0 || rel >= s.Factor {
-		return nil
-	}
-	elemsPerStripe := s.Unit / a.ElemSize
-	total := a.Elems()
-	numStripes := (a.Bytes() + s.Unit - 1) / s.Unit
-	var out []StripeRange
-	for st := int64(rel); st < numStripes; st += int64(s.Factor) {
-		from := st * elemsPerStripe
-		to := from + elemsPerStripe - 1
-		if to >= total {
-			to = total - 1
-		}
-		out = append(out, StripeRange{Disk: d, Stripe: st, FromElem: from, ToElem: to})
-	}
-	return out
-}
-
-// DisksOfArray returns the set of disks array a is striped over, ascending.
-func (l *Layout) DisksOfArray(a *sema.Array) []int {
-	ds := make([]int, 0, a.Stripe.Factor)
-	numStripes := (a.Bytes() + a.Stripe.Unit - 1) / a.Stripe.Unit
-	n := int64(a.Stripe.Factor)
-	if numStripes < n {
-		n = numStripes
-	}
-	for k := 0; k < int(n); k++ {
-		ds = append(ds, a.Stripe.Start+k)
-	}
-	return ds
-}

@@ -101,86 +101,6 @@ nest L { for i = 0 to N-1 { for j = 0 to N-1 { B[i*N+j] = A[i][j]; } } }
 	}
 }
 
-func TestStripesOnDisk(t *testing.T) {
-	p := analyze(t, twoArraySrc)
-	l, err := New(p, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u1 := p.Array("U1")
-	// 8 stripes over 4 disks: disk 2 gets stripes 2 and 6.
-	srs := l.StripesOnDisk(u1, 2)
-	if len(srs) != 2 || srs[0].Stripe != 2 || srs[1].Stripe != 6 {
-		t.Fatalf("StripesOnDisk = %+v", srs)
-	}
-	// 4 KiB / 8 B = 512 elements per stripe.
-	if srs[0].FromElem != 1024 || srs[0].ToElem != 1535 {
-		t.Errorf("stripe 2 range = %+v", srs[0])
-	}
-	// Every element of every stripe range must actually map to that disk.
-	for d := 0; d < l.NumDisks(); d++ {
-		for _, sr := range l.StripesOnDisk(u1, d) {
-			for lin := sr.FromElem; lin <= sr.ToElem; lin += 100 {
-				got, _ := l.ElemDisk(u1, lin)
-				if got != d {
-					t.Fatalf("stripe claims disk %d but elem %d maps to %d", d, lin, got)
-				}
-			}
-		}
-	}
-	if got := l.StripesOnDisk(u1, 9); got != nil {
-		t.Errorf("disk outside factor should have no stripes, got %v", got)
-	}
-}
-
-// Property: stripe ranges for all disks tile the array exactly.
-func TestStripesPartitionArray(t *testing.T) {
-	p := analyze(t, `
-array A[1000] elem 4 stripe(unit=4K, factor=3, start=0)
-nest L { for i = 0 to 999 { read A[i]; } }
-`)
-	l, err := New(p, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := p.Array("A")
-	covered := make([]bool, a.Elems())
-	for d := 0; d < l.NumDisks(); d++ {
-		for _, sr := range l.StripesOnDisk(a, d) {
-			for lin := sr.FromElem; lin <= sr.ToElem; lin++ {
-				if covered[lin] {
-					t.Fatalf("element %d covered twice", lin)
-				}
-				covered[lin] = true
-			}
-		}
-	}
-	for lin, ok := range covered {
-		if !ok {
-			t.Fatalf("element %d not covered", lin)
-		}
-	}
-}
-
-func TestDisksOfArray(t *testing.T) {
-	p := analyze(t, `
-array Small[10] stripe(unit=4K, factor=8, start=2)
-array Big[100000] stripe(unit=4K, factor=4, start=0)
-nest L { for i = 0 to 9 { read Small[i]; } }
-`)
-	l, err := New(p, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Small is 80 bytes: a single stripe on disk 2 only.
-	if ds := l.DisksOfArray(p.Array("Small")); len(ds) != 1 || ds[0] != 2 {
-		t.Errorf("Small disks = %v", ds)
-	}
-	if ds := l.DisksOfArray(p.Array("Big")); len(ds) != 4 || ds[0] != 0 || ds[3] != 3 {
-		t.Errorf("Big disks = %v", ds)
-	}
-}
-
 func TestLayoutValidation(t *testing.T) {
 	p := analyze(t, `
 array A[100] stripe(unit=2K, factor=2, start=0)

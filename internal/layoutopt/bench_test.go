@@ -105,7 +105,8 @@ func BenchmarkEngineCacheHit(b *testing.B) {
 // ~14x (median of 15 standalone runs on a 2-vCPU shared host, 8.8x–17x);
 // 10x leaves slack for a noisy shared runner. The regime itself is
 // pinned without timing: across the fast loop the schedule memo gains no
-// entry and every score is a score-cache miss.
+// entry and every score is a score-cache miss. Under the race detector only
+// the timing assertion is skipped.
 func TestReattributedScorerFaster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -172,6 +173,9 @@ func TestReattributedScorerFaster(t *testing.T) {
 		}
 	}
 	t.Logf("reattribution-only=%s full-pipeline=%s speedup=%.1fx", fast, full, float64(full)/float64(fast))
+	if raceEnabled {
+		return // race instrumentation slows the fast loop more than the pipeline
+	}
 	if fast*10 > full {
 		t.Errorf("re-attribution scoring %s not 10x faster than full pipeline %s", fast, full)
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 )
 
@@ -99,54 +98,4 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
-}
-
-// WriteTree renders the ended spans as an indented text tree — the compact
-// human view of the same hierarchy the Chrome export carries. Children
-// print under their parents in (start, id) order with durations and
-// attributes; counters follow at the end.
-func (t *Tracer) WriteTree(w io.Writer) error {
-	spans := t.snapshot()
-	byID := make(map[int64]*Span, len(spans))
-	children := make(map[int64][]*Span)
-	var roots []*Span
-	for _, s := range spans {
-		byID[s.id] = s
-	}
-	for _, s := range spans {
-		if s.parent != 0 && byID[s.parent] != nil {
-			children[s.parent] = append(children[s.parent], s)
-		} else {
-			roots = append(roots, s)
-		}
-	}
-	var print func(s *Span, depth int) error
-	print = func(s *Span, depth int) error {
-		var attrs strings.Builder
-		for _, a := range s.attrs {
-			fmt.Fprintf(&attrs, " %s=%s", a.Key, a.Value)
-		}
-		if _, err := fmt.Fprintf(w, "%s%s%s  %.3fms\n",
-			strings.Repeat("  ", depth), s.name, attrs.String(),
-			float64(s.end-s.start)/float64(time.Millisecond)); err != nil {
-			return err
-		}
-		for _, c := range children[s.id] {
-			if err := print(c, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, s := range roots {
-		if err := print(s, 0); err != nil {
-			return err
-		}
-	}
-	for _, cv := range t.Counters() {
-		if _, err := fmt.Fprintf(w, "counter %s = %d\n", cv.Name, cv.Value); err != nil {
-			return err
-		}
-	}
-	return nil
 }

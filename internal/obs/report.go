@@ -44,7 +44,7 @@ type Row struct {
 	SpeedShifts     int     `json:"speed_shifts"`
 	// Idle is the idle-locality summary across the run's disks; IdleHist
 	// is the aggregate log-2 idle-period histogram with trailing empty
-	// buckets trimmed (index i covers the IdleBucketLabel(i) range).
+	// buckets trimmed (IdleBucket gives the bucket geometry).
 	Idle     IdleStats `json:"idle"`
 	IdleHist []int     `json:"idle_hist,omitempty"`
 }

@@ -206,24 +206,3 @@ func TestChromeTrace(t *testing.T) {
 		t.Error("distinct roots must get distinct thread rows")
 	}
 }
-
-func TestWriteTree(t *testing.T) {
-	tr := NewTracer()
-	root := tr.Start("prepare", "pipeline")
-	child := root.Child("parse")
-	child.SetAttr("app", "fft")
-	child.End()
-	root.End()
-	tr.Counter("n").Add(2)
-	var sb strings.Builder
-	if err := tr.WriteTree(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "prepare") || !strings.Contains(out, "  parse app=fft") {
-		t.Errorf("tree output:\n%s", out)
-	}
-	if !strings.Contains(out, "counter n = 2") {
-		t.Errorf("tree missing counters:\n%s", out)
-	}
-}

@@ -192,19 +192,6 @@ func IdleBucket(d float64) int {
 	return b
 }
 
-// IdleBucketLabel names a histogram bucket's half-open range in seconds.
-func IdleBucketLabel(i int) string {
-	lo, hi := i+minIdleExp, i+minIdleExp+1
-	switch {
-	case i <= 0:
-		return fmt.Sprintf("[0, 2^%d) s", hi)
-	case i >= IdleBucketCount-1:
-		return fmt.Sprintf("[2^%d, inf) s", lo)
-	default:
-		return fmt.Sprintf("[2^%d, 2^%d) s", lo, hi)
-	}
-}
-
 // IdleStats is the idle-locality summary: how many request-free periods a
 // disk (or a bank of disks) saw, their total and mean length, and the
 // longest one. The compiler restructuring of the paper's §5 exists to

@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -33,15 +32,6 @@ func TestIdleBucket(t *testing.T) {
 		if IdleBucket(d) == IdleBucket(d*0.99) {
 			t.Errorf("2^%d must open a new bucket over %g", k, d*0.99)
 		}
-	}
-	if got := IdleBucketLabel(0); !strings.Contains(got, "[0,") {
-		t.Errorf("label(0) = %q", got)
-	}
-	if got := IdleBucketLabel(IdleBucketCount - 1); !strings.Contains(got, "inf") {
-		t.Errorf("label(last) = %q", got)
-	}
-	if got := IdleBucketLabel(10); got != "[2^0, 2^1) s" {
-		t.Errorf("label(10) = %q", got)
 	}
 }
 

@@ -249,9 +249,9 @@ func LayoutAware(r *core.Restructurer, procs int) (*Assignment, error) {
 	return a, nil
 }
 
-// DataSpacePartition is the §6.2.2 unification-vote partitioner, kept as
-// an alternative strategy (and ablation baseline) to LayoutAware's direct
-// disk-affinity assignment. Every array gets a unified block distribution
+// DataSpacePartition is the §6.2.2 unification-vote partitioner, an
+// alternative to LayoutAware's direct disk-affinity assignment that no
+// experiment runs; only par's tests check it. Every array gets a unified block distribution
 // along its voted dimension (Z_{s,j} derived by the majority vote over the
 // distributions the nests demand), and each iteration goes to the
 // processor owning the region its primary reference touches. Iterations

@@ -156,46 +156,3 @@ func (e *Meter) Total() float64 {
 func (e *Meter) TotalTime() float64 {
 	return e.ActiveTime + e.IdleTime + e.StandbyTime + e.TransitionTime
 }
-
-// Breakdown is a meter's time-in-state and energy-by-state decomposition in
-// report-friendly form. FracEnergy fields are each state's share of Total
-// (zero when Total is zero), so a report can show where the joules went
-// without re-deriving the model.
-type Breakdown struct {
-	ActiveTimeS     float64 `json:"active_time_s"`
-	IdleTimeS       float64 `json:"idle_time_s"`
-	StandbyTimeS    float64 `json:"standby_time_s"`
-	TransitionTimeS float64 `json:"transition_time_s"`
-
-	ActiveEnergyJ     float64 `json:"active_energy_j"`
-	IdleEnergyJ       float64 `json:"idle_energy_j"`
-	StandbyEnergyJ    float64 `json:"standby_energy_j"`
-	TransitionEnergyJ float64 `json:"transition_energy_j"`
-
-	FracActive     float64 `json:"frac_active"`
-	FracIdle       float64 `json:"frac_idle"`
-	FracStandby    float64 `json:"frac_standby"`
-	FracTransition float64 `json:"frac_transition"`
-}
-
-// Breakdown returns the meter's per-state decomposition.
-func (e *Meter) Breakdown() Breakdown {
-	b := Breakdown{
-		ActiveTimeS:     e.ActiveTime,
-		IdleTimeS:       e.IdleTime,
-		StandbyTimeS:    e.StandbyTime,
-		TransitionTimeS: e.TransitionTime,
-
-		ActiveEnergyJ:     e.ActiveEnergy,
-		IdleEnergyJ:       e.IdleEnergy,
-		StandbyEnergyJ:    e.StandbyEnergy,
-		TransitionEnergyJ: e.TransitionEnergy,
-	}
-	if tot := e.Total(); tot > 0 {
-		b.FracActive = e.ActiveEnergy / tot
-		b.FracIdle = e.IdleEnergy / tot
-		b.FracStandby = e.StandbyEnergy / tot
-		b.FracTransition = e.TransitionEnergy / tot
-	}
-	return b
-}

@@ -146,36 +146,6 @@ func TestQuickIdlePowerBounds(t *testing.T) {
 	}
 }
 
-// TestBreakdown: the per-state decomposition mirrors the meter exactly and
-// its energy fractions sum to one (or stay zero on an empty meter).
-func TestBreakdown(t *testing.T) {
-	m := disk.Ultrastar36Z15()
-	e := NewMeter(m)
-	if b := e.Breakdown(); b != (Breakdown{}) {
-		t.Errorf("empty meter breakdown = %+v, want all zeros", b)
-	}
-	e.Charge(obs.DiskBusy, 2, m.RPMMax)
-	e.Charge(obs.DiskIdle, 10, m.RPMMax)
-	spinDown(e)
-	e.Charge(obs.DiskStandby, 30, 0)
-	spinUp(e)
-	b := e.Breakdown()
-	if b.ActiveTimeS != e.ActiveTime || b.IdleTimeS != e.IdleTime ||
-		b.StandbyTimeS != e.StandbyTime || b.TransitionTimeS != e.TransitionTime {
-		t.Errorf("times drifted: %+v vs %+v", b, e)
-	}
-	if b.ActiveEnergyJ != e.ActiveEnergy || b.TransitionEnergyJ != e.TransitionEnergy {
-		t.Errorf("energies drifted: %+v", b)
-	}
-	sum := b.FracActive + b.FracIdle + b.FracStandby + b.FracTransition
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("fractions sum to %v, want 1", sum)
-	}
-	if b.FracStandby <= 0 || b.FracStandby >= 1 {
-		t.Errorf("FracStandby = %v", b.FracStandby)
-	}
-}
-
 // TestChargeUsesAccountedDuration pins the hazard of pricing the stream:
 // the span [from, from+dt) does not have length dt in floating point, so
 // the meter must be charged the dt the simulator accounted. Every state's

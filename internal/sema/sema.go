@@ -85,16 +85,6 @@ func (a *Array) LinearIndex(idx []int64) (int64, bool) {
 	return lin, true
 }
 
-// Unflatten maps a linear element index back to a subscript tuple.
-func (a *Array) Unflatten(lin int64) []int64 {
-	idx := make([]int64, len(a.Dims))
-	for k := len(a.Dims) - 1; k >= 0; k-- {
-		idx[k] = lin % a.Dims[k]
-		lin /= a.Dims[k]
-	}
-	return idx
-}
-
 // Loop is one level of a lowered perfect nest. Bounds are inclusive and
 // affine over the iterators of enclosing (outer) loops.
 type Loop struct {

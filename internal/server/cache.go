@@ -40,16 +40,15 @@ const (
 // ArtifactKey content-addresses a compilation: it hashes exactly the
 // inputs PrepareApp's output depends on — the program bytes, the
 // processor count (selects the execution plans), the front-end engine,
-// the trace-generation knobs (cache pages, compute per iteration), and
-// the disk model (its full-speed service time seeds the generated
-// arrivals). Replay-only parameters (power-management thresholds, RAID
+// the compute time per iteration, and the disk model (its full-speed
+// service time seeds the generated arrivals). Replay-only parameters (power-management thresholds, RAID
 // width, streaming, proactive hints) are deliberately excluded: they
 // do not change the artifacts, so requests differing only in policy
 // share one cache entry.
-func ArtifactKey(program string, procs int, engine string, cachePages int, computePerIter float64, model string) string {
+func ArtifactKey(program string, procs int, engine string, computePerIter float64, model string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "dpcd-artifact-v1\nprocs=%d\nengine=%s\ncache_pages=%d\ncompute_per_iter=%016x\nmodel=%s\nprogram=%d\n",
-		procs, engine, cachePages, math.Float64bits(computePerIter), model, len(program))
+	fmt.Fprintf(h, "dpcd-artifact-v2\nprocs=%d\nengine=%s\ncompute_per_iter=%016x\nmodel=%s\nprogram=%d\n",
+		procs, engine, math.Float64bits(computePerIter), model, len(program))
 	h.Write([]byte(program))
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -26,9 +26,6 @@ type CompileRequest struct {
 	// Engine selects the analysis front end: "compiled" (default) or
 	// "interp".
 	Engine string `json:"engine,omitempty"`
-	// CachePages overrides the trace generator's page-cache size; 0 keeps
-	// the default.
-	CachePages int `json:"cache_pages,omitempty"`
 	// ComputePerIter is the modeled CPU time per loop iteration in
 	// seconds; 0 keeps the default.
 	ComputePerIter float64 `json:"compute_per_iter,omitempty"`
@@ -218,9 +215,6 @@ func (cr *CompileRequest) validate() error {
 	}
 	if cr.Engine == "" {
 		cr.Engine = "compiled"
-	}
-	if cr.CachePages < 0 {
-		return errUnprocessable(CodeInvalidConfig, "cache_pages %d must be >= 0", cr.CachePages)
 	}
 	if cr.ComputePerIter < 0 {
 		return errUnprocessable(CodeInvalidConfig, "compute_per_iter %v must be >= 0", cr.ComputePerIter)

@@ -158,7 +158,7 @@ nest N { for i = 0 to %d { A[i] = A[i]; } }
 		return cr
 	}
 	keyOf := func(n int) string {
-		return ArtifactKey(prog(n), 1, "compiled", 0, 0, "IBM Ultrastar 36Z15")
+		return ArtifactKey(prog(n), 1, "compiled", 0, "IBM Ultrastar 36Z15")
 	}
 
 	postProg(0) // cache: [0]

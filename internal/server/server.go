@@ -169,7 +169,7 @@ func (s *Server) admit(cr *CompileRequest) (*compiled, error) {
 	if err != nil {
 		return nil, errUnprocessable(CodeInvalidConfig, "%s", err.Error())
 	}
-	key := ArtifactKey(cr.Program, cr.Procs, eng.String(), cr.CachePages, cr.ComputePerIter, disk.Ultrastar36Z15().Name)
+	key := ArtifactKey(cr.Program, cr.Procs, eng.String(), cr.ComputePerIter, disk.Ultrastar36Z15().Name)
 	c := &compiled{cr: cr, engine: eng, key: key}
 	if _, ok := s.cache.Lookup(key); ok {
 		return c, nil
@@ -236,12 +236,11 @@ func (s *Server) artifacts(ctx context.Context, c *compiled, tr *obs.Tracer) (*e
 		s.compiles.Inc()
 		a := apps.App{Name: c.cr.Name, Source: c.cr.Program, ComputePerIter: c.cr.ComputePerIter}
 		opt := exp.Options{
-			Procs:      c.cr.Procs,
-			CachePages: c.cr.CachePages,
-			Engine:     c.engine,
-			Jobs:       s.cfg.Jobs,
-			Tracer:     tr,
-			Metrics:    s.cfg.Metrics,
+			Procs:   c.cr.Procs,
+			Engine:  c.engine,
+			Jobs:    s.cfg.Jobs,
+			Tracer:  tr,
+			Metrics: s.cfg.Metrics,
 		}
 		return exp.PrepareApp(ctx, a, opt)
 	})
@@ -348,7 +347,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 	opt := exp.Options{
 		Procs:        req.Procs,
-		CachePages:   req.CachePages,
 		Engine:       c.engine,
 		Jobs:         s.cfg.Jobs,
 		TPMThreshold: req.Sim.TPMThreshold,

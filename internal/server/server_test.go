@@ -169,7 +169,7 @@ func TestErrorPaths(t *testing.T) {
 		{"missing program", "POST", "/v1/simulate", `{}`, 400, CodeBadRequest},
 		{"negative procs", "POST", "/v1/compile", `{"program":"x","procs":-1}`, 422, CodeInvalidConfig},
 		{"bad engine", "POST", "/v1/compile", `{"program":"x","engine":"quantum"}`, 422, CodeInvalidConfig},
-		{"negative cache_pages", "POST", "/v1/compile", `{"program":"x","cache_pages":-5}`, 422, CodeInvalidConfig},
+		{"retired cache_pages", "POST", "/v1/compile", `{"program":"x","cache_pages":64}`, 400, CodeBadRequest},
 		{"negative compute_per_iter", "POST", "/v1/compile", `{"program":"x","compute_per_iter":-1}`, 422, CodeInvalidConfig},
 		{"DRL parse error", "POST", "/v1/compile", `{"program":"nest ("}`, 422, CodeCompileFailed},
 		{"DRL sema error", "POST", "/v1/compile",
@@ -393,7 +393,7 @@ func TestStreamNDJSONIsIntervalLog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := exp.Options{Procs: cr.Procs, CachePages: cr.CachePages, Engine: c.engine, Jobs: jobs}
+		opt := exp.Options{Procs: cr.Procs, Engine: c.engine, Jobs: jobs}
 		for _, name := range req.Versions {
 			log := obs.NewIntervalLog(art.NumDisks())
 			if _, err := art.RunVersionObserved(exp.Version(name), opt, exp.Observers{Sink: log}); err != nil {

@@ -1,6 +1,11 @@
 package sim
 
-import "diskreuse/internal/trace"
+import (
+	"cmp"
+	"slices"
+
+	"diskreuse/internal/trace"
+)
 
 // PreparedTrace is the replay-ready form of a request trace against a
 // fixed block-to-disk mapping: the arrival sort, per-request disk
@@ -78,4 +83,38 @@ func PrepareTrace(reqs []trace.Request, diskOf func(block int64) (int, error), n
 	}
 	pt.perDisk = c.perDisk
 	return pt, nil
+}
+
+// ProactiveHints derives the P-TPM extension's spin-up hints from the
+// per-disk carve: for every per-disk idle gap long enough that a TPM disk
+// would have spun down (gap >= threshold), it emits a hint to begin
+// spinning up spinUpTime before the gap-ending request arrives. Every
+// disk's stream implicitly starts at time 0 (disks are powered from
+// application start), so the idle period before a disk's first request
+// also gets a hint when it is long enough.
+//
+// The hint is clamped to never precede the moment the disk would have
+// finished spinning down (threshold + spinDownTime after the gap began):
+// for gaps barely over the threshold the wake-up is only partially hidden,
+// exactly as a real early-wake directive would behave. Each disk's hints
+// come out in time order; the result is sorted by time, equal times in
+// disk order.
+func (pt *PreparedTrace) ProactiveHints(threshold, spinDownTime, spinUpTime float64) []trace.Hint {
+	var hints []trace.Hint
+	for d, idx := range pt.perDisk {
+		prev := 0.0
+		for _, i := range idx {
+			arr := pt.sorted[i].Arrival
+			if arr-prev >= threshold {
+				at := arr - spinUpTime
+				if earliest := prev + threshold + spinDownTime; at < earliest {
+					at = earliest
+				}
+				hints = append(hints, trace.Hint{Time: at, Disk: d})
+			}
+			prev = arr
+		}
+	}
+	slices.SortStableFunc(hints, func(a, b trace.Hint) int { return cmp.Compare(a.Time, b.Time) })
+	return hints
 }

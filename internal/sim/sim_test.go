@@ -408,10 +408,11 @@ func TestProactiveHintsHideSpinUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hints, err := trace.ProactiveHints(reqs, oneDisk, m.BreakEven, m.SpinDownTime, m.SpinUpTime)
+	pt, err := PrepareTrace(reqs, oneDisk, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	hints := pt.ProactiveHints(m.BreakEven, m.SpinDownTime, m.SpinUpTime)
 	if len(hints) != 1 {
 		t.Fatalf("hints = %v", hints)
 	}
@@ -451,10 +452,11 @@ func TestProactiveHintsClampedToSpinDown(t *testing.T) {
 		{Arrival: 0, Block: 0, Size: 4096},
 		{Arrival: gap, Block: 0, Size: 4096},
 	}
-	hints, err := trace.ProactiveHints(reqs, oneDisk, m.BreakEven, m.SpinDownTime, m.SpinUpTime)
+	pt, err := PrepareTrace(reqs, oneDisk, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	hints := pt.ProactiveHints(m.BreakEven, m.SpinDownTime, m.SpinUpTime)
 	if len(hints) != 1 {
 		t.Fatalf("hints = %v", hints)
 	}

@@ -19,112 +19,28 @@ type Phase struct {
 	PerProc [][]int // iteration ids in execution order, indexed by processor
 }
 
-// Coalesce selects how repeated touches to the same page are absorbed
-// before they become disk requests.
-type Coalesce int
-
-const (
-	// FirstTouch emits one read and at most one write request per
-	// (processor, nest, page): the compiler's out-of-core I/O insertion
-	// fetches each page a nest needs once and writes each dirty page once.
-	// Request counts are then independent of iteration order — matching
-	// the paper's Table 2, which lists a single request count per
-	// application across all versions — while arrival times still reflect
-	// the schedule.
-	FirstTouch Coalesce = iota
-	// LRU models a small per-processor file cache instead: a touch to a
-	// resident page is absorbed; a miss fetches the page, evicting the
-	// least recently used. Request counts then depend on access order.
-	LRU
-)
-
 // GenConfig controls trace generation.
 type GenConfig struct {
 	// ComputePerIter is the CPU time each iteration spends outside I/O,
 	// standing in for the paper's SUN Blade1000 cycle estimates.
 	ComputePerIter float64
-	// Coalesce selects the request-coalescing model (default FirstTouch).
-	Coalesce Coalesce
-	// CachePages is the per-processor cache capacity in pages for the LRU
-	// model. Zero selects DefaultCachePages.
-	CachePages int
 	// ServiceEstimate estimates the I/O completion time the generating
-	// processor waits for on a cache miss (closed-loop generation). Zero
+	// processor waits for on each request (closed-loop generation). Zero
 	// selects a 4-KiB full-speed Ultrastar service time.
 	ServiceEstimate float64
 }
 
-// DefaultCachePages is the default per-processor cache capacity. It is
-// deliberately small relative to the arrays: the paper's applications are
-// out-of-core, so the cache absorbs only short-term reuse.
-const DefaultCachePages = 64
-
-// touchKey identifies a first-touch coalescing unit.
+// touchKey identifies a first-touch coalescing unit: one read and at most
+// one write request per (processor, nest, page), as the compiler's
+// out-of-core I/O insertion fetches each page a nest needs once and writes
+// each dirty page once. Request counts are then independent of iteration
+// order, matching the paper's Table 2, which lists a single request count
+// per application across all versions, while arrival times still reflect
+// the schedule.
 type touchKey struct {
 	nest  int
 	page  int64
 	write bool
-}
-
-// lruNode is one resident page on the cache's recency ring.
-type lruNode struct {
-	page       int64
-	prev, next *lruNode
-}
-
-// pageCache is a tiny LRU set of resident pages: a map for O(1) lookup
-// plus an intrusive doubly-linked recency ring (root.next is most recent,
-// root.prev least recent), so eviction is O(1) instead of a scan over the
-// whole cache. Every recency stamp is distinct, so this is exactly the
-// eviction order the earlier stamp-scan implementation produced.
-type pageCache struct {
-	cap   int
-	pages map[int64]*lruNode
-	root  lruNode // sentinel of the recency ring
-}
-
-func newPageCache(capacity int) *pageCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	c := &pageCache{cap: capacity, pages: make(map[int64]*lruNode, capacity)}
-	c.root.prev = &c.root
-	c.root.next = &c.root
-	return c
-}
-
-// touch returns true on hit; on miss it inserts the page, evicting the
-// least recently used one if full.
-func (c *pageCache) touch(page int64) bool {
-	if n, ok := c.pages[page]; ok {
-		c.unlink(n)
-		c.pushFront(n)
-		return true
-	}
-	var n *lruNode
-	if len(c.pages) >= c.cap {
-		n = c.root.prev // least recently used
-		c.unlink(n)
-		delete(c.pages, n.page)
-		n.page = page
-	} else {
-		n = &lruNode{page: page}
-	}
-	c.pushFront(n)
-	c.pages[page] = n
-	return false
-}
-
-func (c *pageCache) unlink(n *lruNode) {
-	n.prev.next = n.next
-	n.next.prev = n.prev
-}
-
-func (c *pageCache) pushFront(n *lruNode) {
-	n.prev = &c.root
-	n.next = c.root.next
-	c.root.next.prev = n
-	c.root.next = n
 }
 
 // Validate reports whether cfg's clock increments are usable: the compute
@@ -145,7 +61,7 @@ func (cfg GenConfig) Validate() error {
 
 // Generate produces the disk request trace for an execution described by
 // phases over the iteration space of r. Each processor has its own clock;
-// a cache miss emits a request at the current clock and advances it by the
+// the first touch of a page in a nest (see touchKey) emits a request at the current clock and advances it by the
 // service estimate (closed-loop generation, as when the source program
 // blocks on a read), and each finished iteration advances it by the
 // compute time. Clocks synchronize to the barrier (max of all clocks)
@@ -205,9 +121,6 @@ func (g *Generator) generateRange(r *core.Restructurer, phases []Phase, cfg GenC
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.CachePages <= 0 {
-		cfg.CachePages = DefaultCachePages
-	}
 	if cfg.ServiceEstimate <= 0 {
 		cfg.ServiceEstimate = 5.474e-3 // 4 KiB at full Ultrastar speed
 	}
@@ -265,19 +178,14 @@ func (d domain) complete() error {
 // Layout.ElemPage.
 func generateInterp(r *core.Restructurer, phases []Phase, cfg GenConfig, procs int, dom domain) ([]Request, error) {
 	clocks := make([]float64, procs)
-	caches := make([]*pageCache, procs)
 	touched := make([]map[touchKey]bool, procs)
-	for p := range caches {
-		caches[p] = newPageCache(cfg.CachePages)
+	for p := range touched {
 		touched[p] = map[touchKey]bool{}
 	}
 
 	// absorb reports whether the access to page by processor p during nest
 	// execution can be satisfied without a disk request.
 	absorb := func(p int, nest int, page int64, write bool) bool {
-		if cfg.Coalesce == LRU {
-			return caches[p].touch(page)
-		}
 		k := touchKey{nest: nest, page: page, write: write}
 		if touched[p][k] {
 			return true
@@ -376,7 +284,6 @@ func (g *Generator) generateCompiled(r *core.Restructurer, phases []Phase, cfg G
 		elems[a.Index] = a.Elems()
 	}
 	clocks := make([]float64, procs)
-	caches := make([]*pageCache, procs)
 	// Flat table: touched[p][nest*maxPage+page] holds touch bits (1 = read
 	// seen, 2 = write seen). Allocated lazily per processor.
 	maxPage := (r.Layout.TotalBytes() + r.Layout.PageSize - 1) / r.Layout.PageSize
@@ -384,9 +291,8 @@ func (g *Generator) generateCompiled(r *core.Restructurer, phases []Phase, cfg G
 	useTable := tableLen > 0 && tableLen <= touchTableMax
 	touched := make([][]uint8, procs)
 	touchedMaps := make([][]map[int64]uint8, procs)
-	for p := range caches {
-		caches[p] = newPageCache(cfg.CachePages)
-		if !useTable {
+	if !useTable {
+		for p := range touchedMaps {
 			touchedMaps[p] = make([]map[int64]uint8, numNests)
 		}
 	}
@@ -403,7 +309,7 @@ func (g *Generator) generateCompiled(r *core.Restructurer, phases []Phase, cfg G
 	for _, ph := range phases {
 		for p, order := range ph.PerProc {
 			tf := touched[p]
-			if useTable && cfg.Coalesce != LRU && tf == nil {
+			if useTable && tf == nil {
 				tf = make([]uint8, tableLen)
 				touched[p] = tf
 			}
@@ -430,31 +336,25 @@ func (g *Generator) generateCompiled(r *core.Restructurer, phases []Phase, cfg G
 						page = pageBase[ai] + lin/elemsPerPage[ai]
 					}
 					write := refs[j].Write
-					if cfg.Coalesce == LRU {
-						if caches[p].touch(page) {
+					bit := uint8(1)
+					if write {
+						bit = 2
+					}
+					if useTable {
+						if tf[nestOff+page]&bit != 0 {
 							continue
 						}
+						tf[nestOff+page] |= bit
 					} else {
-						bit := uint8(1)
-						if write {
-							bit = 2
+						tm := touchedMaps[p][nest]
+						if tm == nil {
+							tm = map[int64]uint8{}
+							touchedMaps[p][nest] = tm
 						}
-						if useTable {
-							if tf[nestOff+page]&bit != 0 {
-								continue
-							}
-							tf[nestOff+page] |= bit
-						} else {
-							tm := touchedMaps[p][nest]
-							if tm == nil {
-								tm = map[int64]uint8{}
-								touchedMaps[p][nest] = tm
-							}
-							if tm[page]&bit != 0 {
-								continue
-							}
-							tm[page] |= bit
+						if tm[page]&bit != 0 {
+							continue
 						}
+						tm[page] |= bit
 					}
 					reqs = append(reqs, Request{
 						Arrival: clocks[p],

@@ -89,25 +89,6 @@ func TestDecodeCommentsAndErrors(t *testing.T) {
 	}
 }
 
-func TestPageCacheLRU(t *testing.T) {
-	c := newPageCache(2)
-	if c.touch(1) {
-		t.Error("first touch must miss")
-	}
-	if !c.touch(1) {
-		t.Error("second touch must hit")
-	}
-	c.touch(2)
-	c.touch(1) // refresh 1; LRU is now 2
-	c.touch(3) // evicts 2
-	if !c.touch(1) {
-		t.Error("1 must still be resident")
-	}
-	if c.touch(2) {
-		t.Error("2 must have been evicted")
-	}
-}
-
 const seqScanSrc = `
 array A[8192] stripe(unit=4K, factor=4, start=0)
 nest L { for i = 0 to 8191 { read A[i]; } }
@@ -141,24 +122,15 @@ func TestGenerateSequentialScan(t *testing.T) {
 }
 
 func TestGenerateCacheSuppressesReuse(t *testing.T) {
-	// Two nests reading the same small array back to back: the second scan
-	// hits cache entirely when the array fits.
+	// Two nests reading the same one-page array back to back (512 float64s
+	// = 4 KiB): under first-touch coalescing each nest fetches it once.
 	r := build(t, `
 array A[512] stripe(unit=4K, factor=2, start=0)
 nest L1 { for i = 0 to 511 { read A[i]; } }
 nest L2 { for i = 0 to 511 { read A[i]; } }
 `)
 	s := r.OriginalSchedule()
-	reqs, err := Generate(r, SinglePhase(s), GenConfig{ComputePerIter: 1e-6, Coalesce: LRU, CachePages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 512 float64s = 4 KiB = 1 page; second nest hits in the LRU cache.
-	if len(reqs) != 1 {
-		t.Fatalf("requests = %d, want 1", len(reqs))
-	}
-	// Under first-touch coalescing each nest fetches the page once.
-	reqs, err = Generate(r, SinglePhase(s), GenConfig{ComputePerIter: 1e-6})
+	reqs, err := Generate(r, SinglePhase(s), GenConfig{ComputePerIter: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,64 +398,6 @@ nest L2 { for i = 0 to 16383 { B[i] = A[i]; } }
 	}
 	if sr != 4 {
 		t.Errorf("restructured trace should visit each disk once, switches = %d", sr)
-	}
-}
-
-// stampCache is the earlier O(cap)-eviction page cache, kept as the
-// reference model: a recency stamp per page, evicting the minimum stamp.
-// Stamps are distinct, so its eviction order is true LRU.
-type stampCache struct {
-	cap   int
-	pages map[int64]int
-	clock int
-}
-
-func (c *stampCache) touch(page int64) bool {
-	c.clock++
-	if _, ok := c.pages[page]; ok {
-		c.pages[page] = c.clock
-		return true
-	}
-	if len(c.pages) >= c.cap {
-		oldPage, oldStamp := int64(-1), c.clock+1
-		for p, s := range c.pages {
-			if s < oldStamp {
-				oldPage, oldStamp = p, s
-			}
-		}
-		delete(c.pages, oldPage)
-	}
-	c.pages[page] = c.clock
-	return false
-}
-
-// Property: the linked-list cache hits and misses exactly like the
-// reference stamp-scan on random access streams — same results per touch
-// means same eviction order throughout.
-func TestQuickPageCacheMatchesStampScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		capacity := 1 + rng.Intn(16)
-		lru := newPageCache(capacity)
-		ref := &stampCache{cap: capacity, pages: make(map[int64]int, capacity)}
-		span := int64(1 + rng.Intn(3*capacity)) // force plenty of evictions
-		for step := 0; step < 2000; step++ {
-			page := rng.Int63n(span)
-			got, want := lru.touch(page), ref.touch(page)
-			if got != want {
-				t.Fatalf("trial %d (cap %d) step %d page %d: touch = %v, reference = %v",
-					trial, capacity, step, page, got, want)
-			}
-		}
-		if len(lru.pages) != len(ref.pages) {
-			t.Fatalf("trial %d: resident count %d, reference %d",
-				trial, len(lru.pages), len(ref.pages))
-		}
-		for p := range ref.pages {
-			if _, ok := lru.pages[p]; !ok {
-				t.Fatalf("trial %d: page %d resident in reference only", trial, p)
-			}
-		}
 	}
 }
 
