@@ -169,6 +169,9 @@ func TestErrorPaths(t *testing.T) {
 		{"missing program", "POST", "/v1/simulate", `{}`, 400, CodeBadRequest},
 		{"negative procs", "POST", "/v1/compile", `{"program":"x","procs":-1}`, 422, CodeInvalidConfig},
 		{"bad engine", "POST", "/v1/compile", `{"program":"x","engine":"quantum"}`, 422, CodeInvalidConfig},
+		// cache_pages is retired: strict decode rejects it as an unknown
+		// field, whatever its value.
+		{"negative cache_pages", "POST", "/v1/compile", `{"program":"x","cache_pages":-5}`, 400, CodeBadRequest},
 		{"retired cache_pages", "POST", "/v1/compile", `{"program":"x","cache_pages":64}`, 400, CodeBadRequest},
 		{"negative compute_per_iter", "POST", "/v1/compile", `{"program":"x","compute_per_iter":-1}`, 422, CodeInvalidConfig},
 		{"DRL parse error", "POST", "/v1/compile", `{"program":"nest ("}`, 422, CodeCompileFailed},

@@ -161,6 +161,7 @@ func (r *diskReducer) replay(reqs []trace.Request, idx []int32, attr *obs.ProcAt
 	}
 	r.reqFold = acc
 	served.flush()
+	r.ds.lm.flush(r.ds.id)
 }
 
 // replayColumn is replay over an arrival column whose requests all have
@@ -212,6 +213,7 @@ func foldDisks(cfg *Config, reds []diskReducer, res *Result) {
 	for d := range reds {
 		r := &reds[d]
 		r.ds.finish(res.Makespan-r.ds.clock, &r.st)
+		r.ds.lm.flush(d)
 		res.PerDisk[d] = r.st
 		res.Energy += r.st.Meter.Total()
 		res.IOTime += r.st.BusyTime

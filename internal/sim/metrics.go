@@ -22,13 +22,21 @@ const (
 // fine enough that a monitoring scrape sees steady progress.
 const reqFlushBatch = 8192
 
+// ivFlushBatch is how many state intervals a disk accumulates locally
+// before publishing them, on the same reasoning as reqFlushBatch: the
+// intervals of a replay alternate between states request by request, and
+// publishing each one would make every interval a handful of atomic
+// read-modify-writes, some on series every worker shares.
+const ivFlushBatch = 1024
+
 // liveMetrics is the simulator's pre-resolved bundle of metric handles: all
 // registry lookups happen once at run start, so the replay hot paths touch
-// only lock-free atomics (and only behind a nil check when metrics are
-// off). Its occupancy, current-state and spin-event series are an
-// obs.IntervalSink teed beside Config.Sink. It is strictly observe-only —
-// the simulator never reads any of these values back, so publishing
-// cannot perturb the bit-identical deterministic results contract.
+// only worker-local state and lock-free atomics (and only behind a nil
+// check when metrics are off). Its occupancy, current-state and
+// spin-event series are an obs.IntervalSink teed beside Config.Sink. It is
+// strictly observe-only — the simulator never reads any of these values
+// back, so publishing cannot perturb the bit-identical deterministic
+// results contract.
 type liveMetrics struct {
 	requests  *metrics.Counter
 	energy    *metrics.Gauge
@@ -43,14 +51,24 @@ type liveMetrics struct {
 	stateNow  []*metrics.Gauge   // 0/1 current-state indicator
 
 	// inState aggregates the 0/1 indicators per state for the heartbeat's
-	// state mix; it only changes when a disk changes state.
+	// state mix; it only changes when a flush finds a disk in a state
+	// other than the one it last published.
 	inState [obs.NumDiskStates]*metrics.Gauge
 
-	// last is each disk's last-observed state and lastRPM its spindle
-	// speed, the speed of its last transition (plain slices: each entry is
-	// written only by the worker replaying that disk).
-	last    []obs.DiskState
-	lastRPM []int
+	// pend is each disk's unpublished tally; an entry is written only by
+	// the worker replaying that disk.
+	pend []diskPending
+}
+
+// diskPending is one disk's observations since its last flush, padded so
+// neighbouring disks replayed by different workers share no cache line.
+type diskPending struct {
+	secs               [obs.NumDiskStates]float64
+	ups, downs, shifts int
+	n                  int           // intervals since the last flush
+	state, published   obs.DiskState // last observed / last published state
+	rpm                int           // spindle speed of the last transition
+	_                  [64]byte
 }
 
 // newLiveMetrics resolves every handle the replay will touch. All disks
@@ -69,8 +87,7 @@ func newLiveMetrics(reg *metrics.Registry, numDisks, rpmMax int) *liveMetrics {
 		shifts:    reg.Counter(metricSpinEvents, "disk power-state transition events", metrics.L("event", "speed_shift")),
 		stateSecs: make([]*metrics.Counter, numDisks*obs.NumDiskStates),
 		stateNow:  make([]*metrics.Gauge, numDisks*obs.NumDiskStates),
-		last:      make([]obs.DiskState, numDisks),
-		lastRPM:   make([]int, numDisks),
+		pend:      make([]diskPending, numDisks),
 	}
 	for k := range lm.inState {
 		st := obs.DiskState(k).String()
@@ -83,48 +100,74 @@ func newLiveMetrics(reg *metrics.Registry, numDisks, rpmMax int) *liveMetrics {
 			lm.stateSecs[d*obs.NumDiskStates+k] = reg.Counter(metricDiskStateSeconds, "simulated seconds each disk spent per state", disk, st)
 			lm.stateNow[d*obs.NumDiskStates+k] = reg.Gauge(metricDiskState, "1 for each disk's last observed state, else 0", disk, st)
 		}
-		lm.last[d] = obs.DiskIdle
-		lm.lastRPM[d] = rpmMax
+		lm.pend[d] = diskPending{state: obs.DiskIdle, published: obs.DiskIdle, rpm: rpmMax}
 		lm.stateNow[d*obs.NumDiskStates+int(obs.DiskIdle)].Set(1)
 	}
 	lm.inState[obs.DiskIdle].Set(float64(numDisks))
 	return lm
 }
 
-// Observe publishes one accounted state interval: occupancy seconds
-// always, the spin-event counter its transition classifies as, and the
-// current-state gauges when the disk changed state. Per-disk entries are
-// only touched by the worker replaying that disk, so the only shared
-// writes are the event counters and the rare state-change gauge updates.
+// Observe tallies one accounted state interval on its disk: occupancy
+// seconds always, the spin event its transition classifies as, and the
+// disk's current state. The tally is published every ivFlushBatch
+// intervals and whenever the replay flushes the disk.
 func (lm *liveMetrics) Observe(iv obs.Interval) {
-	base := iv.Disk * obs.NumDiskStates
-	lm.stateSecs[base+int(iv.State)].Add(iv.To - iv.From)
-	last := lm.last[iv.Disk]
+	p := &lm.pend[iv.Disk]
+	p.secs[iv.State] += iv.To - iv.From
 	if iv.State == obs.DiskTransition {
-		switch obs.ClassifyTransition(lm.lastRPM[iv.Disk], iv.RPM) {
+		switch obs.ClassifyTransition(p.rpm, iv.RPM) {
 		case obs.SpinDown:
-			lm.spinDowns.Inc()
+			p.downs++
 		case obs.SpinUp:
-			lm.spinUps.Inc()
+			p.ups++
 		case obs.SpeedShift:
-			lm.shifts.Inc()
+			p.shifts++
 		}
-		lm.lastRPM[iv.Disk] = iv.RPM
+		p.rpm = iv.RPM
 	}
-	if iv.State != last {
-		lm.stateNow[base+int(last)].Set(0)
-		lm.inState[last].Dec()
-		lm.stateNow[base+int(iv.State)].Set(1)
-		lm.inState[iv.State].Inc()
-		lm.last[iv.Disk] = iv.State
+	p.state = iv.State
+	if p.n++; p.n >= ivFlushBatch {
+		lm.flush(iv.Disk)
 	}
 }
 
-// Finish is a no-op: every series is already current.
+// flush publishes disk d's pending tally. Only the worker replaying d may
+// call it. No-op on nil.
+func (lm *liveMetrics) flush(d int) {
+	if lm == nil {
+		return
+	}
+	p := &lm.pend[d]
+	base := d * obs.NumDiskStates
+	for k, s := range p.secs {
+		if s != 0 {
+			lm.stateSecs[base+k].Add(s)
+		}
+	}
+	addCount(lm.spinUps, p.ups)
+	addCount(lm.spinDowns, p.downs)
+	addCount(lm.shifts, p.shifts)
+	if p.state != p.published {
+		lm.stateNow[base+int(p.published)].Set(0)
+		lm.inState[p.published].Dec()
+		lm.stateNow[base+int(p.state)].Set(1)
+		lm.inState[p.state].Inc()
+		p.published = p.state
+	}
+	*p = diskPending{state: p.state, published: p.published, rpm: p.rpm}
+}
+
+func addCount(c *metrics.Counter, n int) {
+	if n != 0 {
+		c.Add(float64(n))
+	}
+}
+
+// Finish is a no-op: the replay flushes every disk itself.
 func (lm *liveMetrics) Finish() {}
 
 // NumDisks returns the disk count the handles were resolved for.
-func (lm *liveMetrics) NumDisks() int { return len(lm.last) }
+func (lm *liveMetrics) NumDisks() int { return len(lm.pend) }
 
 // publishEnergy sets the energy-so-far gauge from the per-disk meters. Safe
 // to call between (not during) replay passes. No-op on nil.
