@@ -27,6 +27,7 @@ var exportAllowlist = map[string]string{
 	"internal/affine.NewVector":            "fixture for affine, dep and iset tests",
 	"internal/disk.Travelstar40GN":         "disk TestTravelstarModel and sim TestMobileDiskMakesTPMViable",
 	"internal/par.DataSpacePartition":      "the paper's §6.2.2 partitioner, checked by par TestQuickAssignmentsAlwaysLegal",
+	"internal/trace.NewSliceSource":        "sim TestRunStreamMatchesPrepared's small-chunk leg and TestRunStreamValidation's unsorted rows",
 }
 
 // TestExportsHaveCallers fails when an exported package-level function

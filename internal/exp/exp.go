@@ -246,48 +246,54 @@ func (sr *SuiteResult) AverageDegradation(v Version) float64 {
 	return sum / float64(n)
 }
 
-// execution is a fully prepared run: phases, clustering stats, the
-// generated request trace, and its simulator-ready prepared form (disk
-// attribution, per-disk carve, arrival sort — done once here instead of
-// once per policy version). Once prepared it is shared read-only by every
-// version simulation that replays it.
-type execution struct {
+// plan is one execution before its trace exists: its barrier phases and
+// clustering stats.
+type plan struct {
 	phases   []trace.Phase
 	diskRuns int
-	reqs     []trace.Request
+}
+
+// execution is a fully prepared run: clustering stats and the
+// simulator-ready prepared trace (disk attribution, per-disk carve,
+// arrival sort — done once here instead of once per policy version). Once
+// prepared it is shared read-only by every version simulation that
+// replays it.
+type execution struct {
+	diskRuns int
 	prep     *sim.PreparedTrace
 }
 
 // prepare builds the three execution plans a processor count needs:
 // original order, single-processor-style restructured order, and (for
-// procs > 1) the layout-aware restructured order.
-func prepare(r *core.Restructurer, procs int) (orig, restrS, restrM *execution, err error) {
+// procs > 1) the layout-aware restructured order, in that order.
+func prepare(r *core.Restructurer, procs int) (plans [3]*plan, err error) {
 	numDisks := r.Layout.NumDisks()
 	if procs == 1 {
 		o := r.OriginalSchedule()
 		s, err := r.DiskReuseSchedule()
 		if err != nil {
-			return nil, nil, nil, err
+			return plans, err
 		}
 		if err := r.Verify(s); err != nil {
-			return nil, nil, nil, err
+			return plans, err
 		}
-		return &execution{phases: trace.SinglePhase(o), diskRuns: core.Stats(o, numDisks).Runs},
-			&execution{phases: trace.SinglePhase(s), diskRuns: core.Stats(s, numDisks).Runs},
-			nil, nil
+		return [3]*plan{
+			{phases: trace.SinglePhase(o), diskRuns: core.Stats(o, numDisks).Runs},
+			{phases: trace.SinglePhase(s), diskRuns: core.Stats(s, numDisks).Runs},
+		}, nil
 	}
 
 	lp, err := par.LoopParallelize(r, procs)
 	if err != nil {
-		return nil, nil, nil, err
+		return plans, err
 	}
 	la, err := par.LayoutAware(r, procs)
 	if err != nil {
-		return nil, nil, nil, err
+		return plans, err
 	}
 	// One scheduler, sized once, serves every (processor, nest) group.
 	sch := r.NewScheduler()
-	build := func(a *par.Assignment, sch *core.Scheduler) (*execution, error) {
+	build := func(a *par.Assignment, sch *core.Scheduler) (*plan, error) {
 		phases, err := trace.ScheduledPhases(r.Space, a.Subsets(), sch)
 		if err != nil {
 			return nil, err
@@ -301,22 +307,18 @@ func prepare(r *core.Restructurer, procs int) (orig, restrS, restrM *execution, 
 				runs += runsOf(r, order)
 			}
 		}
-		return &execution{phases: phases, diskRuns: runs}, nil
+		return &plan{phases: phases, diskRuns: runs}, nil
 	}
 
-	orig, err = build(lp, nil)
-	if err != nil {
-		return nil, nil, nil, err
+	for i, c := range []struct {
+		a   *par.Assignment
+		sch *core.Scheduler
+	}{{lp, nil}, {lp, sch}, {la, sch}} {
+		if plans[i], err = build(c.a, c.sch); err != nil {
+			return plans, err
+		}
 	}
-	restrS, err = build(lp, sch)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	restrM, err = build(la, sch)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return orig, restrS, restrM, nil
+	return plans, nil
 }
 
 // runsOf counts same-disk runs in an unrestructured iteration order.
@@ -334,12 +336,13 @@ func runsOf(r *core.Restructurer, order []int) int {
 
 // Artifacts memoizes the expensive per-application pipeline stages — the
 // parsed and sema-analyzed program, the disk layout, and the prepared
-// executions with their generated and simulator-prepared traces — so the
-// seven version simulations share them read-only instead of re-deriving
-// them. One Artifacts value is computed per (app, procs) cell; every field
-// is immutable after PrepareApp returns, so any number of RunVersion calls
-// — including calls from concurrent server requests against one cached
-// value — may share it.
+// executions with their simulator-prepared traces (columns, not request
+// rows; the schedules' phases are not kept) — so the seven version
+// simulations share them read-only instead of re-deriving them. One
+// Artifacts value is computed per (app, procs) cell; every field is
+// immutable after PrepareApp returns, so any number of RunVersion calls —
+// including calls from concurrent server requests against one cached value
+// — may share it.
 type Artifacts struct {
 	app                  apps.App
 	prog                 *sema.Program
@@ -380,21 +383,21 @@ func (art *Artifacts) Executions() []ExecInfo {
 		if e.ex == nil {
 			continue
 		}
-		out = append(out, ExecInfo{Kind: e.kind, Requests: len(e.ex.reqs), DiskRuns: e.ex.diskRuns})
+		out = append(out, ExecInfo{Kind: e.kind, Requests: e.ex.prep.Requests(), DiskRuns: e.ex.diskRuns})
 	}
 	return out
 }
 
-// TraceFor returns the generated request trace the version replays. The
-// slice is shared with the prepared replay — callers must treat it as
-// read-only. Versions whose execution was not prepared (the T-*-m versions
-// at procs == 1) return nil.
+// TraceFor returns the generated request trace the version replays, in
+// arrival order, rebuilt from the prepared trace into a new slice the
+// caller owns. Versions whose execution was not prepared (the T-*-m
+// versions at procs == 1) return nil.
 func (art *Artifacts) TraceFor(v Version) []trace.Request {
 	e := art.execOf(v)
 	if e == nil {
 		return nil
 	}
-	return e.reqs
+	return e.prep.Sorted()
 }
 
 // PrepareApp runs the compile → layout → restructure → trace stages of the
@@ -428,7 +431,7 @@ func PrepareApp(ctx context.Context, a apps.App, opt Options) (*Artifacts, error
 		return nil, err
 	}
 	sp = root.Child("restructure")
-	orig, restrS, restrM, err := prepare(r, opt.Procs)
+	plans, err := prepare(r, opt.Procs)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s: %w", a.Name, err)
@@ -438,14 +441,16 @@ func PrepareApp(ctx context.Context, a apps.App, opt Options) (*Artifacts, error
 		ServiceEstimate: opt.Model.FullSpeedService(lay.PageSize),
 	}
 	// One generator for this call's executions: they take turns with its
-	// presized working buffer, and each keeps only its exact-size trace.
+	// reusable buffers, and each keeps only its prepared columns. The
+	// phases are dropped with the plans.
 	var gen trace.Generator
-	for _, e := range []*execution{orig, restrS, restrM} {
-		if e == nil {
+	var execs [3]*execution
+	for i, pl := range plans {
+		if pl == nil {
 			continue
 		}
 		sp = root.Child("generate-trace")
-		e.reqs, err = gen.Generate(r, e.phases, genCfg)
+		reqs, err := gen.ViewRange(r, pl.phases, genCfg, 0, r.Space.NumIterations())
 		sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("exp: %s: %w", a.Name, err)
@@ -454,13 +459,14 @@ func PrepareApp(ctx context.Context, a apps.App, opt Options) (*Artifacts, error
 		// and per-disk carve happen here instead of inside every one of
 		// the 5–7 version simulations that share this execution.
 		sp = root.Child("prepare-trace")
-		e.prep, err = sim.PrepareTrace(e.reqs, lay.PageDisk, lay.NumDisks())
+		prep, err := sim.PrepareTrace(reqs, lay.PageDisk, lay.NumDisks())
 		sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("exp: %s: %w", a.Name, err)
 		}
+		execs[i] = &execution{diskRuns: pl.diskRuns, prep: prep}
 	}
-	return &Artifacts{app: a, prog: p, lay: lay, orig: orig, restrS: restrS, restrM: restrM}, nil
+	return &Artifacts{app: a, prog: p, lay: lay, orig: execs[0], restrS: execs[1], restrM: execs[2]}, nil
 }
 
 // execOf selects the execution a version replays.

@@ -17,23 +17,23 @@ func mix(x uint64) uint64 {
 }
 
 // FinalStoreState abstractly executes the iterations in the given order and
-// returns the per-array element states: states[a][lin] is the hash value
-// of array a's element lin after the last write (or its seed value if never
-// written). order must be a permutation of the iteration ids; entries are
-// trusted (use VerifySchedule for the legality oracle).
+// returns the final store state: states[a][lin] is the hash value of
+// array a's element lin after its last write. An element nothing writes
+// keeps its seed value, which is recomputed, not stored, so the state is
+// sized by the elements the iterations touch, never by the elements the
+// arrays declare. order must be a permutation of the iteration ids;
+// entries are trusted (use VerifySchedule for the legality oracle). Two
+// permutations write the same elements, so their states are equal exactly
+// when every element ends with the same value.
 //
 // Each element starts from a hash of its (array, element) identity. Each
 // statement instance writes mix-fold(stmt identity, values read, in access
 // order), so the value stored by a write depends on every value it read —
 // the dataflow the dependence edges protect.
-func (s *Space) FinalStoreState(order []int) [][]uint64 {
-	states := make([][]uint64, len(s.Prog.Arrays))
-	for i, a := range s.Prog.Arrays {
-		st := make([]uint64, a.Elems())
-		for j := range st {
-			st[j] = mix(uint64(i+1)<<32 ^ uint64(j))
-		}
-		states[i] = st
+func (s *Space) FinalStoreState(order []int) []map[int64]uint64 {
+	states := make([]map[int64]uint64, len(s.Prog.Arrays))
+	for i := range states {
+		states[i] = map[int64]uint64{}
 	}
 	var buf []Access
 	for _, u := range order {
@@ -54,7 +54,11 @@ func (s *Space) FinalStoreState(order []int) [][]uint64 {
 					wrote = k
 					continue
 				}
-				h = mix(h ^ states[a.Array.Index][a.Lin])
+				v, ok := states[a.Array.Index][a.Lin]
+				if !ok {
+					v = mix(uint64(a.Array.Index+1)<<32 ^ uint64(a.Lin))
+				}
+				h = mix(h ^ v)
 			}
 			if wrote >= 0 {
 				a := buf[wrote]

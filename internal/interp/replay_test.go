@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"reflect"
 	"testing"
 
 	"diskreuse/internal/parser"
@@ -35,22 +36,7 @@ nest n0 {
 	return s
 }
 
-func statesEqual(a, b [][]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
+func statesEqual(a, b []map[int64]uint64) bool { return reflect.DeepEqual(a, b) }
 
 func TestFinalStoreStateDetectsIllegalReorder(t *testing.T) {
 	s := replaySpace(t)
@@ -60,6 +46,10 @@ func TestFinalStoreStateDetectsIllegalReorder(t *testing.T) {
 		orig[i] = i
 	}
 	base := s.FinalStoreState(orig)
+	// Only written elements are stored: A[1..7], and nothing of B.
+	if len(base) != 2 || len(base[0]) != 7 || len(base[1]) != 0 {
+		t.Fatalf("stored %d arrays, %d and %d elements; want A[1..7] only", len(base), len(base[0]), len(base[1]))
+	}
 
 	// Program order replayed twice is deterministic.
 	if !statesEqual(base, s.FinalStoreState(orig)) {

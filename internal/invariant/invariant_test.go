@@ -372,3 +372,21 @@ func wantJobsErr(t *testing.T, err error, pkg string) {
 		t.Fatalf("%s: error %q lacks the unified convention message", pkg, err)
 	}
 }
+
+// TestCheckHugeSparseArray runs the whole harness on a program that
+// declares a 2^40-element array and touches five of its elements: every
+// family, the metamorphic store-state replay included, sizes its state by
+// what the program touches, so the check passes instead of asking for
+// terabytes.
+func TestCheckHugeSparseArray(t *testing.T) {
+	rep, err := Check(`
+array A[1048576][1048576] elem 8
+nest L { for i = 1 to 4 { A[i][0] = A[i-1][0]; } }
+`, Options{Jobs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Iterations != 4 || rep.Edges != 3 {
+		t.Errorf("checked %d iterations and %d edges, want 4 and the 3-edge flow chain", rep.Iterations, rep.Edges)
+	}
+}

@@ -105,8 +105,9 @@ func BenchmarkEngineCacheHit(b *testing.B) {
 // ~14x (median of 15 standalone runs on a 2-vCPU shared host, 8.8x–17x);
 // 10x leaves slack for a noisy shared runner. The regime itself is
 // pinned without timing: across the fast loop the schedule memo gains no
-// entry and every score is a score-cache miss. Under the race detector only
-// the timing assertion is skipped.
+// entry, every score is a score-cache miss, and a score's allocation count
+// stays in the re-attribution range. Under the race detector only the
+// timing assertion is skipped.
 func TestReattributedScorerFaster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -171,6 +172,23 @@ func TestReattributedScorerFaster(t *testing.T) {
 		if d := time.Since(t0); d < full {
 			full = d
 		}
+	}
+	// The host-independent regime check: a re-attribution score allocates
+	// per disk and per cache entry, never per request and never a front
+	// end. Measured here it makes 54 allocations, a score that reschedules
+	// 105, and the full pipeline 571 (AllocsPerRun pins GOMAXPROCS to 1,
+	// so the counts do not depend on the host's CPUs).
+	next := kFast
+	allocs := testing.AllocsPerRun(10, func() {
+		specs := base.Clone()
+		specs[free].Unit = int64(136<<10) + int64(next)*e.pageSize
+		next++
+		if _, err := e.ScoreLite(WholeProgram, specs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 80 {
+		t.Errorf("re-attribution scoring made %.0f allocations per score, want <= 80 (a rescheduling score makes ~105)", allocs)
 	}
 	t.Logf("reattribution-only=%s full-pipeline=%s speedup=%.1fx", fast, full, float64(full)/float64(fast))
 	if raceEnabled {

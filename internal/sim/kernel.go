@@ -20,10 +20,10 @@ import (
 // only in the final makespan, which bills every disk's idle tail. Every
 // replay (RunPrepared, RunStream, EnergyScorer) therefore takes the same
 // three steps: carve the requests into per-disk index lists (diskCarve),
-// replay each list on that disk's reducer (diskReducer.replay, fanned out
-// over Config.Jobs by replayPass; the scorer's columnar replayColumn), and
+// replay each list over the run's columns on that disk's reducer
+// (diskReducer.replay, fanned out over Config.Jobs by replayPass), and
 // fold the reducers in disk order before running the finish tail
-// (foldDisks). Both replay loops take one per-request step:
+// (foldDisks). The one replay loop takes one per-request step:
 // diskSim.service, which also folds the response time and makespan. The
 // fold fixes the float summation order, so results are bit-identical at
 // every worker count and every chunking. Intervals bypass the fold: each
@@ -142,21 +142,64 @@ func newReducers(cfg Config) []diskReducer {
 	return reds
 }
 
-// replay services reqs[idx[k]] for each k in order — a run of this disk's
-// requests in arrival order — continuing from the reducer's state.
-func (r *diskReducer) replay(reqs []trace.Request, idx []int32, attr *obs.ProcAttribution) {
+// columns is the replay's view of a run of arrival-ordered requests: what
+// a replay reads of a request once its disk is known. A stream chunk is
+// read in place as rows; otherwise sizes and procs are nil when every
+// request has the same size and processor.
+type columns struct {
+	rows    []trace.Request
+	arrival []float64
+	sizes   []int64
+	procs   []int32
+	size    int64
+	proc    int32
+}
+
+func (c *columns) arrivalAt(i int32) float64 {
+	if c.rows != nil {
+		return c.rows[i].Arrival
+	}
+	return c.arrival[i]
+}
+
+func (c *columns) sizeAt(i int32) int64 {
+	switch {
+	case c.rows != nil:
+		return c.rows[i].Size
+	case c.sizes != nil:
+		return c.sizes[i]
+	}
+	return c.size
+}
+
+func (c *columns) procAt(i int32) int {
+	switch {
+	case c.rows != nil:
+		return c.rows[i].Proc
+	case c.procs != nil:
+		return int(c.procs[i])
+	}
+	return int(c.proc)
+}
+
+// len is the number of requests in the run.
+func (c *columns) len() int { return max(len(c.rows), len(c.arrival)) }
+
+// replay services request idx[k] of cols for each k in order — a run of
+// this disk's requests in arrival order — continuing from the reducer's
+// state.
+func (r *diskReducer) replay(cols *columns, idx []int32, attr *obs.ProcAttribution) {
 	var served reqCounter
 	if r.ds.lm != nil {
 		served.c = r.ds.lm.requests
 	}
 	acc := r.reqFold
 	for _, i := range idx {
-		q := &reqs[i]
 		busy0 := r.st.BusyTime
-		rt := r.ds.service(q.Arrival, q.Size, &r.st, &acc)
+		rt := r.ds.service(cols.arrivalAt(i), cols.sizeAt(i), &r.st, &acc)
 		served.inc()
 		if attr != nil {
-			attr.Observe(r.ds.id, q.Proc, r.st.BusyTime-busy0, rt)
+			attr.Observe(r.ds.id, cols.procAt(i), r.st.BusyTime-busy0, rt)
 		}
 	}
 	r.reqFold = acc
@@ -164,25 +207,14 @@ func (r *diskReducer) replay(reqs []trace.Request, idx []int32, attr *obs.ProcAt
 	r.ds.lm.flush(r.ds.id)
 }
 
-// replayColumn is replay over an arrival column whose requests all have
-// one size: the form a memoized schedule keeps. It drives no observer; the
-// scorer that calls it rejects them.
-func (r *diskReducer) replayColumn(arrival []float64, size int64, idx []int32) {
-	acc := r.reqFold
-	for _, i := range idx {
-		r.ds.service(arrival[i], size, &r.st, &acc)
-	}
-	r.reqFold = acc
-}
-
 // replayPass replays one arrival-ordered run of requests, carved per disk,
 // on the reducers, fanning the disks out over cfg.Jobs workers; auto mode
 // (Jobs 0) stays serial below minParallelRequests or on a single CPU. Each
 // reducer is touched by one worker only, so the pass needs no locking. A
 // non-nil parent gets one "disk-replay" child span per disk.
-func replayPass(cfg *Config, reds []diskReducer, reqs []trace.Request, perDisk [][]int32, parent *obs.Span) error {
+func replayPass(cfg *Config, reds []diskReducer, cols *columns, perDisk [][]int32, parent *obs.Span) error {
 	jobs := cfg.Jobs
-	if jobs == 0 && (len(reqs) < minParallelRequests || runtime.GOMAXPROCS(0) == 1) {
+	if jobs == 0 && (cols.len() < minParallelRequests || runtime.GOMAXPROCS(0) == 1) {
 		jobs = 1
 	}
 	return conc.ForEach(context.Background(), len(reds), jobs, func(_ context.Context, d int) error {
@@ -191,7 +223,7 @@ func replayPass(cfg *Config, reds []diskReducer, reqs []trace.Request, perDisk [
 			sp.SetAttr("disk", strconv.Itoa(d))
 			sp.SetAttr("requests", strconv.Itoa(len(perDisk[d])))
 		}
-		reds[d].replay(reqs, perDisk[d], cfg.Attribution)
+		reds[d].replay(cols, perDisk[d], cfg.Attribution)
 		sp.End()
 		return nil
 	})

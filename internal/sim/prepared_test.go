@@ -1,11 +1,19 @@
 package sim
 
 import (
+	"io"
+	"math"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"diskreuse/internal/apps"
+	"diskreuse/internal/core"
+	"diskreuse/internal/layout"
 	"diskreuse/internal/obs"
+	"diskreuse/internal/par"
 	"diskreuse/internal/trace"
 )
 
@@ -144,7 +152,7 @@ func TestPrepareTraceNotMutatedByRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted := append([]trace.Request(nil), pt.sorted...)
+	sorted := pt.Sorted()
 	perDisk := make([][]int32, len(pt.perDisk))
 	for d := range pt.perDisk {
 		perDisk[d] = append([]int32(nil), pt.perDisk[d]...)
@@ -169,7 +177,7 @@ func TestPrepareTraceNotMutatedByRun(t *testing.T) {
 	if pt.numDisks != disks {
 		t.Error("Run mutated the prepared disk count")
 	}
-	if !reflect.DeepEqual(pt.sorted, sorted) {
+	if !reflect.DeepEqual(pt.Sorted(), sorted) {
 		t.Error("Run mutated the prepared arrival order")
 	}
 	if !reflect.DeepEqual(pt.perDisk, perDisk) {
@@ -264,5 +272,170 @@ func TestConfigValidation(t *testing.T) {
 	c.Attribution = obs.NewProcAttribution(1, 1)
 	if _, err := RunPrepared(empty, c); err != nil {
 		t.Errorf("empty trace with an attribution: %v", err)
+	}
+}
+
+// retainedBytes is what a prepared trace keeps per request, counted from
+// its columns' capacities.
+func retainedBytes(pt *PreparedTrace) float64 {
+	b := 8*cap(pt.cols.arrival) + 8*cap(pt.cols.sizes) + 4*cap(pt.cols.procs) + 8*cap(pt.block) + 8*cap(pt.write)
+	for _, idx := range pt.perDisk {
+		b += 4 * cap(idx)
+	}
+	return float64(b) / float64(pt.Requests())
+}
+
+// TestPreparedTraceFootprint pins the columnar form's size on generated
+// traces: one page size on one processor keeps arrival, block, carve and
+// write bit (20.125 bytes per request); four processors add a 4-byte
+// processor column. The negative control is a trace of mixed sizes and
+// processors, whose size and processor columns the count must see.
+func TestPreparedTraceFootprint(t *testing.T) {
+	a, err := apps.ByName("fft", apps.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := a.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay, err := layout.New(prog, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := core.New(prog, lay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp, err := par.LoopParallelize(r, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases4, err := trace.ScheduledPhases(r.Space, lp.Subsets(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := trace.GenConfig{ComputePerIter: a.ComputePerIter}
+	for _, tc := range []struct {
+		name   string
+		phases []trace.Phase
+		limit  float64
+	}{
+		{"1P", trace.SinglePhase(r.OriginalSchedule()), 20.2},
+		{"4P", phases4, 24.2},
+	} {
+		reqs, err := trace.Generate(r, tc.phases, gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, err := PrepareTrace(reqs, lay.PageDisk, lay.NumDisks())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := retainedBytes(pt); got > tc.limit {
+			t.Errorf("%s: %d requests keep %.3f bytes each, want <= %.1f", tc.name, pt.Requests(), got, tc.limit)
+		}
+	}
+	mixed, err := PrepareTrace(randomTrace(3, 1000, 4, 3), modDisk(4), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := retainedBytes(mixed); got <= 24.2 {
+		t.Errorf("negative control: mixed sizes and processors keep %.3f bytes per request, want the size column counted", got)
+	}
+}
+
+// TestPreparedTraceRoundTrip pins Sorted and Source: the rows they rebuild
+// from the columns are exactly the stable arrival sort of the input —
+// unsorted input with ties, mixed sizes, writes, negative processor ids,
+// one-size one-processor traces and the empty trace — and the input is
+// never mutated. A processor id outside int32 is rejected. The negative
+// control shows the round trip sees a single flipped write flag.
+func TestPreparedTraceRoundTrip(t *testing.T) {
+	shuffled := randomTrace(11, 3000, 4, 5)
+	g := lcg(5)
+	for i := len(shuffled) - 1; i > 0; i-- {
+		j := g.intn(i + 1)
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	}
+	for i := range shuffled {
+		shuffled[i].Proc -= 2 // ids -2..2
+	}
+	uniform := randomTrace(12, 500, 4, 1)
+	for i := range uniform {
+		uniform[i].Size, uniform[i].Proc = 4096, -7
+	}
+	for _, tc := range []struct {
+		name         string
+		reqs         []trace.Request
+		sizes, procs bool // whether the prepared trace needs the column
+	}{
+		{"mixed", randomTrace(10, 3000, 4, 3), true, true},
+		{"unsorted-negative-procs", shuffled, true, true},
+		{"one-size-one-proc", uniform, false, false},
+		{"empty", nil, false, false},
+	} {
+		input := slices.Clone(tc.reqs)
+		want := slices.Clone(tc.reqs)
+		trace.SortByArrival(want)
+		pt, err := PrepareTrace(tc.reqs, modDisk(4), 4)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(tc.reqs, input) {
+			t.Errorf("%s: PrepareTrace mutated its input", tc.name)
+		}
+		if (pt.cols.sizes != nil) != tc.sizes || (pt.cols.procs != nil) != tc.procs {
+			t.Errorf("%s: size column %v, processor column %v; want %v, %v",
+				tc.name, pt.cols.sizes != nil, pt.cols.procs != nil, tc.sizes, tc.procs)
+		}
+		if got := pt.Sorted(); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Errorf("%s: Sorted is not the stable arrival sort of the input", tc.name)
+		}
+		var streamed []trace.Request
+		src := pt.Source()
+		for {
+			chunk, err := src.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed = append(streamed, chunk...)
+		}
+		src.Close()
+		if len(streamed) != len(want) || (len(want) > 0 && !reflect.DeepEqual(streamed, want)) {
+			t.Errorf("%s: Source's chunks are not the stable arrival sort of the input", tc.name)
+		}
+	}
+
+	flipped := randomTrace(10, 3000, 4, 3)
+	want := slices.Clone(flipped)
+	trace.SortByArrival(want)
+	flipped[1234].Write = !flipped[1234].Write
+	pt, err := PrepareTrace(flipped, modDisk(4), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(pt.Sorted(), want) {
+		t.Error("negative control: a flipped write flag survived the round trip unseen")
+	}
+
+	if strconv.IntSize == 64 {
+		for _, p := range []int64{math.MaxInt32 + 1, math.MinInt32 - 1} {
+			reqs := []trace.Request{{Size: 4096}, {Arrival: 1, Size: 4096, Proc: int(p)}}
+			if _, err := PrepareTrace(reqs, oneDisk, 1); err == nil || !strings.Contains(err.Error(), "int32") {
+				t.Errorf("processor id %d: err = %v, want an int32 range error", p, err)
+			}
+		}
+	}
+	edge := []trace.Request{{Size: 4096, Proc: math.MinInt32}, {Arrival: 1, Size: 4096, Proc: math.MaxInt32}}
+	pt, err = PrepareTrace(edge, oneDisk, 1)
+	if err != nil {
+		t.Fatalf("int32 bounds: %v", err)
+	}
+	if !reflect.DeepEqual(pt.Sorted(), edge) {
+		t.Error("processor ids at the int32 bounds did not round-trip")
 	}
 }

@@ -78,9 +78,8 @@ type diskReplayEntry struct {
 // An EnergyScorer is not safe for concurrent use; parallel searches give
 // each worker its own via Clone (workers then build disjoint caches).
 type EnergyScorer struct {
-	arrival []float64
-	size    int64
-	cfg     Config // normalized; NumDisks varies per Score call
+	cols columns // the stream: an arrival column and one size
+	cfg  Config  // normalized; NumDisks varies per Score call
 
 	entries map[uint64][]*diskReplayEntry
 	bytes   int // cached index bytes, for the flush bound
@@ -120,8 +119,7 @@ func NewEnergyScorer(arrival []float64, size int64, cfg Config) (*EnergyScorer, 
 		return nil, err
 	}
 	return &EnergyScorer{
-		arrival: arrival,
-		size:    size,
+		cols:    columns{arrival: arrival, size: size},
 		cfg:     norm,
 		entries: make(map[uint64][]*diskReplayEntry),
 		empty:   &diskReplayEntry{red: newReducers(norm)[0]},
@@ -132,8 +130,7 @@ func NewEnergyScorer(arrival []float64, size int64, cfg Config) (*EnergyScorer, 
 // empty cache and its own scratch, for use from another goroutine.
 func (s *EnergyScorer) Clone() *EnergyScorer {
 	return &EnergyScorer{
-		arrival: s.arrival,
-		size:    s.size,
+		cols:    s.cols,
 		cfg:     s.cfg,
 		entries: make(map[uint64][]*diskReplayEntry),
 		empty:   s.empty,
@@ -150,7 +147,7 @@ const (
 // bit-for-bit — reusing cached per-disk replays where the attribution
 // leaves a disk's subsequence unchanged.
 func (s *EnergyScorer) Score(diskOf func(i int) int, numDisks int) (EnergySummary, error) {
-	if err := s.att.Build(len(s.arrival), diskOf, numDisks); err != nil {
+	if err := s.att.Build(len(s.cols.arrival), diskOf, numDisks); err != nil {
 		return EnergySummary{}, err
 	}
 	return s.ScoreAttribution(&s.att)
@@ -160,8 +157,8 @@ func (s *EnergyScorer) Score(diskOf func(i int) int, numDisks int) (EnergySummar
 // several policies' scorers. att must have been built over a stream of the
 // same length.
 func (s *EnergyScorer) ScoreAttribution(att *Attribution) (EnergySummary, error) {
-	if att.n != len(s.arrival) {
-		return EnergySummary{}, fmt.Errorf("sim: attribution built over %d requests, stream has %d", att.n, len(s.arrival))
+	if att.n != len(s.cols.arrival) {
+		return EnergySummary{}, fmt.Errorf("sim: attribution built over %d requests, stream has %d", att.n, len(s.cols.arrival))
 	}
 	perDisk := att.carve.perDisk
 	if cap(s.reds) < len(perDisk) {
@@ -182,7 +179,7 @@ func (s *EnergyScorer) ScoreAttribution(att *Attribution) (EnergySummary, error)
 		IOTime:       s.res.IOTime,
 		ResponseTime: s.res.ResponseTime,
 		Makespan:     s.res.Makespan,
-		Requests:     len(s.arrival),
+		Requests:     len(s.cols.arrival),
 	}, nil
 }
 
@@ -199,7 +196,7 @@ func (s *EnergyScorer) lookupOrReplay(h uint64, idx []int32) *diskReplayEntry {
 	}
 	en := &diskReplayEntry{idx: slices.Clone(idx), red: s.empty.red}
 	en.red.ds.sub = slices.Clone(s.empty.red.ds.sub)
-	en.red.replayColumn(s.arrival, s.size, idx)
+	en.red.replay(&s.cols, idx, nil)
 	if s.bytes += 4 * len(idx); s.bytes > scorerCacheBytes {
 		s.entries = make(map[uint64][]*diskReplayEntry)
 		s.bytes = 4 * len(idx)

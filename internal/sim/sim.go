@@ -78,7 +78,7 @@ type Config struct {
 
 	// Attribution, when non-nil, accumulates per-(disk, processor)
 	// service attribution — requests, busy time, response time — fed from
-	// the replay loops (per-disk rows, so it needs no locking and is
+	// the replay loop (per-disk rows, so it needs no locking and is
 	// identical at every Jobs value). It must be sized for the run's disk
 	// count, and every request's processor id must lie inside its
 	// processor range. AttributeEnergy turns the accumulated shares into
@@ -215,7 +215,7 @@ func RunPrepared(pt *PreparedTrace, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if attr := cfg.Attribution; attr != nil && len(pt.sorted) > 0 {
+	if attr := cfg.Attribution; attr != nil && pt.Requests() > 0 {
 		for _, p := range [2]int{pt.minProc, pt.maxProc} {
 			if p < 0 || p >= attr.NumProcs() {
 				return nil, fmt.Errorf("sim: Attribution sized for %d processors but the trace has processor id %d (size it with obs.NewProcAttribution)",
@@ -226,11 +226,11 @@ func RunPrepared(pt *PreparedTrace, cfg Config) (*Result, error) {
 
 	res := &Result{
 		PerDisk:  make([]DiskStats, cfg.NumDisks),
-		Requests: len(pt.sorted),
+		Requests: pt.Requests(),
 		Policy:   cfg.Policy,
 	}
 	reds := newReducers(cfg)
-	if err := replayPass(&cfg, reds, pt.sorted, pt.perDisk, cfg.Span); err != nil {
+	if err := replayPass(&cfg, reds, &pt.cols, pt.perDisk, cfg.Span); err != nil {
 		return nil, err
 	}
 	foldDisks(&cfg, reds, res)

@@ -40,6 +40,7 @@ func RunStream(src trace.Source, diskOf func(block int64) (int, error), cfg Conf
 	reds := newReducers(cfg)
 	attr := cfg.Attribution
 	var carve diskCarve
+	var cols columns // the replay reads each chunk's rows in place
 	lastArrival := math.Inf(-1)
 	var total, chunks int64
 	for {
@@ -69,7 +70,8 @@ func RunStream(src trace.Source, diskOf func(block int64) (int, error), cfg Conf
 		if err != nil {
 			return nil, fmt.Errorf("sim: stream chunk at request %d: %w", total, err)
 		}
-		if err := replayPass(&cfg, reds, chunk, carve.perDisk, nil); err != nil {
+		cols.rows = chunk
+		if err := replayPass(&cfg, reds, &cols, carve.perDisk, nil); err != nil {
 			return nil, err
 		}
 		total += int64(len(chunk))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"diskreuse/internal/obs"
@@ -244,4 +245,72 @@ func BenchmarkRunStream(b *testing.B) {
 		}
 		report(b)
 	})
+}
+
+// TestRunStreamConcurrentMatchesPrepared runs several RunStream calls at
+// once over one shared prepared trace and the codec's shared arena pool:
+// each, over the prepared trace's source or the binary reader, at any
+// Jobs, must give the Result and attribution of a serial RunPrepared.
+func TestRunStreamConcurrentMatchesPrepared(t *testing.T) {
+	const nReq, nDisks, nProcs, workers, rounds = 20000, 8, 4, 6, 3
+	reqs, diskOf := benchReplayTrace(nReq, nDisks)
+	pt, err := PrepareTrace(reqs, diskOf, nDisks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var encoded bytes.Buffer
+	if err := trace.EncodeBinary(&encoded, pt.Sorted(), 0, nDisks); err != nil {
+		t.Fatal(err)
+	}
+	policies := []Policy{NoPM, TPM, DRPM}
+	run := func(pol Policy, jobs int, src trace.Source) (*Result, *obs.ProcAttribution, error) {
+		c := cfg(pol, nDisks)
+		c.Jobs = jobs
+		c.Attribution = obs.NewProcAttribution(nDisks, nProcs)
+		var res *Result
+		var err error
+		if src == nil {
+			res, err = RunPrepared(pt, c)
+		} else {
+			res, err = RunStream(src, diskOf, c)
+			src.Close()
+		}
+		return res, c.Attribution, err
+	}
+	wantRes := make([]*Result, len(policies))
+	wantAttr := make([]*obs.ProcAttribution, len(policies))
+	for i, pol := range policies {
+		if wantRes[i], wantAttr[i], err = run(pol, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := range rounds {
+				i := (w + round) % len(policies)
+				var src trace.Source = pt.Source()
+				if w%2 == 1 {
+					rd, err := trace.NewReader(bytes.NewReader(encoded.Bytes()))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					src = rd
+				}
+				res, attr, err := run(policies[i], 1+w%3, src)
+				switch {
+				case err != nil:
+					t.Errorf("worker %d %s: %v", w, policies[i], err)
+				case !reflect.DeepEqual(res, wantRes[i]):
+					t.Errorf("worker %d %s: Result differs from the serial RunPrepared", w, policies[i])
+				case !reflect.DeepEqual(attr, wantAttr[i]):
+					t.Errorf("worker %d %s: attribution differs from the serial RunPrepared", w, policies[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -109,8 +109,9 @@ func (h Header) validate() error {
 	return nil
 }
 
-// Source is the simulator-facing iterator over a trace: both the in-memory
-// slice (SliceSource) and the chunked binary reader (Reader) satisfy it,
+// Source is the simulator-facing iterator over a trace: an in-memory slice
+// (SliceSource), a prepared trace (sim.PreparedTrace.Source) and the
+// chunked binary reader (Reader) satisfy it,
 // so a consumer written against Source replays traces of any size with the
 // memory footprint of one chunk.
 //
@@ -581,8 +582,8 @@ func DecodeBinary(rd io.Reader) ([]Request, error) {
 }
 
 // SliceSource adapts an in-memory request slice to the Source interface,
-// yielding it in chunks without copying. It is the in-memory counterpart
-// the streaming replay is checked bit-identical against.
+// yielding it in chunks without copying. Tests use it to stream rows a
+// prepared trace cannot hold, such as an unsorted trace.
 type SliceSource struct {
 	reqs  []Request
 	chunk int

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"diskreuse/internal/core"
@@ -76,22 +77,18 @@ func (cfg GenConfig) Validate() error {
 // the reference oracle. Both produce bit-identical request traces.
 func Generate(r *core.Restructurer, phases []Phase, cfg GenConfig) ([]Request, error) {
 	var g Generator
-	return g.Generate(r, phases, cfg)
-}
-
-// Generator is Generate with a working buffer kept across calls, so the
-// several executions one caller generates in turn share one presized
-// buffer instead of allocating one each. The zero value is ready to use.
-// A Generator must not be used by concurrent calls. The traces Generate and
-// GenerateRange return never alias its buffer; ViewRange's may.
-type Generator struct {
-	work []Request // compiled path: requests in generation order
-	ends []int     // compiled path: end offset in work of each (phase, processor) run
-}
-
-// Generate is the package-level Generate, reusing g's working buffer.
-func (g *Generator) Generate(r *core.Restructurer, phases []Phase, cfg GenConfig) ([]Request, error) {
 	return g.GenerateRange(r, phases, cfg, 0, r.Space.NumIterations())
+}
+
+// Generator is Generate with working buffers kept across calls, so the
+// several executions one caller generates in turn share presized buffers
+// instead of allocating them each. The zero value is ready to use. A
+// Generator must not be used by concurrent calls. The traces Generate and
+// GenerateRange return never alias its buffers; ViewRange's may.
+type Generator struct {
+	work   []Request // compiled path: requests in generation order
+	merged []Request // compiled path: ViewRange's multi-processor merge
+	ends   []int     // compiled path: end offset in work of each (phase, processor) run
 }
 
 // GenerateRange is Generate over the iteration domain [lo, hi) instead of
@@ -105,11 +102,12 @@ func (g *Generator) GenerateRange(r *core.Restructurer, phases []Phase, cfg GenC
 }
 
 // ViewRange is GenerateRange for a caller that keeps only some columns of
-// the trace: the trace it returns is valid until g's next call, and may be
-// g's own reusable buffer. A one-processor execution's trace is the
-// generator's working run itself, already in arrival order, so it needs no
-// merge and no copy; on several processors the merge allocates, as
-// GenerateRange's does.
+// the trace: the trace it returns is valid until g's next call, and is
+// one of g's reusable buffers on the compiled engine. A one-processor
+// execution's trace is the generator's working run itself, already in
+// arrival order, so it needs no merge and no copy; on several processors
+// the runs merge into a second buffer g keeps, so a caller generating
+// several executions in turn allocates no trace per execution.
 func (g *Generator) ViewRange(r *core.Restructurer, phases []Phase, cfg GenConfig, lo, hi int) ([]Request, error) {
 	return g.generateRange(r, phases, cfg, lo, hi, true)
 }
@@ -390,7 +388,13 @@ func (g *Generator) generateCompiled(r *core.Restructurer, phases []Phase, cfg G
 	// No arrival of a phase follows the barrier and no arrival of the next
 	// phase precedes it, so merging phase by phase yields the whole trace
 	// in order.
-	out := make([]Request, len(reqs))
+	var out []Request
+	if view {
+		g.merged = slices.Grow(g.merged[:0], len(reqs))[:len(reqs)]
+		out = g.merged
+	} else {
+		out = make([]Request, len(reqs))
+	}
 	start := 0
 	for _, ph := range phases {
 		phaseEnds := ends[:len(ph.PerProc)]
