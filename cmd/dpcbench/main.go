@@ -13,6 +13,7 @@
 //	dpcbench -size tiny           # quick run at test scale
 //	dpcbench -all -json BENCH_suite.json   # machine-readable metrics
 //	dpcbench -report text         # energy/idle-locality/stage-timing report
+//	dpcbench -all -report csv > suite.csv  # one CSV line per (app, version) record
 //	dpcbench -all -trace-out trace.json    # Chrome trace of the pipeline (Perfetto)
 //	dpcbench -all -cpuprofile cpu.pprof -memprofile mem.pprof
 //	dpcbench -scale 10000000 -tenants 8    # multi-tenant out-of-core streaming benchmark
@@ -28,12 +29,10 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"diskreuse/internal/apps"
 	"diskreuse/internal/disk"
@@ -53,8 +52,8 @@ type options struct {
 	engine                  string
 	// stream replays the suite's simulations through the out-of-core
 	// streaming path (bit-identical results; exercises the reducers).
-	stream            bool
-	csvPath, jsonPath string
+	stream   bool
+	jsonPath string
 	// Flags is the shared observability block: -report renders per-app ×
 	// per-version energy/degradation/idle-locality rows plus stage
 	// timings; -trace-out writes the pipeline spans.
@@ -77,7 +76,6 @@ func main() {
 	flag.IntVar(&o.jobs, "jobs", 0, "max concurrent pipeline cells (0 = GOMAXPROCS, 1 = serial)")
 	flag.StringVar(&o.engine, "engine", "compiled", "front-end execution engine: compiled (stride-compiled kernels) or interp (tree-walk oracle)")
 	flag.BoolVar(&o.stream, "stream", false, "replay the suite through the out-of-core streaming simulator path (results are bit-identical to the in-memory replay)")
-	flag.StringVar(&o.csvPath, "csv", "", "also write the suite results in CSV long form to this file")
 	flag.StringVar(&o.jsonPath, "json", "", "also write the suite's normalized-energy and degradation metrics as JSON to this file (e.g. BENCH_suite.json)")
 	o.Register(flag.CommandLine, "energy/idle-locality/stage-timing")
 	flag.Int64Var(&o.scale.requests, "scale", 0, "run the multi-tenant streaming benchmark with this many total requests (synthesized to the binary trace format and replayed out of core)")
@@ -148,9 +146,9 @@ func run(o options) (err error) {
 
 	var suite1, suiteN *exp.SuiteResult
 	need1 := all || table == "2" || figure == "9a" || figure == "10a" ||
-		o.csvPath != "" || o.jsonPath != "" || o.Report != ""
+		o.jsonPath != "" || o.Report != ""
 	needN := all || figure == "9b" || figure == "10b" ||
-		o.csvPath != "" || o.jsonPath != "" || o.Report != ""
+		o.jsonPath != "" || o.Report != ""
 	rep.Start()
 	defer rep.Stop()
 	if need1 {
@@ -195,29 +193,6 @@ func run(o options) (err error) {
 		if err := exp.BuildReport(tr, suite1, suiteN).Render(os.Stdout, o.Report); err != nil {
 			return err
 		}
-	}
-	if o.csvPath != "" {
-		f, err := os.Create(o.csvPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := exp.WriteCSV(f, suite1); err != nil {
-			return err
-		}
-		// Append the multiprocessor rows without repeating the header.
-		var buf bytes.Buffer
-		if err := exp.WriteCSV(&buf, suiteN); err != nil {
-			return err
-		}
-		body := buf.String()
-		if i := strings.IndexByte(body, '\n'); i >= 0 {
-			body = body[i+1:]
-		}
-		if _, err := f.WriteString(body); err != nil {
-			return err
-		}
-		rep.Logf("wrote CSV results to %s", o.csvPath)
 	}
 	if o.jsonPath != "" {
 		f, err := os.Create(o.jsonPath)

@@ -1,13 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"diskreuse/internal/exp"
 	"diskreuse/internal/obs"
 )
 
@@ -91,9 +94,31 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// strictJSON decodes data into v, rejecting unknown fields, and checks
+// that v re-encodes with the writers' indent to data byte for byte — so
+// every key of the output is a field of v and every field is a key.
+func strictJSON(t *testing.T, data []byte, v any) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		t.Fatalf("strict decode: %v\n%s", err, data)
+	}
+	var back bytes.Buffer
+	enc := json.NewEncoder(&back)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back.Bytes(), data) {
+		t.Errorf("output does not round-trip through %T:\n%s\nvs\n%s", v, back.Bytes(), data)
+	}
+}
+
 // TestJSONOutput exercises the -json perf-trajectory writer: the file must
-// decode as a two-suite array (1P and the -procs grid) carrying the
-// normalized-energy and degradation metrics.
+// decode strictly as a two-suite array (1P and the -procs grid) whose
+// results are obs.RunResult records carrying the normalized-energy,
+// degradation and idle-locality metrics.
 func TestJSONOutput(t *testing.T) {
 	path := t.TempDir() + "/BENCH_suite.json"
 	capture(t, func() error { return run(options{figure: "9a", size: "tiny", procs: 2, jobs: 4, jsonPath: path}) })
@@ -101,25 +126,8 @@ func TestJSONOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var suites []struct {
-		Procs    int `json:"procs"`
-		Versions []struct {
-			Version         string  `json:"version"`
-			AvgEnergySaving float64 `json:"avg_energy_saving"`
-			AvgDegradation  float64 `json:"avg_perf_degradation"`
-		} `json:"versions"`
-		Apps []struct {
-			App     string `json:"app"`
-			Results []struct {
-				Version     string  `json:"version"`
-				NormEnergy  float64 `json:"norm_energy"`
-				IdlePeriods int     `json:"idle_periods"`
-			} `json:"results"`
-		} `json:"apps"`
-	}
-	if err := json.Unmarshal(data, &suites); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, data)
-	}
+	var suites []exp.SuiteJSON
+	strictJSON(t, data, &suites)
 	if len(suites) != 2 || suites[0].Procs != 1 || suites[1].Procs != 2 {
 		t.Fatalf("want suites for procs 1 and 2, got %+v", suites)
 	}
@@ -132,27 +140,63 @@ func TestJSONOutput(t *testing.T) {
 			if r.Version == "Base" && r.NormEnergy != 1 {
 				t.Errorf("%s: Base norm_energy = %v", a.App, r.NormEnergy)
 			}
-			if r.IdlePeriods <= 0 {
-				t.Errorf("%s/%s: idle_periods = %d, want > 0", a.App, r.Version, r.IdlePeriods)
+			if r.Idle.Periods <= 0 {
+				t.Errorf("%s/%s: idle.periods = %d, want > 0", a.App, r.Version, r.Idle.Periods)
 			}
 		}
 	}
 }
 
+// TestCSVOutput checks -report csv against -json from the same run: one
+// header, one line per record, and every line formatted from the same
+// record the JSON carries.
 func TestCSVOutput(t *testing.T) {
-	path := t.TempDir() + "/out.csv"
-	capture(t, func() error { return run(options{figure: "9a", size: "tiny", procs: 2, csvPath: path}) })
+	path := t.TempDir() + "/BENCH_suite.json"
+	var out string
+	captureErr(t, func() {
+		out = capture(t, func() error {
+			return run(options{figure: "9a", size: "tiny", procs: 2, jsonPath: path, Flags: obs.Flags{Report: "csv"}})
+		})
+	})
+	recs, err := csv.NewReader(strings.NewReader(out)).ReadAll()
+	if err != nil {
+		t.Fatalf("bad CSV: %v\n%s", err, out)
+	}
+	// header + 6 apps × (5 versions 1P + 7 versions 2P)
+	if len(recs) != 1+6*5+6*7 {
+		t.Fatalf("csv lines = %d", len(recs))
+	}
+	if strings.Count(out, "app,version") != 1 {
+		t.Error("header must appear exactly once")
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Count(string(data), "\n")
-	// header + 6 apps × (5 versions 1P + 7 versions 2P)
-	if lines != 1+6*5+6*7 {
-		t.Errorf("csv lines = %d", lines)
+	var suites []exp.SuiteJSON
+	if err := json.Unmarshal(data, &suites); err != nil {
+		t.Fatal(err)
 	}
-	if strings.Count(string(data), "app,version") != 1 {
-		t.Error("header must appear exactly once")
+	line := 1
+	for _, s := range suites {
+		for _, a := range s.Apps {
+			for _, r := range a.Results {
+				want := []string{r.App, r.Version, strconv.Itoa(r.Procs),
+					strconv.FormatFloat(r.Energy, 'f', 3, 64),
+					strconv.FormatFloat(r.NormEnergy, 'f', 6, 64),
+					strconv.FormatFloat(r.IOTime, 'f', 6, 64),
+					strconv.FormatFloat(r.Response, 'f', 6, 64),
+					strconv.FormatFloat(r.PerfDegradation, 'f', 6, 64),
+					strconv.Itoa(r.Requests), strconv.Itoa(r.SpinUps), strconv.Itoa(r.SpeedShifts),
+					strconv.Itoa(r.Idle.Periods),
+					strconv.FormatFloat(r.Idle.MeanIdleS, 'f', 6, 64),
+					strconv.FormatFloat(r.Idle.LongestIdleS, 'f', 6, 64)}
+				if got := strings.Join(recs[line], ","); got != strings.Join(want, ",") {
+					t.Errorf("csv line %d = %s, want %s", line, got, strings.Join(want, ","))
+				}
+				line++
+			}
+		}
 	}
 }
 
@@ -169,27 +213,8 @@ func TestReport(t *testing.T) {
 	}
 
 	out = capture(t, func() error { return run(options{size: "tiny", procs: 2, jobs: 2, Flags: obs.Flags{Report: "json"}}) })
-	var rep struct {
-		Suites []struct {
-			Procs int `json:"procs"`
-			Rows  []struct {
-				App  string `json:"app"`
-				Idle struct {
-					Periods int `json:"periods"`
-				} `json:"idle"`
-			} `json:"rows"`
-		} `json:"suites"`
-		Stages []struct {
-			Name  string `json:"name"`
-			Count int    `json:"count"`
-		} `json:"stages"`
-		Pool *struct {
-			Tasks int64 `json:"tasks"`
-		} `json:"pool"`
-	}
-	if err := json.Unmarshal([]byte(out), &rep); err != nil {
-		t.Fatalf("bad report JSON: %v\n%s", err, out)
-	}
+	var rep obs.Report
+	strictJSON(t, []byte(out), &rep)
 	if len(rep.Suites) != 2 || len(rep.Suites[0].Rows) != 6*5 || len(rep.Suites[1].Rows) != 6*7 {
 		t.Fatalf("wrong report shape: %+v", rep.Suites)
 	}
@@ -220,7 +245,7 @@ func TestReport(t *testing.T) {
 	if len(recs) != 1+6*5+6*7 {
 		t.Errorf("report csv rows = %d", len(recs))
 	}
-	if recs[0][0] != "procs" || recs[0][10] != "idle_periods" {
+	if recs[0][0] != "app" || recs[0][11] != "idle_periods" {
 		t.Errorf("report csv header = %v", recs[0])
 	}
 }

@@ -86,3 +86,20 @@ func TestBinaryTraceTruncated(t *testing.T) {
 		t.Errorf("truncation error should diagnose the cut: %v", err)
 	}
 }
+
+// TestBinaryTraceHugeDeclaredCount: a 16-byte file whose header declares
+// 2^40 requests (1 processor, 8 disks, chunk capacity 8192) and holds no
+// chunk fails with the reader's count mismatch; the decode must not size
+// anything from the declared count.
+func TestBinaryTraceHugeDeclaredCount(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "huge.dpct")
+	hdr := []byte{0xd9, 0x50, 0x43, 0x54, 0x01, 0x00, 0x01, 0x08, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 0x80, 0x40}
+	if err := os.WriteFile(path, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := options{policy: "none", disks: 8, unit: 32 << 10, pageSize: 4096, jobs: 1, tracePath: path}
+	err := run(o)
+	if err == nil || !strings.Contains(err.Error(), "decoded 0 requests but the header declared 1099511627776") {
+		t.Fatalf("err = %v, want the reader's declared-count mismatch", err)
+	}
+}

@@ -133,20 +133,6 @@ func parsePolicies(s string) ([]sim.Policy, error) {
 	return pols, nil
 }
 
-// policyJSON is one policy's machine-readable result (-json output).
-type policyJSON struct {
-	Policy      string        `json:"policy"`
-	EnergyJ     float64       `json:"energy_j"`
-	NormEnergy  float64       `json:"norm_energy,omitempty"`
-	IOTimeS     float64       `json:"io_time_s"`
-	ResponseS   float64       `json:"response_s"`
-	MakespanS   float64       `json:"makespan_s"`
-	Requests    int           `json:"requests"`
-	SpinUps     int           `json:"spin_ups"`
-	SpeedShifts int           `json:"speed_shifts"`
-	Idle        obs.IdleStats `json:"idle"`
-}
-
 func run(o options) (err error) {
 	pols, err := parsePolicies(o.policy)
 	if err != nil {
@@ -224,22 +210,12 @@ func run(o options) (err error) {
 			if hdr := rd.Header(); !o.disksSet && hdr.NumDisks > 0 {
 				o.disks = hdr.NumDisks
 			}
-			if n := rd.Requests(); n > 0 && n <= int64(int(^uint(0)>>1)) {
-				reqs = make([]trace.Request, 0, n)
-			}
-			for {
-				chunk, cerr := rd.Next()
-				if cerr == io.EOF {
-					break
-				}
-				if cerr != nil {
-					rd.Close()
-					sp.End()
-					return fmt.Errorf("binary trace: %w", cerr)
-				}
-				reqs = append(reqs, chunk...)
-			}
+			reqs, err = rd.ReadAll()
 			rd.Close()
+			if err != nil {
+				sp.End()
+				return fmt.Errorf("binary trace: %w", err)
+			}
 		} else if reqs, err = trace.Decode(br); err != nil {
 			sp.End()
 			return err
@@ -339,64 +315,28 @@ func run(o options) (err error) {
 		writeStateShares(human, results[0])
 	}
 
-	// Energy normalized to the NoPM baseline, when it was simulated.
-	baseEnergy := 0.0
+	// One record per policy, labelled as one trace's run; energy and I/O
+	// time are normalized to the NoPM baseline when it was simulated.
+	recs := make([]obs.RunResult, len(results))
+	for i, res := range results {
+		recs[i] = res.Record(tels[i])
+		recs[i].App, recs[i].Version, recs[i].Procs = "trace", recs[i].Policy, 1
+	}
 	for i, p := range pols {
 		if p == sim.NoPM {
-			baseEnergy = results[i].Energy
+			obs.Normalize(recs, recs[i])
 			break
 		}
 	}
 	if o.jsonOut {
-		out := make([]policyJSON, len(results))
-		for i, res := range results {
-			out[i] = policyJSON{
-				Policy:    res.Policy.String(),
-				EnergyJ:   res.Energy,
-				IOTimeS:   res.IOTime,
-				ResponseS: res.ResponseTime,
-				MakespanS: res.Makespan,
-				Requests:  res.Requests,
-				Idle:      tels[i].IdleLocality(),
-			}
-			if baseEnergy > 0 {
-				out[i].NormEnergy = res.Energy / baseEnergy
-			}
-			for _, st := range res.PerDisk {
-				out[i].SpinUps += st.Meter.SpinUps
-				out[i].SpeedShifts += st.Meter.SpeedShifts
-			}
-		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if err := enc.Encode(recs); err != nil {
 			return err
 		}
 	}
 	if o.Report != "" {
-		rep := &obs.Report{}
-		s := obs.SuiteReport{Procs: 1}
-		for i, res := range results {
-			idle := tels[i].IdleLocality()
-			row := obs.Row{
-				App:      "trace",
-				Version:  res.Policy.String(),
-				EnergyJ:  res.Energy,
-				IOTimeS:  res.IOTime,
-				Requests: res.Requests,
-				Idle:     idle,
-				IdleHist: obs.TrimHist(tels[i].Histogram()),
-			}
-			if baseEnergy > 0 {
-				row.NormEnergy = res.Energy / baseEnergy
-			}
-			for _, st := range res.PerDisk {
-				row.SpinUps += st.Meter.SpinUps
-				row.SpeedShifts += st.Meter.SpeedShifts
-			}
-			s.Rows = append(s.Rows, row)
-		}
-		rep.Suites = []obs.SuiteReport{s}
+		rep := &obs.Report{Suites: []obs.SuiteReport{{Procs: 1, Rows: recs}}}
 		if tr != nil {
 			rep.Stages = tr.Totals()
 			ps := tr.Pool().Snapshot()

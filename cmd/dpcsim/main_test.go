@@ -6,6 +6,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"diskreuse/internal/obs"
 )
 
 // traceText is a small five-field trace: four bursts with a long gap, so
@@ -218,26 +220,15 @@ func TestRunRejectsStriping(t *testing.T) {
 }
 
 // TestJSONStdout is the -json contract: stdout holds exactly one JSON
-// document (the human result blocks move to stderr), with TPM spin-ups and
-// a NoPM-normalized energy for every policy.
+// document (the human result blocks move to stderr) of obs.RunResult
+// records, with TPM spin-ups and a NoPM-normalized energy for every policy.
 func TestJSONStdout(t *testing.T) {
 	resetFlags(t)
 	o := base()
 	o.policy, o.jsonOut, o.perDisk = "all", true, true // perDisk output must not pollute stdout
 	out := withStdio(t, traceText, func() error { return run(o) })
-	var pols []struct {
-		Policy     string  `json:"policy"`
-		EnergyJ    float64 `json:"energy_j"`
-		NormEnergy float64 `json:"norm_energy"`
-		SpinUps    int     `json:"spin_ups"`
-		Idle       struct {
-			Periods      int     `json:"periods"`
-			LongestIdleS float64 `json:"longest_idle_s"`
-		} `json:"idle"`
-	}
-	if err := json.Unmarshal([]byte(out), &pols); err != nil {
-		t.Fatalf("stdout is not a single JSON document: %v\n%s", err, out)
-	}
+	var pols []obs.RunResult
+	strictDecode(t, []byte(out), &pols)
 	if len(pols) != 3 || pols[0].Policy != "NoPM" || pols[1].Policy != "TPM" || pols[2].Policy != "DRPM" {
 		t.Fatalf("wrong policies: %+v", pols)
 	}
@@ -261,22 +252,8 @@ func TestReportStdout(t *testing.T) {
 	o := base()
 	o.policy, o.Report, o.jobs = "all", "json", 2
 	out := withStdio(t, traceText, func() error { return run(o) })
-	var rep struct {
-		Suites []struct {
-			Rows []struct {
-				App        string  `json:"app"`
-				Version    string  `json:"version"`
-				NormEnergy float64 `json:"norm_energy"`
-			} `json:"rows"`
-		} `json:"suites"`
-		Stages []struct {
-			Name  string `json:"name"`
-			Count int    `json:"count"`
-		} `json:"stages"`
-	}
-	if err := json.Unmarshal([]byte(out), &rep); err != nil {
-		t.Fatalf("bad report JSON: %v\n%s", err, out)
-	}
+	var rep obs.Report
+	strictDecode(t, []byte(out), &rep)
 	if len(rep.Suites) != 1 || len(rep.Suites[0].Rows) != 3 {
 		t.Fatalf("wrong report shape: %+v", rep.Suites)
 	}

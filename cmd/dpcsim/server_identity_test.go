@@ -1,17 +1,20 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"diskreuse/internal/apps"
 	"diskreuse/internal/exp"
+	"diskreuse/internal/obs"
 	"diskreuse/internal/server"
 	"diskreuse/internal/trace"
 )
@@ -23,8 +26,9 @@ import (
 // program uses a single default-striped array so dpcsim's modular block
 // mapping and the layout engine's extent mapping agree, and the three
 // requested versions (Base, TPM, DRPM) replay the original schedule —
-// exactly what the exported trace holds. Every compared number must be
-// bit-identical.
+// exactly what the exported trace holds. Both outputs decode strictly into
+// obs.RunResult, and every number in them, the makespan and the idle
+// histogram included, must be bit-identical.
 func TestServedSimulateMatchesDpcsim(t *testing.T) {
 	const prog = `array A[96][8] elem 4096 stripe(unit=32K, factor=8, start=0)
 nest Sweep {
@@ -57,9 +61,7 @@ nest Back {
 		t.Fatalf("simulate: %d %s", rec.Code, rec.Body)
 	}
 	var resp server.SimulateResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
+	strictDecode(t, rec.Body.Bytes(), &resp)
 	if len(resp.Results) != 3 {
 		t.Fatalf("got %d results, want 3", len(resp.Results))
 	}
@@ -92,37 +94,30 @@ nest Back {
 	o := options{disks: 8, unit: 32 << 10, pageSize: 4096, jobs: 1,
 		policy: "none,tpm,drpm", jsonOut: true, tracePath: path}
 	out := withStdio(t, "", func() error { return run(o) })
-	var pols []policyJSON
-	if err := json.Unmarshal([]byte(out), &pols); err != nil {
-		t.Fatalf("dpcsim -json output: %v\n%s", err, out)
-	}
+	var pols []obs.RunResult
+	strictDecode(t, []byte(out), &pols)
 	if len(pols) != 3 {
 		t.Fatalf("dpcsim reported %d policies, want 3", len(pols))
 	}
 
-	for i, vr := range resp.Results {
-		pj := pols[i]
-		if vr.EnergyJ != pj.EnergyJ {
-			t.Errorf("%s: served energy %v != dpcsim %v", vr.Version, vr.EnergyJ, pj.EnergyJ)
+	// Both sides decode into the one record; every field but the labels
+	// (app, version, procs, disk_runs) must be bit-identical.
+	for i, served := range resp.Results {
+		got := pols[i]
+		got.App, got.Version, got.Procs, got.DiskRuns = served.App, served.Version, served.Procs, served.DiskRuns
+		if !reflect.DeepEqual(got, served) {
+			t.Errorf("%s: served record != dpcsim record\nserved: %+v\ndpcsim: %+v", served.Version, served, pols[i])
 		}
-		if vr.NormEnergy != pj.NormEnergy {
-			t.Errorf("%s: served norm_energy %v != dpcsim %v", vr.Version, vr.NormEnergy, pj.NormEnergy)
-		}
-		if vr.IOTimeS != pj.IOTimeS {
-			t.Errorf("%s: served io_time %v != dpcsim %v", vr.Version, vr.IOTimeS, pj.IOTimeS)
-		}
-		if vr.ResponseS != pj.ResponseS {
-			t.Errorf("%s: served response %v != dpcsim %v", vr.Version, vr.ResponseS, pj.ResponseS)
-		}
-		if vr.Requests != pj.Requests {
-			t.Errorf("%s: served requests %d != dpcsim %d", vr.Version, vr.Requests, pj.Requests)
-		}
-		if vr.SpinUps != pj.SpinUps || vr.SpeedShifts != pj.SpeedShifts {
-			t.Errorf("%s: served spin-ups/shifts %d/%d != dpcsim %d/%d",
-				vr.Version, vr.SpinUps, vr.SpeedShifts, pj.SpinUps, pj.SpeedShifts)
-		}
-		if vr.Idle != pj.Idle {
-			t.Errorf("%s: served idle telemetry %+v != dpcsim %+v", vr.Version, vr.Idle, pj.Idle)
-		}
+	}
+}
+
+// strictDecode decodes one JSON document into v, rejecting any key that is
+// not a field of v.
+func strictDecode(t *testing.T, data []byte, v any) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		t.Fatalf("strict decode into %T: %v\n%s", v, err, data)
 	}
 }

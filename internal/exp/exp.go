@@ -52,10 +52,10 @@ func VersionsFor(procs int) []Version {
 	return vs
 }
 
-// PolicyOf maps a version to its power-management policy.
-func PolicyOf(v Version) sim.Policy {
+// policyOf maps a version to its power-management policy.
+func policyOf(v Version) sim.Policy {
 	switch v {
-	case VTPM, VTTPMs, VTTPMm:
+	case VTPM, VTTPMs, VTTPMm, VPTPM:
 		return sim.TPM
 	case VDRPM, VTDRPMs, VTDRPMm:
 		return sim.DRPM
@@ -155,39 +155,9 @@ func versionsOf(opt Options) []Version {
 	return vs
 }
 
-// RunResult is one (app, version) measurement.
-type RunResult struct {
-	App      string
-	Version  Version
-	Procs    int
-	Energy   float64 // J
-	IOTime   float64 // s, total disk busy time
-	Response float64 // s, summed request response times
-	Requests int
-	// NormEnergy is Energy / Base-energy at the same processor count; the
-	// quantity Figures 9(a)/9(b) plot.
-	NormEnergy float64
-	// PerfDegradation is (IOTime - Base-IOTime) / Base-IOTime; the
-	// quantity Figures 10(a)/10(b) plot.
-	PerfDegradation float64
-	SpinUps         int
-	SpeedShifts     int
-	// DiskRuns counts the maximal same-disk spans in the schedule (per
-	// processor, summed); fewer runs = better clustering.
-	DiskRuns int
-	// Idle-locality telemetry, summed over the run's disks: how many
-	// request-free periods the disks saw and how long they were. The
-	// restructuring exists to concentrate idleness into fewer, longer
-	// periods, so these quantify the mechanism behind NormEnergy.
-	IdlePeriods int
-	TotalIdle   float64 // s
-	MeanIdle    float64 // s
-	LongestIdle float64 // s
-	// IdleHist is the aggregate log-2 histogram of idle-period lengths
-	// (obs.IdleBucket gives the bucket geometry). A fixed-size
-	// array keeps RunResult comparable.
-	IdleHist [obs.IdleBucketCount]int
-}
+// RunResult is one (app, version) measurement: the one record every
+// output encodes (see obs.RunResult). Version holds the Version's string.
+type RunResult = obs.RunResult
 
 // AppResult collects all version results for one application.
 type AppResult struct {
@@ -199,7 +169,7 @@ type AppResult struct {
 // Get returns the result for a version.
 func (ar *AppResult) Get(v Version) (RunResult, bool) {
 	for _, r := range ar.Results {
-		if r.Version == v {
+		if r.Version == string(v) {
 			return r, true
 		}
 	}
@@ -544,7 +514,7 @@ func (art *Artifacts) RunVersionObserved(v Version, opt Options, obsv Observers)
 		DRPMRaise:    opt.DRPMRaise,
 		DRPMLower:    opt.DRPMLower,
 		RAIDWidth:    opt.RAIDWidth,
-		Policy:       PolicyOf(v),
+		Policy:       policyOf(v),
 		Jobs:         opt.Jobs,
 		Sink:         obs.Tee(tel, obsv.Sink),
 		Attribution:  obsv.Attribution,
@@ -552,7 +522,6 @@ func (art *Artifacts) RunVersionObserved(v Version, opt Options, obsv Observers)
 		Metrics:      opt.Metrics,
 	}
 	if v == VPTPM {
-		cfg.Policy = sim.TPM
 		thr := cfg.TPMThreshold
 		if thr <= 0 {
 			thr = cfg.Model.BreakEven
@@ -569,26 +538,8 @@ func (art *Artifacts) RunVersionObserved(v Version, opt Options, obsv Observers)
 	if err != nil {
 		return RunResult{}, fmt.Errorf("exp: %s/%s: %w", art.app.Name, v, err)
 	}
-	rr := RunResult{
-		App:      art.app.Name,
-		Version:  v,
-		Procs:    opt.Procs,
-		Energy:   res.Energy,
-		IOTime:   res.IOTime,
-		Response: res.ResponseTime,
-		Requests: res.Requests,
-		DiskRuns: e.diskRuns,
-	}
-	for _, st := range res.PerDisk {
-		rr.SpinUps += st.Meter.SpinUps
-		rr.SpeedShifts += st.Meter.SpeedShifts
-	}
-	idle := tel.IdleLocality()
-	rr.IdlePeriods = idle.Periods
-	rr.TotalIdle = idle.TotalIdleS
-	rr.MeanIdle = idle.MeanIdleS
-	rr.LongestIdle = idle.LongestIdleS
-	rr.IdleHist = tel.Histogram()
+	rr := res.Record(tel)
+	rr.App, rr.Version, rr.Procs, rr.DiskRuns = art.app.Name, string(v), opt.Procs, e.diskRuns
 	if opt.Metrics != nil {
 		opt.Metrics.Counter(metricVersionsDone, "(app, version) simulation cells finished",
 			metrics.L("app", art.app.Name)).Inc()
@@ -606,15 +557,7 @@ func Normalize(ar *AppResult) {
 	if !ok {
 		return
 	}
-	for i := range ar.Results {
-		r := &ar.Results[i]
-		if base.Energy > 0 {
-			r.NormEnergy = r.Energy / base.Energy
-		}
-		if base.IOTime > 0 {
-			r.PerfDegradation = (r.IOTime - base.IOTime) / base.IOTime
-		}
-	}
+	obs.Normalize(ar.Results, base)
 }
 
 // RunApp evaluates one application under all versions for the configured

@@ -51,7 +51,7 @@ func TestRunAppTiny(t *testing.T) {
 		// iteration order: the loop-parallelized versions (Base, TPM,
 		// DRPM, T-*-s) all match, as do the two layout-aware versions.
 		for _, r := range ar.Results {
-			switch r.Version {
+			switch Version(r.Version) {
 			case VTTPMm, VTDRPMm:
 			default:
 				if r.Requests != base.Requests {
@@ -246,7 +246,7 @@ func TestParallelDeterminism(t *testing.T) {
 			for i := range serial.Apps {
 				for j := range serial.Apps[i].Results {
 					s, p := serial.Apps[i].Results[j], parallel.Apps[i].Results[j]
-					if s != p {
+					if !reflect.DeepEqual(s, p) {
 						t.Logf("  %s/%s: serial %+v != parallel %+v", s.App, s.Version, s, p)
 					}
 				}
@@ -318,13 +318,14 @@ func TestProactiveExtension(t *testing.T) {
 	}
 }
 
+// TestWriteCSV renders a suite's report as CSV: one line per record.
 func TestWriteCSV(t *testing.T) {
 	sr, err := RunSuite(Options{Size: apps.Tiny, Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := WriteCSV(&b, sr); err != nil {
+	if err := BuildReport(nil, sr).WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	rd := csv.NewReader(strings.NewReader(b.String()))
@@ -336,7 +337,7 @@ func TestWriteCSV(t *testing.T) {
 	if len(recs) != 1+6*7 {
 		t.Fatalf("rows = %d", len(recs))
 	}
-	if recs[0][0] != "app" || recs[0][4] != "norm_energy" {
+	if recs[0][0] != "app" || recs[0][4] != "norm_energy" || recs[0][6] != "response_s" {
 		t.Errorf("header = %v", recs[0])
 	}
 	for _, rec := range recs[1:] {

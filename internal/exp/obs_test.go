@@ -91,7 +91,7 @@ func TestToJSONRoundTrip(t *testing.T) {
 	}
 	for _, a := range back[0].Apps {
 		for _, r := range a.Results {
-			if r.IdlePeriods <= 0 || r.LongestIdleS <= 0 {
+			if r.Idle.Periods <= 0 || r.Idle.LongestIdleS <= 0 {
 				t.Errorf("%s/%s: idle telemetry empty: %+v", a.App, r.Version, r)
 			}
 		}

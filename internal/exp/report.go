@@ -1,11 +1,9 @@
 package exp
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 	"text/tabwriter"
 
@@ -152,11 +150,10 @@ func Summary(sr *SuiteResult) string {
 	return b.String()
 }
 
-// SuiteJSON is the machine-readable mirror of one suite run: the
-// per-version suite averages behind Summary plus the per-(app, version)
-// normalized metrics behind Figures 9 and 10. It is the record format of
-// the BENCH_suite.json perf-trajectory file that cmd/dpcbench -json
-// writes.
+// SuiteJSON is the machine-readable form of one suite run: the
+// per-version suite averages behind Summary plus every (app, version)
+// record behind Figures 9 and 10. It is the record format of the
+// BENCH_suite.json perf-trajectory file that cmd/dpcbench -json writes.
 type SuiteJSON struct {
 	Procs    int           `json:"procs"`
 	Versions []VersionJSON `json:"versions"`
@@ -170,30 +167,15 @@ type VersionJSON struct {
 	AvgDegradation  float64 `json:"avg_perf_degradation"`
 }
 
-// AppJSON holds one application's per-version results.
+// AppJSON holds one application's per-version records.
 type AppJSON struct {
-	App       string       `json:"app"`
-	DataBytes int64        `json:"data_bytes"`
-	Results   []ResultJSON `json:"results"`
+	App       string      `json:"app"`
+	DataBytes int64       `json:"data_bytes"`
+	Results   []RunResult `json:"results"`
 }
 
-// ResultJSON is one (app, version) measurement.
-type ResultJSON struct {
-	Version         string  `json:"version"`
-	EnergyJ         float64 `json:"energy_j"`
-	NormEnergy      float64 `json:"norm_energy"`
-	IOTimeS         float64 `json:"io_time_s"`
-	PerfDegradation float64 `json:"perf_degradation"`
-	ResponseS       float64 `json:"response_s"`
-	Requests        int     `json:"requests"`
-	SpinUps         int     `json:"spin_ups"`
-	SpeedShifts     int     `json:"speed_shifts"`
-	IdlePeriods     int     `json:"idle_periods,omitempty"`
-	MeanIdleS       float64 `json:"mean_idle_s,omitempty"`
-	LongestIdleS    float64 `json:"longest_idle_s,omitempty"`
-}
-
-// ToJSON converts a suite result to its machine-readable form.
+// ToJSON converts a suite result to its machine-readable form. The
+// records are shared with sr, not copied.
 func ToJSON(sr *SuiteResult) SuiteJSON {
 	out := SuiteJSON{Procs: sr.Procs}
 	for _, v := range VersionsFor(sr.Procs) {
@@ -205,24 +187,7 @@ func ToJSON(sr *SuiteResult) SuiteJSON {
 	}
 	for i := range sr.Apps {
 		ar := &sr.Apps[i]
-		aj := AppJSON{App: ar.App.Name, DataBytes: ar.DataBytes}
-		for _, r := range ar.Results {
-			aj.Results = append(aj.Results, ResultJSON{
-				Version:         string(r.Version),
-				EnergyJ:         r.Energy,
-				NormEnergy:      r.NormEnergy,
-				IOTimeS:         r.IOTime,
-				PerfDegradation: r.PerfDegradation,
-				ResponseS:       r.Response,
-				Requests:        r.Requests,
-				SpinUps:         r.SpinUps,
-				SpeedShifts:     r.SpeedShifts,
-				IdlePeriods:     r.IdlePeriods,
-				MeanIdleS:       r.MeanIdle,
-				LongestIdleS:    r.LongestIdle,
-			})
-		}
-		out.Apps = append(out.Apps, aj)
+		out.Apps = append(out.Apps, AppJSON{App: ar.App.Name, DataBytes: ar.DataBytes, Results: ar.Results})
 	}
 	return out
 }
@@ -242,51 +207,11 @@ func WriteJSON(w io.Writer, suites ...*SuiteResult) error {
 	return enc.Encode(out)
 }
 
-// WriteCSV emits the suite's results in long form — app, version, procs,
-// energy, normalized energy, I/O time, degradation, requests — for
-// plotting tools.
-func WriteCSV(w io.Writer, sr *SuiteResult) error {
-	cw := csv.NewWriter(w)
-	header := []string{"app", "version", "procs", "energy_j", "norm_energy",
-		"io_time_s", "perf_degradation", "response_s", "requests", "spin_ups", "speed_shifts",
-		"idle_periods", "mean_idle_s", "longest_idle_s"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for i := range sr.Apps {
-		ar := &sr.Apps[i]
-		for _, r := range ar.Results {
-			rec := []string{
-				r.App,
-				string(r.Version),
-				strconv.Itoa(r.Procs),
-				strconv.FormatFloat(r.Energy, 'f', 3, 64),
-				strconv.FormatFloat(r.NormEnergy, 'f', 6, 64),
-				strconv.FormatFloat(r.IOTime, 'f', 6, 64),
-				strconv.FormatFloat(r.PerfDegradation, 'f', 6, 64),
-				strconv.FormatFloat(r.Response, 'f', 6, 64),
-				strconv.Itoa(r.Requests),
-				strconv.Itoa(r.SpinUps),
-				strconv.Itoa(r.SpeedShifts),
-				strconv.Itoa(r.IdlePeriods),
-				strconv.FormatFloat(r.MeanIdle, 'f', 6, 64),
-				strconv.FormatFloat(r.LongestIdle, 'f', 6, 64),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // BuildReport assembles the observability report for one or more suite
-// runs: the per-app × per-version energy/degradation/idle-locality rows,
-// plus — when tr is non-nil — the aggregated pipeline stage timings,
-// worker-pool occupancy, and counters recorded during the runs. The row
-// content is deterministic; only the timing fields vary run to run (zero
-// them with Report.ZeroTimings for golden comparisons).
+// runs: every (app, version) record, plus — when tr is non-nil — the
+// aggregated pipeline stage timings and worker-pool occupancy recorded
+// during the runs. The rows are deterministic; only the timing fields vary
+// run to run (zero them with Report.ZeroTimings for golden comparisons).
 func BuildReport(tr *obs.Tracer, suites ...*SuiteResult) *obs.Report {
 	rep := &obs.Report{}
 	for _, sr := range suites {
@@ -295,26 +220,7 @@ func BuildReport(tr *obs.Tracer, suites ...*SuiteResult) *obs.Report {
 		}
 		s := obs.SuiteReport{Procs: sr.Procs}
 		for i := range sr.Apps {
-			for _, r := range sr.Apps[i].Results {
-				s.Rows = append(s.Rows, obs.Row{
-					App:             r.App,
-					Version:         string(r.Version),
-					EnergyJ:         r.Energy,
-					NormEnergy:      r.NormEnergy,
-					IOTimeS:         r.IOTime,
-					PerfDegradation: r.PerfDegradation,
-					Requests:        r.Requests,
-					SpinUps:         r.SpinUps,
-					SpeedShifts:     r.SpeedShifts,
-					Idle: obs.IdleStats{
-						Periods:      r.IdlePeriods,
-						TotalIdleS:   r.TotalIdle,
-						MeanIdleS:    r.MeanIdle,
-						LongestIdleS: r.LongestIdle,
-					},
-					IdleHist: obs.TrimHist(r.IdleHist),
-				})
-			}
+			s.Rows = append(s.Rows, sr.Apps[i].Results...)
 		}
 		rep.Suites = append(rep.Suites, s)
 	}
@@ -322,7 +228,6 @@ func BuildReport(tr *obs.Tracer, suites ...*SuiteResult) *obs.Report {
 		rep.Stages = tr.Totals()
 		ps := tr.Pool().Snapshot()
 		rep.Pool = &ps
-		rep.Counters = tr.Counters()
 	}
 	return rep
 }

@@ -9,8 +9,7 @@ import (
 
 // chromeEvent is one Chrome trace_event record. The exporter emits
 // complete events ("ph": "X") for spans, metadata events ("ph": "M") for
-// thread names, and counter events ("ph": "C") for tracer counters — the
-// subset chrome://tracing and Perfetto load directly.
+// thread names — the subset chrome://tracing and Perfetto load directly.
 type chromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
@@ -40,7 +39,7 @@ func rootOf(s *Span, byID map[int64]*Span) int64 {
 	return s.id
 }
 
-// WriteChromeTrace exports every ended span (and the counters) as Chrome
+// WriteChromeTrace exports every ended span as Chrome
 // trace_event JSON loadable in chrome://tracing or Perfetto. Each root
 // span and its descendants render on their own thread row, so concurrent
 // pipelines (one per app, one per simulation) do not overlap visually.
@@ -82,18 +81,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			}
 		}
 		events = append(events, ev)
-	}
-	var maxTS float64
-	for _, ev := range events {
-		if ev.TS > maxTS {
-			maxTS = ev.TS
-		}
-	}
-	for _, cv := range t.Counters() {
-		events = append(events, chromeEvent{
-			Name: cv.Name, Ph: "C", TS: maxTS, PID: 1, TID: 0,
-			Args: map[string]any{"value": cv.Value},
-		})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")

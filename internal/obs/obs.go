@@ -1,21 +1,21 @@
 // Package obs is the repository's zero-dependency observability leaf:
-// hierarchical spans with monotonic timings (Tracer/Span), atomic counters,
-// worker-pool occupancy statistics (PoolStats), the simulator's interval
-// stream (Interval, IntervalSink, Tee, IntervalLog, and ClassifyTransition,
-// the one rule it is read by) and its idle-locality telemetry
-// (SimTelemetry — idle-period histograms and the idle-locality metric of
-// the paper's §5 argument), a report layer
-// (Report) that renders per-app × per-version tables in text, JSON, or CSV,
-// and the command-line flag block the binaries share (Flags, Session).
+// hierarchical spans with monotonic timings (Tracer/Span), worker-pool
+// occupancy statistics (PoolStats), the simulator's interval stream
+// (Interval, IntervalSink, Tee, IntervalLog, and ClassifyTransition, the
+// one rule it is read by) and its idle-locality telemetry (SimTelemetry —
+// idle-period histograms and the idle-locality metric of the paper's §5
+// argument), the record of one measured run (RunResult) with the report
+// layer that renders it in text, JSON, or CSV (Report), and the
+// command-line flag block the binaries share (Flags, Session).
 //
 // The package imports only the standard library and the stdlib-only metrics
 // leaf (internal/metrics, bridged via WithMetrics so ended spans double as
 // live histogram observations), so every other package — including the
 // concurrency leaf internal/conc — can emit telemetry without import cycles.
 //
-// Everything is nil-tolerant: a nil *Tracer, *Span, *Counter, *PoolStats,
-// or *SimTelemetry turns the corresponding calls into no-ops, so
-// instrumented code pays only a nil check when observability is off. The
+// Everything is nil-tolerant: a nil *Tracer, *Span, *PoolStats, or
+// *SimTelemetry turns the corresponding calls into no-ops, so instrumented
+// code pays only a nil check when observability is off. The
 // enabled paths are allocation-lean (atomics, preallocated histograms); the
 // disabled paths add no allocations at all.
 package obs
@@ -28,10 +28,9 @@ import (
 	"time"
 )
 
-// Tracer collects spans and counters for one instrumented run. All methods
-// are safe for concurrent use: spans register under a mutex when they end,
-// ids come from an atomic counter, and counters are atomics. A nil Tracer
-// is a valid no-op sink.
+// Tracer collects spans for one instrumented run. All methods are safe for
+// concurrent use: spans register under a mutex when they end and ids come
+// from an atomic counter. A nil Tracer is a valid no-op sink.
 type Tracer struct {
 	epoch time.Time
 
@@ -39,9 +38,6 @@ type Tracer struct {
 	spans []*Span
 
 	ids atomic.Int64
-
-	cmu      sync.Mutex
-	counters map[string]*Counter
 
 	pool PoolStats
 
@@ -53,7 +49,7 @@ type Tracer struct {
 // NewTracer returns a Tracer whose span timestamps are monotonic offsets
 // from now.
 func NewTracer() *Tracer {
-	return &Tracer{epoch: time.Now(), counters: make(map[string]*Counter)}
+	return &Tracer{epoch: time.Now()}
 }
 
 // now returns the monotonic offset from the tracer's epoch.
@@ -78,37 +74,6 @@ func (t *Tracer) SpanCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.spans)
-}
-
-// Counter returns the named atomic counter, creating it on first use.
-// Returns nil (a no-op counter) when the tracer is nil.
-func (t *Tracer) Counter(name string) *Counter {
-	if t == nil {
-		return nil
-	}
-	t.cmu.Lock()
-	defer t.cmu.Unlock()
-	c, ok := t.counters[name]
-	if !ok {
-		c = &Counter{name: name}
-		t.counters[name] = c
-	}
-	return c
-}
-
-// Counters returns every counter's current value, sorted by name.
-func (t *Tracer) Counters() []CounterValue {
-	if t == nil {
-		return nil
-	}
-	t.cmu.Lock()
-	out := make([]CounterValue, 0, len(t.counters))
-	for _, c := range t.counters {
-		out = append(out, CounterValue{Name: c.name, Value: c.v.Load()})
-	}
-	t.cmu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // Pool returns the tracer's worker-pool statistics sink (attach it to a
@@ -224,34 +189,6 @@ func (s *Span) End() {
 	if b := s.t.bridge.Load(); b != nil {
 		b.observe(s.name, s.end-s.start)
 	}
-}
-
-// Counter is a named atomic counter. A nil Counter is a valid no-op.
-type Counter struct {
-	name string
-	v    atomic.Int64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// CounterValue is one counter's exported value.
-type CounterValue struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
 }
 
 // PoolStats accumulates worker-pool telemetry: how many pools ran, how

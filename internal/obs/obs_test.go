@@ -20,16 +20,8 @@ func TestNilNoOps(t *testing.T) {
 	}
 	sp.SetAttr("k", "v")
 	sp.End()
-	if tr.SpanCount() != 0 || tr.Totals() != nil || tr.Counters() != nil {
+	if tr.SpanCount() != 0 || tr.Totals() != nil {
 		t.Error("nil tracer must report nothing")
-	}
-	if c := tr.Counter("n"); c != nil {
-		t.Error("nil tracer must hand out nil counters")
-	}
-	var cnt *Counter
-	cnt.Add(3)
-	if cnt.Value() != 0 {
-		t.Error("nil counter must stay zero")
 	}
 	if p := tr.Pool(); p != nil {
 		t.Error("nil tracer must have a nil pool")
@@ -96,17 +88,6 @@ func TestEndIdempotent(t *testing.T) {
 	}
 }
 
-func TestCounters(t *testing.T) {
-	tr := NewTracer()
-	tr.Counter("reqs").Add(3)
-	tr.Counter("reqs").Add(2)
-	tr.Counter("apps").Add(1)
-	cvs := tr.Counters()
-	if len(cvs) != 2 || cvs[0] != (CounterValue{Name: "apps", Value: 1}) || cvs[1] != (CounterValue{Name: "reqs", Value: 5}) {
-		t.Errorf("Counters = %+v", cvs)
-	}
-}
-
 func TestPoolStats(t *testing.T) {
 	var p PoolStats
 	p.ObserveTask(30 * time.Millisecond)
@@ -142,7 +123,6 @@ func TestConcurrentSpans(t *testing.T) {
 				c := root.Child("step")
 				c.SetAttr("i", "x")
 				c.End()
-				tr.Counter("steps").Add(1)
 				tr.Pool().ObserveTask(time.Microsecond)
 			}
 			root.End()
@@ -151,9 +131,6 @@ func TestConcurrentSpans(t *testing.T) {
 	wg.Wait()
 	if got := tr.SpanCount(); got != workers*(each+1) {
 		t.Errorf("SpanCount = %d, want %d", got, workers*(each+1))
-	}
-	if got := tr.Counter("steps").Value(); got != workers*each {
-		t.Errorf("steps = %d", got)
 	}
 	// Ids must be unique across the fan-out.
 	seen := make(map[int64]bool)

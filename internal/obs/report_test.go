@@ -12,19 +12,18 @@ func sampleReport() *Report {
 	return &Report{
 		Suites: []SuiteReport{{
 			Procs: 2,
-			Rows: []Row{
-				{App: "cholesky", Version: "Base", EnergyJ: 120.5, NormEnergy: 1,
-					IOTimeS: 3.25, Requests: 640,
+			Rows: []RunResult{
+				{App: "cholesky", Version: "Base", Procs: 2, Energy: 120.5, NormEnergy: 1,
+					IOTime: 3.25, Response: 4.5, Requests: 640,
 					Idle:     IdleStats{Periods: 4, TotalIdleS: 8, MeanIdleS: 2, LongestIdleS: 5},
 					IdleHist: []int{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2}},
-				{App: "cholesky", Version: "T-TPM", EnergyJ: 80.3, NormEnergy: 0.666,
+				{App: "cholesky", Version: "T-TPM", Procs: 2, Energy: 80.3, NormEnergy: 0.666,
 					PerfDegradation: 0.031, Requests: 640, SpinUps: 3, SpeedShifts: 0,
 					Idle: IdleStats{Periods: 2, TotalIdleS: 8, MeanIdleS: 4, LongestIdleS: 6}},
 			},
 		}},
-		Stages:   []StageTiming{{Name: "parse", Count: 6, TotalMS: 1.5}, {Name: "sim", Count: 12, TotalMS: 90}},
-		Pool:     &PoolSnapshot{Pools: 3, Tasks: 24, TaskTimeMS: 50, WorkerTimeMS: 100, Occupancy: 0.5, QueueWaitMS: 50},
-		Counters: []CounterValue{{Name: "requests", Value: 1280}},
+		Stages: []StageTiming{{Name: "parse", Count: 6, TotalMS: 1.5}, {Name: "sim", Count: 12, TotalMS: 90}},
+		Pool:   &PoolSnapshot{Pools: 3, Tasks: 24, TaskTimeMS: 50, WorkerTimeMS: 100, Occupancy: 0.5, QueueWaitMS: 50},
 	}
 }
 
@@ -35,7 +34,7 @@ func TestRenderText(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{"Report: 2 processor(s)", "cholesky", "T-TPM",
-		"Mean idle (s)", "Pipeline stages:", "parse", "Worker pool:", "counter requests = 1280"} {
+		"Mean idle (s)", "Pipeline stages:", "parse", "Worker pool:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("text report missing %q:\n%s", want, out)
 		}
@@ -86,11 +85,16 @@ func TestRenderCSV(t *testing.T) {
 	if len(recs) != 3 {
 		t.Fatalf("csv rows = %d, want header + 2", len(recs))
 	}
-	if recs[0][0] != "procs" || recs[0][10] != "idle_periods" || recs[0][12] != "longest_idle_s" {
-		t.Errorf("header = %v", recs[0])
+	if got, want := strings.Join(recs[0], ","), "app,version,procs,energy_j,norm_energy,io_time_s,response_s,"+
+		"perf_degradation,requests,spin_ups,speed_shifts,idle_periods,mean_idle_s,longest_idle_s"; got != want {
+		t.Errorf("header = %s, want %s", got, want)
 	}
-	if recs[1][1] != "cholesky" || recs[2][2] != "T-TPM" || recs[2][8] != "3" {
-		t.Errorf("rows = %v", recs[1:])
+	if got, want := strings.Join(recs[1], ","), "cholesky,Base,2,120.500,1.000000,3.250000,4.500000,"+
+		"0.000000,640,0,0,4,2.000000,5.000000"; got != want {
+		t.Errorf("row 1 = %s, want %s", got, want)
+	}
+	if recs[2][1] != "T-TPM" || recs[2][9] != "3" {
+		t.Errorf("row 2 = %v", recs[2])
 	}
 }
 
@@ -139,7 +143,7 @@ func TestTrimHist(t *testing.T) {
 }
 
 // TestChromeTrace checks the exporter end to end: metadata rows per root,
-// X events with microsecond timings and attr args, C events for counters.
+// X events with microsecond timings and attr args.
 func TestChromeTrace(t *testing.T) {
 	tr := NewTracer()
 	root := tr.Start("prepare", "pipeline")
@@ -150,7 +154,6 @@ func TestChromeTrace(t *testing.T) {
 	root.End()
 	other := tr.Start("sim", "sim")
 	other.End()
-	tr.Counter("requests").Add(9)
 
 	var sb strings.Builder
 	if err := tr.WriteChromeTrace(&sb); err != nil {
@@ -174,7 +177,7 @@ func TestChromeTrace(t *testing.T) {
 	if out.DisplayTimeUnit != "ms" {
 		t.Errorf("displayTimeUnit = %q", out.DisplayTimeUnit)
 	}
-	var meta, spans, counters int
+	var meta, spans int
 	tids := make(map[string]int)
 	for _, ev := range out.TraceEvents {
 		switch ev.Ph {
@@ -189,15 +192,12 @@ func TestChromeTrace(t *testing.T) {
 			if ev.Name == "prepare" && ev.Args["app"] != "fft" {
 				t.Errorf("prepare args = %v", ev.Args)
 			}
-		case "C":
-			counters++
-			if ev.Name != "requests" || ev.Args["value"].(float64) != 9 {
-				t.Errorf("counter event = %+v", ev)
-			}
+		default:
+			t.Errorf("unexpected event phase %q: %+v", ev.Ph, ev)
 		}
 	}
-	if meta != 2 || spans != 3 || counters != 1 {
-		t.Errorf("events = %d meta, %d spans, %d counters", meta, spans, counters)
+	if meta != 2 || spans != 3 {
+		t.Errorf("events = %d meta, %d spans", meta, spans)
 	}
 	if tids["prepare"] != tids["parse"] {
 		t.Error("child must share its root's thread row")

@@ -69,37 +69,21 @@ type ArtifactInfo struct {
 	Executions []exp.ExecInfo `json:"executions"`
 }
 
-// VersionResult is one version's measurement in a simulate response.
-// NormEnergy and PerfDegradation are Base-relative and only present when
-// the Base version was part of the same request.
-type VersionResult struct {
-	Version         string        `json:"version"`
-	Policy          string        `json:"policy"`
-	EnergyJ         float64       `json:"energy_j"`
-	NormEnergy      float64       `json:"norm_energy,omitempty"`
-	IOTimeS         float64       `json:"io_time_s"`
-	ResponseS       float64       `json:"response_s"`
-	PerfDegradation float64       `json:"perf_degradation,omitempty"`
-	Requests        int           `json:"requests"`
-	SpinUps         int           `json:"spin_ups"`
-	SpeedShifts     int           `json:"speed_shifts"`
-	DiskRuns        int           `json:"disk_runs"`
-	Idle            obs.IdleStats `json:"idle"`
-	IdleHist        []int         `json:"idle_hist,omitempty"`
-}
-
 // SimulateResponse is the body of a (non-streaming) simulate response.
 // Everything in it is a deterministic function of the request, so repeat
 // submissions get byte-identical bodies whether they hit or miss the
 // artifact cache (cache status travels in the X-DPCD-Cache header, never
-// in the body). The optional Report and ChromeTrace carry wall-clock
-// timings and are only attached when requested via query flags.
+// in the body). Each result is one version's obs.RunResult record;
+// norm_energy and perf_degradation are Base-relative and read 0 unless
+// Base was part of the same request. The optional Report and ChromeTrace
+// carry wall-clock timings and are only attached when requested via query
+// flags.
 type SimulateResponse struct {
 	Artifact    string          `json:"artifact"`
 	Name        string          `json:"name"`
 	Procs       int             `json:"procs"`
 	NumDisks    int             `json:"num_disks"`
-	Results     []VersionResult `json:"results"`
+	Results     []exp.RunResult `json:"results"`
 	Report      *obs.Report     `json:"report,omitempty"`
 	ChromeTrace json.RawMessage `json:"chrome_trace,omitempty"`
 }
@@ -118,7 +102,7 @@ type StreamLine struct {
 	State   string  `json:"state,omitempty"`
 	RPM     int     `json:"rpm,omitempty"`
 	// Result / done / error payloads.
-	Result   *VersionResult `json:"result,omitempty"`
+	Result   *exp.RunResult `json:"result,omitempty"`
 	Artifact string         `json:"artifact,omitempty"`
 	Error    string         `json:"error,omitempty"`
 }

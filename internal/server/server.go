@@ -381,9 +381,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		Procs:    req.Procs,
 		NumDisks: art.NumDisks(),
 	}
-	for _, rr := range ar.Results {
-		resp.Results = append(resp.Results, versionResult(rr))
-	}
+	resp.Results = ar.Results
 	if wantReport {
 		sr := &exp.SuiteResult{Procs: req.Procs, Apps: []exp.AppResult{ar}}
 		resp.Report = exp.BuildReport(tr, sr)
@@ -430,9 +428,9 @@ func (s *Server) streamSimulate(w http.ResponseWriter, c *compiled, art *exp.Art
 		rc.Flush()
 	}
 	exp.Normalize(&ar)
-	for _, rr := range ar.Results {
-		vr := versionResult(rr)
-		enc.Encode(StreamLine{Type: "result", Version: vr.Version, Result: &vr})
+	for i := range ar.Results {
+		rr := &ar.Results[i]
+		enc.Encode(StreamLine{Type: "result", Version: rr.Version, Result: rr})
 	}
 	enc.Encode(StreamLine{Type: "done", Artifact: c.key})
 	rc.Flush()
@@ -473,30 +471,6 @@ func resolveVersions(req *SimulateRequest) ([]exp.Version, error) {
 		}
 	}
 	return out, nil
-}
-
-// versionResult converts a RunResult to its response form.
-func versionResult(rr exp.RunResult) VersionResult {
-	return VersionResult{
-		Version:         string(rr.Version),
-		Policy:          exp.PolicyOf(rr.Version).String(),
-		EnergyJ:         rr.Energy,
-		NormEnergy:      rr.NormEnergy,
-		IOTimeS:         rr.IOTime,
-		ResponseS:       rr.Response,
-		PerfDegradation: rr.PerfDegradation,
-		Requests:        rr.Requests,
-		SpinUps:         rr.SpinUps,
-		SpeedShifts:     rr.SpeedShifts,
-		DiskRuns:        rr.DiskRuns,
-		Idle: obs.IdleStats{
-			Periods:      rr.IdlePeriods,
-			TotalIdleS:   rr.TotalIdle,
-			MeanIdleS:    rr.MeanIdle,
-			LongestIdleS: rr.LongestIdle,
-		},
-		IdleHist: obs.TrimHist(rr.IdleHist),
-	}
 }
 
 // cacheHeaders names the cache outcome and content-address of a request.

@@ -115,6 +115,22 @@ func TestSimulateGolden(t *testing.T) {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
 	checkGolden(t, "simulate_response.golden.json", rec.Body.Bytes())
+	var resp SimulateResponse
+	strictDecode(t, rec.Body.Bytes(), &resp)
+	if len(resp.Results) != 7 || resp.Results[0].Version != "Base" || resp.Results[0].NormEnergy != 1 {
+		t.Errorf("results = %+v, want the seven 2P versions, Base first", resp.Results)
+	}
+}
+
+// strictDecode decodes one JSON document into v, rejecting any key that is
+// not a field of v: every record a response carries is an exp.RunResult.
+func strictDecode(t *testing.T, data []byte, v any) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		t.Fatalf("strict decode into %T: %v\n%s", v, err, data)
+	}
 }
 
 // TestSimulateReportGolden pins the ?report=json variant with the
@@ -318,12 +334,10 @@ func TestStreamNDJSON(t *testing.T) {
 	}
 	var intervals, results int
 	var done bool
-	var streamed []VersionResult
+	var streamed []exp.RunResult
 	for _, line := range strings.Split(strings.TrimSpace(rec.Body.String()), "\n") {
 		var sl StreamLine
-		if err := json.Unmarshal([]byte(line), &sl); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", line, err)
-		}
+		strictDecode(t, []byte(line), &sl)
 		switch sl.Type {
 		case "interval":
 			intervals++

@@ -201,6 +201,29 @@ type Result struct {
 	Policy       Policy
 }
 
+// Record builds the run's measurement record: the totals, the per-disk
+// spin-up and speed-shift sums, and tel's idle locality and trimmed
+// idle-period histogram (tel must be the telemetry sink the run fed). The
+// caller fills the labels (App, Version, Procs), DiskRuns, and the
+// baseline-relative fields (obs.Normalize).
+func (r *Result) Record(tel *obs.SimTelemetry) obs.RunResult {
+	rr := obs.RunResult{
+		Policy:   r.Policy.String(),
+		Energy:   r.Energy,
+		IOTime:   r.IOTime,
+		Response: r.ResponseTime,
+		Makespan: r.Makespan,
+		Requests: r.Requests,
+		Idle:     tel.IdleLocality(),
+		IdleHist: obs.TrimHist(tel.Histogram()),
+	}
+	for _, st := range r.PerDisk {
+		rr.SpinUps += st.Meter.SpinUps
+		rr.SpeedShifts += st.Meter.SpeedShifts
+	}
+	return rr
+}
+
 // RunPrepared replays a prepared trace under one configuration: the
 // paper's trace-driven methodology, with arrival times fixed by the trace
 // and each disk servicing its requests FIFO in arrival order. It is

@@ -556,15 +556,11 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// DecodeBinary reads a whole binary trace into memory — the bridge for
-// consumers that need the whole trace at once (sim.PrepareTrace) or for
-// binary traces arriving on a non-seekable stream.
-func DecodeBinary(rd io.Reader) ([]Request, error) {
-	r, err := NewReader(rd)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
+// ReadAll decodes every remaining chunk into one new slice. The slice is
+// preallocated from the header's declared count only up to one chunk's
+// maximum, so a header that declares more requests than the file holds
+// costs no more than the requests actually decoded.
+func (r *Reader) ReadAll() ([]Request, error) {
 	var out []Request
 	if n := r.Requests(); n > 0 && n <= maxChunkRequests {
 		out = make([]Request, 0, n)
@@ -579,6 +575,18 @@ func DecodeBinary(rd io.Reader) ([]Request, error) {
 		}
 		out = append(out, chunk...)
 	}
+}
+
+// DecodeBinary reads a whole binary trace into memory — the bridge for
+// consumers that need the whole trace at once (sim.PrepareTrace) or for
+// binary traces arriving on a non-seekable stream.
+func DecodeBinary(rd io.Reader) ([]Request, error) {
+	r, err := NewReader(rd)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	return r.ReadAll()
 }
 
 // SliceSource adapts an in-memory request slice to the Source interface,
