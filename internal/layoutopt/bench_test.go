@@ -49,9 +49,10 @@ func BenchmarkEngineColdSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineReattributed is the hot path the tentpole names: candidates
-// that share a memoized schedule (only non-primary arrays' specs change), so
-// scoring is re-attribution plus two cached per-disk replays.
+// BenchmarkEngineReattributed is the re-attribution regime: candidates that
+// share a memoized schedule (only non-primary arrays' specs change), so
+// scoring is re-attribution plus each policy's per-disk replays, served
+// from the scorer cache for every disk list that comes back.
 func BenchmarkEngineReattributed(b *testing.B) {
 	a, err := apps.ByName("scf", apps.Small)
 	if err != nil {

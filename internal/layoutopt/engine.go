@@ -87,12 +87,14 @@ const WholeProgram = -1
 // the declared layout that scoring reads — 12 bytes per request. arrival
 // is what the energy replay reads (every request is one page, the layout's
 // page size); page is each request's declared-layout page, whose disk any
-// candidate re-derives through Engine.diskOf. Distinct assignments
-// frequently share a schedule — the primary vector only sees arrays that
-// ever come first in an iteration — so the entry is keyed by the
-// primary-relevant sub-key and reused across them. The per-policy scorer
-// pools hand each concurrent score its own scratch over the shared
-// immutable columns.
+// candidate re-derives through Engine.diskOf. Distinct assignments can
+// share a schedule — the primary vector only sees arrays that ever come
+// first in an iteration — so the entry is keyed by the primary-relevant
+// sub-key and reused across them. On a beam search they rarely do (FFT's
+// default search builds 55 entries for 54 candidates), so an entry's
+// scorers mostly see each per-disk subsequence once and cache only those
+// that come back. The per-policy scorer pools hand each concurrent score
+// its own scratch over the shared immutable columns.
 type schedEntry struct {
 	once sync.Once
 	err  error
@@ -103,8 +105,8 @@ type schedEntry struct {
 
 	// scorers pools per-policy memoizing EnergyScorers over arrival; index
 	// is the sim.Policy value. Scorers are single-goroutine, so each
-	// concurrent score borrows one (with its accumulated per-disk replay
-	// cache) and returns it.
+	// concurrent score borrows one (with its per-disk replay cache and
+	// remembered hashes) and returns it.
 	scorers [3]sync.Pool
 }
 

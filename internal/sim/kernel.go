@@ -92,11 +92,19 @@ func (c *diskCarve) build(n, numDisks int, diskOf func(i int) (int, error)) erro
 // diskReducer is one disk's replay state: the disk simulator,
 // its stats, and the partial response-time sum and makespan the fold
 // combines. A reducer is a value, so a copy is a snapshot — except ds.sub,
-// which a copy must clone before replaying.
+// which a plain copy shares; take copies with snapshot.
 type diskReducer struct {
 	ds diskSim
 	st DiskStats
 	reqFold
+}
+
+// snapshot sets r to a copy of src whose ds.sub is r's own backing, reused
+// across snapshots, so replaying either reducer never moves the other.
+func (r *diskReducer) snapshot(src *diskReducer) {
+	sub := r.ds.sub
+	*r = *src
+	r.ds.sub = append(sub[:0], src.ds.sub...)
 }
 
 // reqFold is the per-request part of a disk's fold: its response-time sum

@@ -67,13 +67,19 @@ type diskReplayEntry struct {
 // trajectory — and therefore its energy — is a pure function of the
 // subsequence of requests attributed to it. Disks interact only through
 // the final makespan, which foldDisks uses to bill every disk's idle tail.
-// Neighboring layout candidates move only the requests of the arrays they
-// re-stripe, so most disks receive a subsequence the scorer has already
-// replayed: Score then skips the replay entirely and re-runs only the
-// cheap fold and finish tail against the candidate's makespan, on a copy
-// of the cached reducer. Cache hits are verified by comparing the full
-// index subsequence, never just its hash, so results are exact, not
-// probabilistically exact.
+// So a disk whose subsequence the scorer has cached skips the replay: Score
+// re-runs only the cheap fold and finish tail against the candidate's
+// makespan, on a copy of the cached reducer. Cache hits are verified by
+// comparing the full index subsequence, never just its hash, so results
+// are exact, not probabilistically exact.
+//
+// Repeats are the exception, not the rule: in a beam search nearly every
+// candidate gets its own schedule, so the scorer sees most subsequences
+// once. A subsequence is therefore cached only the second time its hash
+// comes back; the first time the scorer remembers the 8-byte hash and
+// replays into the fold's own reducer, copying no index list. A replay
+// and a cache hit give the same bits, so admission changes speed and
+// memory, never a score.
 //
 // An EnergyScorer is not safe for concurrent use; parallel searches give
 // each worker its own via Clone (workers then build disjoint caches).
@@ -82,16 +88,18 @@ type EnergyScorer struct {
 	cfg  Config  // normalized; NumDisks varies per Score call
 
 	entries map[uint64][]*diskReplayEntry
-	bytes   int // cached index bytes, for the flush bound
+	seen    map[uint64]struct{} // hashes sighted at least once
+	bytes   int                 // cached index and remembered hash bytes, for the flush bound
 	empty   *diskReplayEntry
 
 	att  Attribution   // scratch for the Score convenience path
-	reds []diskReducer // scratch copies of the entries the fold consumes
+	reds []diskReducer // the fold's reducers, each with its own ds.sub
 	res  Result        // scratch fold target
 }
 
-// scorerCacheBytes bounds the memory the subsequence cache may hold before
-// it is flushed wholesale (correctness is unaffected; only reuse resets).
+// scorerCacheBytes bounds the memory the subsequence cache and the
+// remembered hashes may hold before both are flushed wholesale
+// (correctness is unaffected; only reuse resets).
 const scorerCacheBytes = 64 << 20
 
 // NewEnergyScorer prepares a memoizing scorer over a stream of requests of
@@ -122,6 +130,7 @@ func NewEnergyScorer(arrival []float64, size int64, cfg Config) (*EnergyScorer, 
 		cols:    columns{arrival: arrival, size: size},
 		cfg:     norm,
 		entries: make(map[uint64][]*diskReplayEntry),
+		seen:    make(map[uint64]struct{}),
 		empty:   &diskReplayEntry{red: newReducers(norm)[0]},
 	}, nil
 }
@@ -133,6 +142,7 @@ func (s *EnergyScorer) Clone() *EnergyScorer {
 		cols:    s.cols,
 		cfg:     s.cfg,
 		entries: make(map[uint64][]*diskReplayEntry),
+		seen:    make(map[uint64]struct{}),
 		empty:   s.empty,
 	}
 }
@@ -167,10 +177,7 @@ func (s *EnergyScorer) ScoreAttribution(att *Attribution) (EnergySummary, error)
 	}
 	reds := s.reds[:len(perDisk)]
 	for d, idx := range perDisk {
-		en := s.lookupOrReplay(att.hashes[d], idx)
-		sub := reds[d].ds.sub
-		reds[d] = en.red
-		reds[d].ds.sub = append(sub[:0], en.red.ds.sub...)
+		s.lookupOrReplay(att.hashes[d], idx, &reds[d])
 	}
 	s.res = Result{PerDisk: s.res.PerDisk[:len(perDisk)]}
 	foldDisks(&s.cfg, reds, &s.res)
@@ -183,24 +190,47 @@ func (s *EnergyScorer) ScoreAttribution(att *Attribution) (EnergySummary, error)
 	}, nil
 }
 
-// lookupOrReplay returns the cached entry for the subsequence, verifying
-// the indices element-wise, or replays and caches it.
-func (s *EnergyScorer) lookupOrReplay(h uint64, idx []int32) *diskReplayEntry {
+// lookupOrReplay sets dst to the disk's reducer at the end of the
+// subsequence idx, whose hash is h. A cached subsequence, verified
+// element-wise, is copied from its entry. An uncached one is replayed: on
+// its hash's first sighting straight into dst, keeping only the hash; on a
+// later one into a new entry that is cached, then copied. It returns the
+// entry dst was copied from, or nil when nothing was cached.
+func (s *EnergyScorer) lookupOrReplay(h uint64, idx []int32, dst *diskReducer) *diskReplayEntry {
 	if len(idx) == 0 {
+		dst.snapshot(&s.empty.red)
 		return s.empty
 	}
 	for _, en := range s.entries[h] {
 		if slices.Equal(en.idx, idx) {
+			dst.snapshot(&en.red)
 			return en
 		}
 	}
-	en := &diskReplayEntry{idx: slices.Clone(idx), red: s.empty.red}
-	en.red.ds.sub = slices.Clone(s.empty.red.ds.sub)
-	en.red.replay(&s.cols, idx, nil)
-	if s.bytes += 4 * len(idx); s.bytes > scorerCacheBytes {
-		s.entries = make(map[uint64][]*diskReplayEntry)
-		s.bytes = 4 * len(idx)
+	if _, ok := s.seen[h]; !ok {
+		s.charge(8)
+		s.seen[h] = struct{}{}
+		dst.snapshot(&s.empty.red)
+		dst.replay(&s.cols, idx, nil)
+		return nil
 	}
+	en := &diskReplayEntry{idx: slices.Clone(idx)}
+	en.red.snapshot(&s.empty.red)
+	en.red.replay(&s.cols, idx, nil)
+	s.charge(4 * len(idx))
 	s.entries[h] = append(s.entries[h], en)
+	dst.snapshot(&en.red)
 	return en
+}
+
+// charge accounts n more bytes to the cache, first flushing the entries
+// and the remembered hashes wholesale when n would take the total past
+// scorerCacheBytes.
+func (s *EnergyScorer) charge(n int) {
+	if s.bytes+n > scorerCacheBytes {
+		s.entries = make(map[uint64][]*diskReplayEntry)
+		s.seen = make(map[uint64]struct{})
+		s.bytes = 0
+	}
+	s.bytes += n
 }
