@@ -69,7 +69,7 @@ func main() {
 	var o options
 	flag.StringVar(&o.table, "table", "", "regenerate a table: 1 or 2")
 	flag.StringVar(&o.figure, "figure", "", "regenerate a figure: 9a, 9b, 10a, or 10b")
-	flag.StringVar(&o.ablation, "ablation", "", "run an ablation: stripes, threshold, window, layoutopt")
+	flag.StringVar(&o.ablation, "ablation", "", "run an ablation: stripes, threshold, window, layoutopt, proactive, raid")
 	flag.BoolVar(&o.all, "all", false, "regenerate every table and figure")
 	flag.StringVar(&o.size, "size", "default", "workload scale: tiny, small, or default")
 	flag.IntVar(&o.procs, "procs", 4, "processor count for the (b) figures")

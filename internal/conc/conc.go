@@ -1,8 +1,10 @@
 // Package conc is the repository's bounded-concurrency leaf: a worker pool
 // over an atomic index counter, shared by the experiment harness
 // (internal/exp) and the compilation front-end (internal/interp,
-// internal/core). It sits below every other internal package so that
-// low-level analyses can fan out without import cycles.
+// internal/core), and Memo, the build-once LRU cache behind dpcd's
+// artifact cache and the layout engine's memos. It sits below every other
+// internal package so that low-level analyses can fan out without import
+// cycles.
 //
 // Determinism contract: callers own the output ordering by writing results
 // into slot i of a preallocated slice, so worker completion order never

@@ -83,9 +83,9 @@ type kernel struct {
 }
 
 // compileKernel lowers a checked nest: bounds once, strides once, refs in
-// emission order, and the exact iteration count (closed-form innermost
-// level, so counting costs one odometer sweep of the outer levels instead
-// of a full enumeration).
+// emission order, and the exact iteration count from sema's shared
+// counter (closed-form innermost level; BuildSpaceOpts has already held
+// the program to maxLoopSteps, so it cannot give up here).
 func compileKernel(n *sema.Nest) *kernel {
 	iters := n.Iterators()
 	depth := len(iters)
@@ -126,32 +126,8 @@ func compileKernel(n *sema.Nest) *kernel {
 			addRef(st.Write, true, st.Index)
 		}
 	}
-	k.count = k.countIterations()
+	_, k.count, _ = n.LoopSteps(maxLoopSteps)
 	return k
-}
-
-// countIterations computes the nest's exact iteration count: the outer
-// depth-1 levels are swept with the odometer and the innermost level
-// contributes (hi-lo)/step + 1 in closed form.
-func (k *kernel) countIterations() int64 {
-	inner := k.bounds[k.depth-1]
-	innerSpan := func(iv []int64) int64 {
-		lo := inner.Lo.EvalVec(iv)
-		hi := inner.Hi.EvalVec(iv)
-		if hi < lo {
-			return 0
-		}
-		return (hi-lo)/inner.Step + 1
-	}
-	if k.depth == 1 {
-		return innerSpan(nil)
-	}
-	o := newOdometer(k.bounds[:k.depth-1])
-	var count int64
-	for ok := o.reset(); ok; ok = o.next() {
-		count += innerSpan(o.iv)
-	}
-	return count
 }
 
 // enumerateInto fills flat (len == count*depth) with the nest's iteration

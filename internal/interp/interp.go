@@ -16,6 +16,7 @@ package interp
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -118,6 +119,10 @@ func BuildSpaceCtx(ctx context.Context, prog *sema.Program, jobs int) (*Space, e
 	return BuildSpaceOpts(ctx, prog, BuildOptions{Jobs: jobs})
 }
 
+// maxLoopSteps bounds a program's loop steps, and so its iterations:
+// iteration ids are int32 throughout (the dependence graph, the carve).
+const maxLoopSteps = math.MaxInt32
+
 // BuildOptions configures BuildSpaceOpts.
 type BuildOptions struct {
 	// Jobs bounds the enumeration worker pool (0 = GOMAXPROCS, 1 = inline
@@ -139,12 +144,19 @@ type BuildOptions struct {
 // identical at every jobs value — and, by the engine-parity invariants, at
 // either engine.
 //
+// It first holds the program to maxLoopSteps with sema's shared counter,
+// so a hostile bound is an error, never an arena it cannot size or a
+// sweep that does not end.
+//
 // On the compiled engine the nests are lowered to iteration kernels first;
 // the exact per-nest volumes fall out of the lowering, so each nest's flat
 // iteration-vector arena is allocated at final size and run-filled. The
 // interp engine keeps the original two-pass tree-walk enumeration as the
 // reference oracle, writing the same arena representation.
 func BuildSpaceOpts(ctx context.Context, prog *sema.Program, opt BuildOptions) (*Space, error) {
+	if steps, ok := prog.LoopSteps(maxLoopSteps); !ok {
+		return nil, fmt.Errorf("interp: program passes the %d loop-step bound (at least %d loop steps)", maxLoopSteps, steps)
+	}
 	s := &Space{
 		Prog:      prog,
 		NestFirst: make([]int, len(prog.Nests)),

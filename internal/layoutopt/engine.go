@@ -10,6 +10,7 @@ import (
 
 	"diskreuse/internal/apps"
 	"diskreuse/internal/ast"
+	"diskreuse/internal/conc"
 	"diskreuse/internal/core"
 	"diskreuse/internal/disk"
 	"diskreuse/internal/layout"
@@ -96,9 +97,6 @@ const WholeProgram = -1
 // that come back. The per-policy scorer pools hand each concurrent score
 // its own scratch over the shared immutable columns.
 type schedEntry struct {
-	once sync.Once
-	err  error
-
 	arrival []float64
 	page    []uint32
 	runs    int
@@ -161,9 +159,11 @@ type Engine struct {
 
 	declared Assignment
 
-	mu     sync.Mutex
-	scores *lruCache // canonical key -> *Score
-	scheds *lruCache // primary sub-key -> *schedEntry
+	// Both memos are keyed by canonical layout text (canonKey, schedKey),
+	// so equivalent-but-differently-written layouts share one entry, and
+	// each key is built at most once however many workers ask for it.
+	scores *conc.Memo[*Score]      // canonical key -> score
+	scheds *conc.Memo[*schedEntry] // primary sub-key -> schedule entry
 	hits   atomic.Int64
 	misses atomic.Int64
 
@@ -215,8 +215,8 @@ func NewEngine(a apps.App, cacheSize int) (*Engine, error) {
 		pageSize:  lay.PageSize,
 		numArrays: len(prog.Arrays),
 		numNests:  len(prog.Nests),
-		scores:    newLRUCache(cacheSize),
-		scheds:    newLRUCache(max(64, cacheSize/4)),
+		scores:    conc.NewMemo[*Score](cacheSize, nil),
+		scheds:    conc.NewMemo[*schedEntry](max(64, cacheSize/4), nil),
 	}
 	e.attPool.New = func() any { return new(sim.Attribution) }
 	e.coldPool.New = func() any { return &coldScratch{sch: r.NewScheduler()} }
@@ -261,7 +261,8 @@ func (e *Engine) NumPhases() int { return e.numNests }
 // ArrayBytes returns the byte size of array i (migration-cost input).
 func (e *Engine) ArrayBytes(i int) int64 { return e.arrayBytes[i] }
 
-// CacheStats returns the score cache's cumulative hit and miss counts.
+// CacheStats returns the score cache's cumulative hit and miss counts; a
+// score coalesced onto another worker's in-flight build counts as a hit.
 func (e *Engine) CacheStats() (hits, misses int64) {
 	return e.hits.Load(), e.misses.Load()
 }
@@ -396,29 +397,19 @@ func (e *Engine) primaryVec(a Assignment, dst []int) []int {
 // (and the schedule's run count) on the pooled scratch when the entry is
 // new; the entry's columns are that order's trace on one processor.
 func (e *Engine) entryFor(key string, phase int, build func(s *coldScratch) (order []int, runs int, err error)) (*schedEntry, error) {
-	e.mu.Lock()
-	var en *schedEntry
-	if v, ok := e.scheds.get(key); ok {
-		en = v.(*schedEntry)
-	} else {
-		en = &schedEntry{}
-		e.scheds.add(key, en)
-	}
-	e.mu.Unlock()
-	en.once.Do(func() {
+	en, _, err := e.scheds.Get(key, func() (*schedEntry, error) {
 		s := e.coldPool.Get().(*coldScratch)
 		defer e.coldPool.Put(s)
-		var order []int
-		if order, en.runs, en.err = build(s); en.err != nil {
-			return
+		order, runs, err := build(s)
+		if err != nil {
+			return nil, err
 		}
 		lo, hi := e.phaseRange(phase)
-		var reqs []trace.Request
-		if reqs, en.err = s.gen.ViewRange(e.R, []trace.Phase{{PerProc: [][]int{order}}}, e.gen, lo, hi); en.err != nil {
-			return
+		reqs, err := s.gen.ViewRange(e.R, []trace.Phase{{PerProc: [][]int{order}}}, e.gen, lo, hi)
+		if err != nil {
+			return nil, err
 		}
-		en.arrival = make([]float64, len(reqs))
-		en.page = make([]uint32, len(reqs))
+		en := &schedEntry{arrival: make([]float64, len(reqs)), page: make([]uint32, len(reqs)), runs: runs}
 		for i := range reqs {
 			en.arrival[i], en.page[i] = reqs[i].Arrival, uint32(reqs[i].Block)
 		}
@@ -426,15 +417,15 @@ func (e *Engine) entryFor(key string, phase int, build func(s *coldScratch) (ord
 			cfg := sim.Config{Model: e.Model, Policy: pol}
 			sc, err := sim.NewEnergyScorer(en.arrival, e.pageSize, cfg)
 			if err != nil {
-				en.err = err
-				return
+				return nil, err
 			}
 			pool := &en.scorers[pol]
 			pool.New = func() any { return sc.Clone() }
 			pool.Put(sc)
 		}
+		return en, nil
 	})
-	return en, en.err
+	return en, err
 }
 
 // origEntry returns the phase's original-program-order entry — the
@@ -457,7 +448,7 @@ func (e *Engine) ScoreIn(phase int, a Assignment) (*Score, error) {
 // replay as costly as the other two — is deferred until a survivor is
 // reported. BaseEnergy is NaN until some ScoreIn call on the same
 // canonical layout backfills it (the cached Score is shared and updated in
-// place under the engine lock).
+// place, once, under its baseOnce).
 func (e *Engine) ScoreLite(phase int, a Assignment) (*Score, error) {
 	return e.scoreIn(phase, a, false)
 }
@@ -472,18 +463,31 @@ func (e *Engine) scoreIn(phase int, a Assignment, needBase bool) (*Score, error)
 	key := e.canonKey(phase, a)
 	numDisks := a.NumDisks()
 
-	replayBoth := func(en *schedEntry, sc *Score) error {
+	sc, st, err := e.scores.Get(key, func() (*Score, error) {
+		restr, err := e.entryFor(e.schedKey(phase, numDisks, a), phase, func(s *coldScratch) ([]int, int, error) {
+			// The primary vector is only needed when the schedule memo misses.
+			s.primary = e.primaryVec(a, s.primary)
+			if err := s.sch.ScheduleInto(&s.sched, numDisks, s.primary, e.phaseIDs(s, phase)); err != nil {
+				return nil, 0, err
+			}
+			return s.sched.Order, core.Stats(&s.sched, numDisks).Runs, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		// One carve of the candidate's disks feeds both policy replays.
 		att := e.attPool.Get().(*sim.Attribution)
 		defer e.attPool.Put(att)
-		if err := att.Build(len(en.page), e.diskOf(en.page, a), numDisks); err != nil {
-			return err
+		if err := att.Build(len(restr.page), e.diskOf(restr.page, a), numDisks); err != nil {
+			return nil, err
 		}
+		sc := &Score{Assignment: a.Clone(), Key: key, NumDisks: numDisks, Runs: restr.runs, BaseEnergy: math.NaN()}
 		for _, pol := range []sim.Policy{sim.TPM, sim.DRPM} {
-			es := en.scorers[pol].Get().(*sim.EnergyScorer)
+			es := restr.scorers[pol].Get().(*sim.EnergyScorer)
 			sum, err := es.ScoreAttribution(att)
-			en.scorers[pol].Put(es)
+			restr.scorers[pol].Put(es)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if pol == sim.TPM {
 				sc.TTPMEnergy = sum.Energy
@@ -491,63 +495,31 @@ func (e *Engine) scoreIn(phase int, a Assignment, needBase bool) (*Score, error)
 				sc.TDRPMEnergy = sum.Energy
 			}
 		}
-		return nil
-	}
-	fillBase := func(sc *Score) (err error) {
-		sc.baseOnce.Do(func() {
-			var orig *schedEntry
-			if orig, err = e.origEntry(phase); err != nil {
-				return
-			}
-			es := orig.scorers[sim.NoPM].Get().(*sim.EnergyScorer)
-			defer orig.scorers[sim.NoPM].Put(es)
-			var sum sim.EnergySummary
-			if sum, err = es.Score(e.diskOf(orig.page, a), numDisks); err == nil {
-				sc.BaseEnergy = sum.Energy
-			}
-		})
-		return err
-	}
-
-	e.mu.Lock()
-	if v, ok := e.scores.get(key); ok {
-		e.mu.Unlock()
-		e.hits.Add(1)
-		sc := v.(*Score)
-		if needBase {
-			if err := fillBase(sc); err != nil {
-				return nil, err
-			}
-		}
 		return sc, nil
+	})
+	if st == conc.Miss {
+		e.misses.Add(1)
+	} else {
+		e.hits.Add(1)
 	}
-	e.mu.Unlock()
-	e.misses.Add(1)
-
-	restr, err := e.entryFor(e.schedKey(phase, numDisks, a), phase, func(s *coldScratch) ([]int, int, error) {
-		// The primary vector is only needed when the schedule memo misses.
-		s.primary = e.primaryVec(a, s.primary)
-		if err := s.sch.ScheduleInto(&s.sched, numDisks, s.primary, e.phaseIDs(s, phase)); err != nil {
-			return nil, 0, err
+	if err != nil || !needBase {
+		return sc, err
+	}
+	sc.baseOnce.Do(func() {
+		var orig *schedEntry
+		if orig, err = e.origEntry(phase); err != nil {
+			return
 		}
-		return s.sched.Order, core.Stats(&s.sched, numDisks).Runs, nil
+		es := orig.scorers[sim.NoPM].Get().(*sim.EnergyScorer)
+		defer orig.scorers[sim.NoPM].Put(es)
+		var sum sim.EnergySummary
+		if sum, err = es.Score(e.diskOf(orig.page, a), numDisks); err == nil {
+			sc.BaseEnergy = sum.Energy
+		}
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	sc := &Score{Assignment: a.Clone(), Key: key, NumDisks: numDisks, Runs: restr.runs, BaseEnergy: math.NaN()}
-	if err := replayBoth(restr, sc); err != nil {
-		return nil, err
-	}
-	if needBase {
-		if err := fillBase(sc); err != nil {
-			return nil, err
-		}
-	}
-	e.mu.Lock()
-	e.scores.add(key, sc)
-	e.mu.Unlock()
 	return sc, nil
 }
 

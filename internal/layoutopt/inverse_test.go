@@ -29,12 +29,12 @@ func TestDiskOfInvertsDeclaredLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, ok := e.scheds.get(e.schedKey(WholeProgram, declared.NumDisks(), declared))
+		restr, ok := e.scheds.Lookup(e.schedKey(WholeProgram, declared.NumDisks(), declared))
 		if !ok {
 			t.Fatalf("%s: no memo entry for the declared schedule", name)
 		}
 		arrays := map[int32]bool{}
-		for _, en := range []*schedEntry{orig, v.(*schedEntry)} {
+		for _, en := range []*schedEntry{orig, restr} {
 			if len(en.page) == 0 {
 				t.Fatalf("%s: empty memo entry", name)
 			}
@@ -79,8 +79,8 @@ func TestScheduleMemoFootprint(t *testing.T) {
 	}
 	const maxBytesPerReq = 12
 	entries := 0
-	for key, el := range e.scheds.m {
-		en := el.Value.(*lruEntry).val.(*schedEntry)
+	for _, key := range e.scheds.Keys() {
+		en, _ := e.scheds.Lookup(key)
 		n := len(en.arrival)
 		if n == 0 || len(en.page) != n {
 			t.Fatalf("%s: columns hold %d arrivals and %d pages", key, n, len(en.page))

@@ -9,6 +9,7 @@ package sema
 
 import (
 	"fmt"
+	"math"
 
 	"diskreuse/internal/affine"
 	"diskreuse/internal/ast"
@@ -207,11 +208,88 @@ func enumerate(level int, iv affine.Vector, bounds []LoopBound, fn func(affine.V
 	}
 }
 
-// IterationCount returns the number of iterations in the nest's space.
+// IterationCount returns the number of iterations in the nest's space by
+// enumerating it — the oracle LoopSteps' closed form is checked against.
 func (n *Nest) IterationCount() int64 {
 	var count int64
 	n.ForEachIteration(func(affine.Vector) { count++ })
 	return count
+}
+
+// LoopSteps is the front end's one iteration counter and admission check.
+// It counts the program's loop steps — every step of every loop level of
+// every nest, the innermost level in closed form — and stops as soon as
+// the total passes budget, so a bound like "for i = 0 to 10^18" is
+// refused without being walked. ok reports whether the total stays within
+// budget; when it does not, steps is the count at which counting gave up.
+//
+// A level's trip count is computed in unsigned arithmetic and its values
+// are stepped by trip index, so a span wider than int64 counts as over any
+// budget instead of wrapping.
+func (p *Program) LoopSteps(budget int64) (steps int64, ok bool) {
+	c := stepCounter{budget: uint64(max(budget, 0))}
+	for _, n := range p.Nests {
+		if !c.nest(n) {
+			break
+		}
+	}
+	return int64(min(c.steps, math.MaxInt64)), c.steps <= c.budget
+}
+
+// LoopSteps is Program.LoopSteps over one nest; iters is the nest's
+// iteration count (its innermost steps).
+func (n *Nest) LoopSteps(budget int64) (steps, iters int64, ok bool) {
+	c := stepCounter{budget: uint64(max(budget, 0))}
+	c.nest(n)
+	return int64(min(c.steps, math.MaxInt64)), int64(c.iters), c.steps <= c.budget
+}
+
+// stepCounter is LoopSteps' walk over the outer levels. While counting
+// goes on steps stays within budget, so neither it nor iters can wrap; a
+// level that passes the budget adds its whole trip count, saturating, so
+// steps > budget exactly when counting gave up.
+type stepCounter struct {
+	budget, steps, iters uint64
+	bounds               []LoopBound
+	iv                   []int64
+}
+
+func (c *stepCounter) nest(n *Nest) bool {
+	c.bounds, c.iv = n.Bounds(), make([]int64, n.Depth())
+	return c.level(0)
+}
+
+func (c *stepCounter) level(l int) bool {
+	b := c.bounds[l]
+	lo, hi := b.Lo.EvalVec(c.iv), b.Hi.EvalVec(c.iv)
+	n := tripCount(lo, hi, b.Step)
+	if n > c.budget-c.steps {
+		// Every value of this level is a step of its own, so the level
+		// alone passes the budget, whatever lies inside it.
+		c.steps += min(n, math.MaxUint64-c.steps)
+		return false
+	}
+	c.steps += n
+	if l == len(c.bounds)-1 {
+		c.iters += n
+		return true
+	}
+	for t := uint64(0); t < n; t++ {
+		c.iv[l] = lo + int64(t*uint64(b.Step))
+		if !c.level(l + 1) {
+			return false
+		}
+	}
+	return true
+}
+
+// tripCount is the number of values lo, lo+step, … ≤ hi, saturating at
+// math.MaxUint64 (only the full int64 range at step 1 reaches it).
+func tripCount(lo, hi, step int64) uint64 {
+	if hi < lo || step <= 0 {
+		return 0
+	}
+	return min((uint64(hi)-uint64(lo))/uint64(step), math.MaxUint64-1) + 1
 }
 
 // Array returns the array declaration with the given name, or nil.

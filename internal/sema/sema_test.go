@@ -1,11 +1,13 @@
 package sema
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"diskreuse/internal/affine"
 	"diskreuse/internal/ast"
+	"diskreuse/internal/drlgen"
 	"diskreuse/internal/parser"
 )
 
@@ -237,5 +239,64 @@ func TestDefaultStripeOverride(t *testing.T) {
 	}
 	if p.NumDisks() != 3 {
 		t.Errorf("NumDisks = %d, want 3 (start 1 + factor 2)", p.NumDisks())
+	}
+}
+
+// TestLoopStepsMatchesEnumeration checks the shared counter against the
+// enumerating oracle (IterationCount) on the drlgen corpus, with
+// triangular bounds and step-2 loops drawn often: each nest's iteration
+// count is equal, its steps are at least its iterations, and a budget one
+// below the program's step count aborts while the exact count passes.
+func TestLoopStepsMatchesEnumeration(t *testing.T) {
+	cfg := drlgen.Config{MaxDepth: 3, TriangularPct: 60, StepPct: 50}
+	var triangular, stepped int
+	for seed := int64(0); seed < 300; seed++ {
+		p := analyze(t, drlgen.Generate(seed, cfg).Source)
+		var total int64
+		for k, n := range p.Nests {
+			steps, iters, ok := n.LoopSteps(math.MaxInt64)
+			if !ok {
+				t.Fatalf("seed %d nest %d: unbounded count gave up", seed, k)
+			}
+			if want := n.IterationCount(); iters != want {
+				t.Errorf("seed %d nest %d: LoopSteps counts %d iterations, enumeration %d", seed, k, iters, want)
+			}
+			if steps < iters {
+				t.Errorf("seed %d nest %d: %d steps < %d iterations", seed, k, steps, iters)
+			}
+			total += steps
+			for _, l := range n.Loops {
+				if len(l.Lo.Coeffs) > 0 {
+					triangular++
+				}
+				if l.Step > 1 {
+					stepped++
+				}
+			}
+		}
+		if steps, ok := p.LoopSteps(total); !ok || steps != total {
+			t.Errorf("seed %d: program LoopSteps(%d) = %d, %v; want the nests' sum, true", seed, total, steps, ok)
+		}
+		if steps, ok := p.LoopSteps(total - 1); ok || steps <= total-1 {
+			t.Errorf("seed %d: LoopSteps(%d) = %d, %v; want a count past the budget, false", seed, total-1, steps, ok)
+		}
+	}
+	if triangular == 0 || stepped == 0 {
+		t.Fatalf("corpus drew %d triangular and %d stepped levels; both shapes must be covered", triangular, stepped)
+	}
+}
+
+// TestLoopStepsHostileBounds: spans wider than int64 and an outer level
+// past the budget are refused at once, not wrapped or walked. In signed
+// arithmetic the second span's hi-lo wraps to -2, a trip count of 1.
+func TestLoopStepsHostileBounds(t *testing.T) {
+	for _, src := range []string{
+		"array A[4] elem 4096\nnest N { for i = -5000000000000000000 to 5000000000000000000 { A[0] = A[0]; } }",
+		"array A[4] elem 4096\nnest N { for i = -9223372036854775807 to 9223372036854775807 step 10 { A[0] = A[0]; } }",
+		"array A[4] elem 4096\nnest N { for i = 0 to 999999999999 { for j = 0 to 1 { A[j] = A[j]; } } }",
+	} {
+		if steps, ok := analyze(t, src).LoopSteps(math.MaxInt32); ok || steps <= math.MaxInt32 {
+			t.Errorf("LoopSteps = %d, %v; want a count past the budget, false\n%s", steps, ok, src)
+		}
 	}
 }

@@ -6,35 +6,34 @@
 // artifacts (program bytes, processor count, engine, trace-generation
 // options, disk model), and the expensive immutable exp.Artifacts —
 // parsed AST, compiled kernels, restructured schedules, prepared traces —
-// are memoized in a bounded LRU with singleflight-style in-flight
-// deduplication, so N concurrent identical submissions compile once and
-// every replay shares the one cached value read-only.
+// are memoized in a conc.Memo — a bounded LRU with singleflight-style
+// in-flight deduplication — so N concurrent identical submissions compile
+// once and every replay shares the one cached value read-only.
 package server
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"math"
-	"sync"
 
+	"diskreuse/internal/conc"
 	"diskreuse/internal/exp"
 	"diskreuse/internal/metrics"
 )
 
 // CacheStatus says how a request's artifacts were obtained; it is
 // returned to clients in the X-DPCD-Cache response header.
-type CacheStatus string
+type CacheStatus = conc.Status
 
 const (
 	// StatusMiss: this request ran the pipeline.
-	StatusMiss CacheStatus = "miss"
+	StatusMiss = conc.Miss
 	// StatusHit: the artifacts were already cached.
-	StatusHit CacheStatus = "hit"
+	StatusHit = conc.Hit
 	// StatusDedup: another in-flight request was already building the
 	// same artifacts; this one waited for it instead of compiling again.
-	StatusDedup CacheStatus = "dedup"
+	StatusDedup = conc.Dedup
 )
 
 // ArtifactKey content-addresses a compilation: it hashes exactly the
@@ -53,142 +52,59 @@ func ArtifactKey(program string, procs int, engine string, computePerIter float6
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// call is one in-flight artifact build; waiters block on done.
-type call struct {
-	done chan struct{}
-	art  *exp.Artifacts
-	err  error
-}
-
-// Cache is the bounded content-addressed artifact cache. All methods are
-// safe for concurrent use. Entries are immutable exp.Artifacts, so a hit
-// hands back a value that any number of requests may replay concurrently.
+// Cache is the bounded content-addressed artifact cache: a conc.Memo of
+// immutable exp.Artifacts that publishes its hit/miss/dedup/eviction
+// counters and entry-count gauge. All methods are safe for concurrent
+// use; a hit hands back a value that any number of requests may replay
+// concurrently.
 type Cache struct {
-	capacity int
+	memo *conc.Memo[*exp.Artifacts]
 
-	mu       sync.Mutex // held only for map/list ops, never across a build
-	ll       *list.List // front = most recently used
-	entries  map[string]*list.Element
-	inflight map[string]*call
-
-	hits      *metrics.Counter
-	misses    *metrics.Counter
-	dedups    *metrics.Counter
-	evictions *metrics.Counter
-	size      *metrics.Gauge
-}
-
-type entry struct {
-	key string
-	art *exp.Artifacts
+	hits   *metrics.Counter
+	misses *metrics.Counter
+	dedups *metrics.Counter
+	size   *metrics.Gauge
 }
 
 // NewCache returns a cache bounded to capacity entries. The registry
 // (which may be nil) receives the cache's hit/miss/dedup/eviction
 // counters and the live entry-count gauge.
 func NewCache(capacity int, reg *metrics.Registry) *Cache {
-	if capacity < 1 {
-		capacity = 1
+	evictions := reg.Counter("dpcd_cache_evictions_total", "artifact cache LRU evictions")
+	return &Cache{
+		memo:   conc.NewMemo(capacity, func(string, *exp.Artifacts) { evictions.Inc() }),
+		hits:   reg.Counter("dpcd_cache_hits_total", "artifact cache hits"),
+		misses: reg.Counter("dpcd_cache_misses_total", "artifact cache misses (pipeline executions)"),
+		dedups: reg.Counter("dpcd_cache_dedup_total", "requests coalesced onto an in-flight build"),
+		size:   reg.Gauge("dpcd_cache_entries", "artifacts currently cached"),
 	}
-	c := &Cache{
-		capacity:  capacity,
-		ll:        list.New(),
-		entries:   make(map[string]*list.Element),
-		inflight:  make(map[string]*call),
-		hits:      reg.Counter("dpcd_cache_hits_total", "artifact cache hits"),
-		misses:    reg.Counter("dpcd_cache_misses_total", "artifact cache misses (pipeline executions)"),
-		dedups:    reg.Counter("dpcd_cache_dedup_total", "requests coalesced onto an in-flight build"),
-		evictions: reg.Counter("dpcd_cache_evictions_total", "artifact cache LRU evictions"),
-		size:      reg.Gauge("dpcd_cache_entries", "artifacts currently cached"),
-	}
-	return c
 }
 
 // Get returns the artifacts for key, building them at most once across
-// all concurrent callers: a cached key is a hit; a key with a build in
-// flight waits for that build (dedup); otherwise this caller runs build
-// (miss) and everyone arriving meanwhile waits on it. Failed builds are
-// not cached — the error is shared with the coalesced waiters of that
-// one attempt and the next Get retries.
+// all concurrent callers (conc.Memo.Get): a cached key is a hit; a key
+// with a build in flight waits for that build (dedup); otherwise this
+// caller runs build (miss). Failed and panicking builds are not cached,
+// and the next Get retries.
 func (c *Cache) Get(key string, build func() (*exp.Artifacts, error)) (*exp.Artifacts, CacheStatus, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		art := el.Value.(*entry).art
-		c.mu.Unlock()
+	art, st, err := c.memo.Get(key, build)
+	switch st {
+	case StatusHit:
 		c.hits.Inc()
-		return art, StatusHit, nil
-	}
-	if cl, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
+	case StatusDedup:
 		c.dedups.Inc()
-		<-cl.done
-		return cl.art, StatusDedup, cl.err
+	default:
+		c.misses.Inc()
+		c.size.Set(float64(c.memo.Len()))
 	}
-	cl := &call{done: make(chan struct{})}
-	c.inflight[key] = cl
-	c.mu.Unlock()
-	c.misses.Inc()
-
-	cl.art, cl.err = build()
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if cl.err == nil {
-		c.insertLocked(key, cl.art)
-	}
-	c.mu.Unlock()
-	close(cl.done)
-	return cl.art, StatusMiss, cl.err
-}
-
-// insertLocked adds a built entry, evicting from the LRU tail past
-// capacity. Callers hold the lock.
-func (c *Cache) insertLocked(key string, art *exp.Artifacts) {
-	if el, ok := c.entries[key]; ok {
-		// A concurrent build of the same key already landed (possible if
-		// an entry was evicted and rebuilt while this build ran); keep
-		// the existing entry authoritative.
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.ll.PushFront(&entry{key: key, art: art})
-	for c.ll.Len() > c.capacity {
-		tail := c.ll.Back()
-		c.ll.Remove(tail)
-		delete(c.entries, tail.Value.(*entry).key)
-		c.evictions.Inc()
-	}
-	c.size.Set(float64(c.ll.Len()))
+	return art, st, err
 }
 
 // Lookup returns the cached artifacts for key without building, promoting
 // the entry on hit. It backs GET /v1/artifacts/{hash}.
-func (c *Cache) Lookup(key string) (*exp.Artifacts, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*entry).art, true
-}
+func (c *Cache) Lookup(key string) (*exp.Artifacts, bool) { return c.memo.Lookup(key) }
 
 // Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
+func (c *Cache) Len() int { return c.memo.Len() }
 
 // Keys returns the cached keys from most to least recently used.
-func (c *Cache) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]string, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*entry).key)
-	}
-	return keys
-}
+func (c *Cache) Keys() []string { return c.memo.Keys() }

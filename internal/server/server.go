@@ -25,8 +25,8 @@ type Config struct {
 	CacheEntries int
 	// MaxBodyBytes bounds request bodies; 0 selects 1 MiB.
 	MaxBodyBytes int64
-	// MaxIterations bounds the total loop-iteration budget of a submitted
-	// program (counting every loop-level step), rejecting pathological
+	// MaxIterations bounds a submitted program's loop steps (sema's shared
+	// counter: every step of every loop level), rejecting pathological
 	// inputs before they reach the pipeline; 0 selects 1<<22.
 	MaxIterations int64
 	// Jobs is the per-request pipeline/simulation parallelism
@@ -182,49 +182,11 @@ func (s *Server) admit(cr *CompileRequest) (*compiled, error) {
 	if err != nil {
 		return nil, errUnprocessable(CodeCompileFailed, "%s", err.Error())
 	}
-	if n, ok := iterationsWithin(p, s.cfg.MaxIterations); !ok {
+	if n, ok := p.LoopSteps(s.cfg.MaxIterations); !ok {
 		return nil, errUnprocessable(CodeTooManyIters,
 			"program exceeds the %d-iteration budget (counted %d loop steps before giving up)", s.cfg.MaxIterations, n)
 	}
 	return c, nil
-}
-
-// iterationsWithin counts the program's loop steps (every iteration of
-// every loop level, innermost levels in closed form) and reports whether
-// the total stays within limit. It aborts as soon as the budget is
-// exceeded, so a pathological bound like "for i = 0 to 10^18" is rejected
-// in microseconds instead of enumerated.
-func iterationsWithin(p *sema.Program, limit int64) (int64, bool) {
-	var steps int64
-	for _, n := range p.Nests {
-		if !countSteps(0, make([]int64, n.Depth()), n.Bounds(), &steps, limit) {
-			return steps, false
-		}
-	}
-	return steps, true
-}
-
-func countSteps(level int, iv []int64, bs []sema.LoopBound, steps *int64, limit int64) bool {
-	b := bs[level]
-	lo, hi := b.Lo.EvalVec(iv), b.Hi.EvalVec(iv)
-	if hi < lo || b.Step <= 0 {
-		return true
-	}
-	if level == len(bs)-1 {
-		*steps += (hi-lo)/b.Step + 1
-		return *steps <= limit
-	}
-	for v := lo; v <= hi; v += b.Step {
-		*steps++
-		if *steps > limit {
-			return false
-		}
-		iv[level] = v
-		if !countSteps(level+1, iv, bs, steps, limit) {
-			return false
-		}
-	}
-	return true
 }
 
 // artifacts resolves a compile request through the content-addressed

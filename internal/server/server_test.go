@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"diskreuse/internal/exp"
 	"diskreuse/internal/metrics"
@@ -163,6 +164,9 @@ func TestSimulateReportGolden(t *testing.T) {
 	checkGolden(t, "simulate_report.golden.json", append(got, '\n'))
 }
 
+// spanOverflowBody compiles a loop whose hi-lo overflows int64.
+const spanOverflowBody = `{"program":"array A[4] elem 4096\nnest N { for i = -5000000000000000000 to 5000000000000000000 { A[0] = A[0]; } }"}`
+
 // TestErrorPaths is the 4xx table: every malformed or unprocessable
 // request maps to a structured error JSON with the right status and code,
 // and nothing maps to a 5xx.
@@ -195,6 +199,9 @@ func TestErrorPaths(t *testing.T) {
 			`{"program":"array A[4] elem 4096\nnest N { for i = 0 to 3 { B[i] = B[i]; } }"}`, 422, CodeCompileFailed},
 		{"iteration budget", "POST", "/v1/compile",
 			`{"program":"array A[4] elem 4096\nnest N { for i = 0 to 999999999 { A[0] = A[0]; } }"}`, 422, CodeTooManyIters},
+		// hi-lo overflows int64: the budget must count the span as over,
+		// not as a negative step count that admits the program.
+		{"span overflow", "POST", "/v1/compile", spanOverflowBody, 422, CodeTooManyIters},
 		{"negative sim param", "POST", "/v1/simulate",
 			`{"program":"x","sim":{"tpm_threshold":-1}}`, 422, CodeInvalidConfig},
 		{"negative raid width", "POST", "/v1/simulate",
@@ -230,6 +237,23 @@ func TestErrorPaths(t *testing.T) {
 				t.Errorf("error = %+v, want code %q status %d and a message", eb.Error, tc.code, tc.status)
 			}
 		})
+	}
+	// The table sent the span-overflow program once; an identical request
+	// must still be answered, not left waiting on a build the first one
+	// abandoned.
+	done := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/compile", strings.NewReader(spanOverflowBody)))
+		done <- rec.Code
+	}()
+	select {
+	case code := <-done:
+		if code != http.StatusUnprocessableEntity {
+			t.Errorf("repeated span-overflow request: status %d, want 422", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("repeated span-overflow request still blocked after 10 s")
 	}
 }
 

@@ -182,8 +182,6 @@ type DiskStats struct {
 	// GapsOverBreakEven counts idle gaps long enough for a TPM disk to
 	// profit from spinning down.
 	GapsOverBreakEven int
-	// LongestGap is the longest idle gap observed (seconds).
-	LongestGap float64
 }
 
 // Result is the outcome of a simulation run.
@@ -435,9 +433,6 @@ func (ds *diskSim) service(issue float64, size int64, st *DiskStats, acc *reqFol
 	nodeReady := issue
 	if issue > ds.clock {
 		gap := issue - ds.clock
-		if gap > st.LongestGap {
-			st.LongestGap = gap
-		}
 		if gap >= ds.m.BreakEven {
 			st.GapsOverBreakEven++
 		}
@@ -504,9 +499,6 @@ func (ds *diskSim) service(issue float64, size int64, st *DiskStats, acc *reqFol
 func (ds *diskSim) finish(gap float64, st *DiskStats) {
 	if gap <= 0 {
 		return
-	}
-	if gap > st.LongestGap {
-		st.LongestGap = gap
 	}
 	ds.advanceGap(gap, st, true)
 }
