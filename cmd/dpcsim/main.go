@@ -349,22 +349,23 @@ func run(o options) (err error) {
 	return sess.WriteTrace()
 }
 
-// simConfig is one policy's replay configuration: its telemetry, teed
-// with the -timeline log when there is one, is the run's interval sink.
+// simConfig is one policy's replay configuration: its telemetry is the
+// run's idle fold, and the -timeline log, when there is one, its interval
+// sink.
 func (o options) simConfig(pol sim.Policy, model disk.Model, tel *obs.SimTelemetry, timeline *obs.IntervalLog, root *obs.Span, reg *metrics.Registry) sim.Config {
-	var sink obs.IntervalSink = tel
-	if timeline != nil {
-		sink = obs.Tee(tel, timeline)
-	}
-	return sim.Config{
+	cfg := sim.Config{
 		Model:    model,
 		NumDisks: o.disks,
 		Policy:   pol,
 		Jobs:     o.jobs,
-		Sink:     sink,
+		Idle:     tel,
 		Span:     root,
 		Metrics:  reg,
 	}
+	if timeline != nil {
+		cfg.Sink = timeline
+	}
+	return cfg
 }
 
 // writeStateShares prints each disk's percentage of time in each state,

@@ -466,8 +466,9 @@ func (art *Artifacts) execOf(v Version) *execution {
 // shared, immutable Artifacts — concurrent simulate requests replaying one
 // cached PreparedTrace each bring their own Observers and never alias each
 // other's telemetry. A zero Observers is valid. RunVersionObserved always
-// tees a private telemetry collector, for the RunResult's idle-locality
-// fields, beside whatever Sink brings.
+// gives the replay a private telemetry collector as its idle fold
+// (sim.Config.Idle), for the RunResult's idle-locality fields; Sink gets
+// only the intervals the caller asked for.
 type Observers struct {
 	// Sink, when non-nil, receives every state interval of every disk
 	// (an obs.IntervalLog is the dpcd NDJSON streaming hook). It must be
@@ -516,7 +517,8 @@ func (art *Artifacts) RunVersionObserved(v Version, opt Options, obsv Observers)
 		RAIDWidth:    opt.RAIDWidth,
 		Policy:       policyOf(v),
 		Jobs:         opt.Jobs,
-		Sink:         obs.Tee(tel, obsv.Sink),
+		Sink:         obsv.Sink,
+		Idle:         tel,
 		Attribution:  obsv.Attribution,
 		Span:         root,
 		Metrics:      opt.Metrics,

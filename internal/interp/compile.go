@@ -83,16 +83,17 @@ type kernel struct {
 }
 
 // compileKernel lowers a checked nest: bounds once, strides once, refs in
-// emission order, and the exact iteration count from sema's shared
-// counter (closed-form innermost level; BuildSpaceOpts has already held
-// the program to maxLoopSteps, so it cannot give up here).
-func compileKernel(n *sema.Nest) *kernel {
+// emission order. count is the nest's exact iteration count, which
+// BuildSpaceOpts takes from sema's shared counter when it holds the
+// program to maxLoopSteps.
+func compileKernel(n *sema.Nest, count int64) *kernel {
 	iters := n.Iterators()
 	depth := len(iters)
 	k := &kernel{
 		nestIdx: n.Index,
 		depth:   depth,
 		bounds:  n.Bounds(),
+		count:   count,
 	}
 	addRef := func(r *sema.Ref, write bool, stmt int) {
 		a := r.Array
@@ -126,7 +127,6 @@ func compileKernel(n *sema.Nest) *kernel {
 			addRef(st.Write, true, st.Index)
 		}
 	}
-	_, k.count, _ = n.LoopSteps(maxLoopSteps)
 	return k
 }
 
@@ -134,24 +134,25 @@ func compileKernel(n *sema.Nest) *kernel {
 // vectors in lexicographic order. The odometer only walks the outer
 // depth-1 levels; each innermost range is a run written by a tight loop —
 // prefix copy plus one incrementing coordinate — with bound re-evaluation
-// only between runs.
+// only between runs. Each level runs for its trip count, stepping its
+// value in wrapping arithmetic, so a bound at math.MaxInt64 ends the run.
 func (k *kernel) enumerateInto(flat []int64) {
 	d := k.depth
 	inner := k.bounds[d-1]
 	step := inner.Step
 	pos := 0
 	if d == 1 {
-		lo, hi := inner.Lo.EvalVec(nil), inner.Hi.EvalVec(nil)
-		for v := lo; v <= hi; v += step {
+		lo, n := inner.Trips(nil)
+		for v, t := lo, n; t > 0; v, t = v+step, t-1 {
 			flat[pos] = v
 			pos++
 		}
 	} else if d == 2 {
 		o := newOdometer(k.bounds[:1])
 		for ok := o.reset(); ok; ok = o.next() {
-			lo, hi := inner.Lo.EvalVec(o.iv), inner.Hi.EvalVec(o.iv)
+			lo, n := inner.Trips(o.iv)
 			p0 := o.iv[0]
-			for v := lo; v <= hi; v += step {
+			for v, t := lo, n; t > 0; v, t = v+step, t-1 {
 				flat[pos] = p0
 				flat[pos+1] = v
 				pos += 2
@@ -160,8 +161,8 @@ func (k *kernel) enumerateInto(flat []int64) {
 	} else {
 		o := newOdometer(k.bounds[:d-1])
 		for ok := o.reset(); ok; ok = o.next() {
-			lo, hi := inner.Lo.EvalVec(o.iv), inner.Hi.EvalVec(o.iv)
-			for v := lo; v <= hi; v += step {
+			lo, n := inner.Trips(o.iv)
+			for v, t := lo, n; t > 0; v, t = v+step, t-1 {
 				pos += copy(flat[pos:], o.iv)
 				flat[pos] = v
 				pos++
@@ -176,16 +177,17 @@ func (k *kernel) enumerateInto(flat []int64) {
 }
 
 // odometer enumerates a bounds list lexicographically without recursion.
-// Each level's hi bound is cached while its enclosing prefix is unchanged,
-// so advancing costs one compare+add per iteration in the common case and
-// bound re-evaluation only at carries.
+// Each level's remaining trip count is kept while its enclosing prefix is
+// unchanged, so advancing costs one compare+add per iteration in the
+// common case and bound re-evaluation only at carries.
 type odometer struct {
-	b      []sema.LoopBound
-	iv, hi []int64
+	b    []sema.LoopBound
+	iv   []int64
+	left []uint64 // trips each level has left after iv[l]
 }
 
 func newOdometer(b []sema.LoopBound) *odometer {
-	return &odometer{b: b, iv: make([]int64, len(b)), hi: make([]int64, len(b))}
+	return &odometer{b: b, iv: make([]int64, len(b)), left: make([]uint64, len(b))}
 }
 
 // reset positions the odometer at the first iteration, skipping leading
@@ -196,12 +198,22 @@ func (o *odometer) reset() bool { return o.refill(0) }
 // false when the space is exhausted.
 func (o *odometer) next() bool {
 	for l := len(o.iv) - 1; l >= 0; l-- {
-		o.iv[l] += o.b[l].Step
-		if o.iv[l] <= o.hi[l] {
+		if o.advance(l) {
 			return o.refill(l + 1)
 		}
 	}
 	return false
+}
+
+// advance steps level l to its next value, reporting false when it has
+// none left.
+func (o *odometer) advance(l int) bool {
+	if o.left[l] == 0 {
+		return false
+	}
+	o.left[l]--
+	o.iv[l] += o.b[l].Step
+	return true
 }
 
 // refill places levels from..depth-1 at their lower bounds, re-evaluating
@@ -210,19 +222,18 @@ func (o *odometer) next() bool {
 // it. Returns false when no iteration remains.
 func (o *odometer) refill(from int) bool {
 	for l := from; l < len(o.iv); l++ {
-		lo := o.b[l].Lo.EvalVec(o.iv)
-		hi := o.b[l].Hi.EvalVec(o.iv)
-		o.iv[l], o.hi[l] = lo, hi
-		if lo > hi {
-			for {
-				l--
-				if l < 0 {
-					return false
-				}
-				o.iv[l] += o.b[l].Step
-				if o.iv[l] <= o.hi[l] {
-					break
-				}
+		lo, n := o.b[l].Trips(o.iv)
+		if n > 0 {
+			o.iv[l], o.left[l] = lo, n-1
+			continue
+		}
+		for {
+			l--
+			if l < 0 {
+				return false
+			}
+			if o.advance(l) {
+				break
 			}
 		}
 	}

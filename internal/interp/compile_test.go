@@ -73,12 +73,17 @@ func TestEngineSpaceParity(t *testing.T) {
 }
 
 // TestKernelCountMatchesTreeWalk checks the closed-form-innermost count
-// against the oracle's full enumeration count.
+// BuildSpace hands each kernel against the oracle's full enumeration
+// count.
 func TestKernelCountMatchesTreeWalk(t *testing.T) {
 	for name, src := range parityPrograms {
 		prog := analyze(t, src)
+		s, err := BuildSpace(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		for i, n := range prog.Nests {
-			k := compileKernel(n)
+			k := s.kernels[i]
 			if want := n.IterationCount(); k.count != want {
 				t.Errorf("%s nest %d: kernel count %d, tree-walk %d", name, i, k.count, want)
 			}

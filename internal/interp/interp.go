@@ -149,12 +149,13 @@ type BuildOptions struct {
 // sweep that does not end.
 //
 // On the compiled engine the nests are lowered to iteration kernels first;
-// the exact per-nest volumes fall out of the lowering, so each nest's flat
+// the exact per-nest volumes are the counter's, so each nest's flat
 // iteration-vector arena is allocated at final size and run-filled. The
 // interp engine keeps the original two-pass tree-walk enumeration as the
 // reference oracle, writing the same arena representation.
 func BuildSpaceOpts(ctx context.Context, prog *sema.Program, opt BuildOptions) (*Space, error) {
-	if steps, ok := prog.LoopSteps(maxLoopSteps); !ok {
+	steps, iters, ok := prog.LoopSteps(maxLoopSteps)
+	if !ok {
 		return nil, fmt.Errorf("interp: program passes the %d loop-step bound (at least %d loop steps)", maxLoopSteps, steps)
 	}
 	s := &Space{
@@ -170,19 +171,20 @@ func BuildSpaceOpts(ctx context.Context, prog *sema.Program, opt BuildOptions) (
 		s.refs[i] = compileNest(n)
 	}
 	if opt.Engine == EngineCompiled {
-		return s.buildCompiled(ctx, opt)
+		return s.buildCompiled(ctx, opt, iters)
 	}
 	return s.buildInterp(ctx, opt.Jobs)
 }
 
-// buildCompiled lowers every nest to an iteration kernel, then run-fills
-// each nest's arena through the kernel's odometer: one exactly-sized
-// allocation per nest, no append growth, no per-iteration headers.
-func (s *Space) buildCompiled(ctx context.Context, opt BuildOptions) (*Space, error) {
+// buildCompiled lowers every nest to an iteration kernel holding its
+// iteration count iters[i], then run-fills each nest's arena through the
+// kernel's odometer: one exactly-sized allocation per nest, no append
+// growth, no per-iteration headers.
+func (s *Space) buildCompiled(ctx context.Context, opt BuildOptions, iters []int64) (*Space, error) {
 	sp := opt.Span.Child("compile")
 	s.kernels = make([]*kernel, len(s.Prog.Nests))
 	for i, n := range s.Prog.Nests {
-		s.kernels[i] = compileKernel(n)
+		s.kernels[i] = compileKernel(n, iters[i])
 	}
 	sp.End()
 	total := 0

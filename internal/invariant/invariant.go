@@ -418,7 +418,7 @@ func checkEngineParity(prog *sema.Program, lay *layout.Layout, computePerIter fl
 }
 
 // runRecorded replays a prepared trace under one policy with an interval
-// log and telemetry enabled.
+// log as its sink and telemetry as its idle fold.
 func runRecorded(pt *sim.PreparedTrace, opt Options, pol sim.Policy, numDisks, jobs int) (*sim.Result, []obs.Interval, *obs.SimTelemetry, error) {
 	log := obs.NewIntervalLog(numDisks)
 	tel := obs.NewSimTelemetry(numDisks)
@@ -428,7 +428,8 @@ func runRecorded(pt *sim.PreparedTrace, opt Options, pol sim.Policy, numDisks, j
 		Policy:       pol,
 		TPMThreshold: opt.TPMThreshold,
 		Jobs:         jobs,
-		Sink:         obs.Tee(log, tel),
+		Sink:         log,
+		Idle:         tel,
 	}
 	res, err := sim.RunPrepared(pt, cfg)
 	if err != nil {
@@ -454,7 +455,8 @@ func runStreamed(encoded []byte, opt Options, pol sim.Policy, numDisks, jobs int
 		Policy:       pol,
 		TPMThreshold: opt.TPMThreshold,
 		Jobs:         jobs,
-		Sink:         obs.Tee(log, tel),
+		Sink:         log,
+		Idle:         tel,
 	}
 	res, err := sim.RunStream(rd, diskOf, cfg)
 	if err != nil {

@@ -210,7 +210,9 @@ type IdleStats struct {
 // stream: the request-free (idle-period) histogram and its summary. Time in
 // state and transition counts are the power meter's, which every
 // sim.Result carries per disk. Intervals must be observed in increasing
-// time order — the order the simulator guarantees per disk.
+// time order — the order the simulator guarantees per disk. The simulator
+// folds it directly (sim.Config.Idle); as an IntervalSink, SimTelemetry
+// feeds it the same spans.
 type DiskTelemetry struct {
 	// IdleHist is the log-2 histogram of request-free period lengths.
 	IdleHist [IdleBucketCount]int
@@ -225,17 +227,19 @@ type DiskTelemetry struct {
 	runStart, runEnd float64
 }
 
-// observe folds one interval into the disk's telemetry.
-func (d *DiskTelemetry) observe(iv Interval) {
-	if iv.State == DiskBusy {
+// Observe folds one span — [from, to) in state — into the disk's
+// telemetry. It takes scalars, not an Interval, because the simulator
+// calls it for every span it emits.
+func (d *DiskTelemetry) Observe(state DiskState, from, to float64) {
+	if state == DiskBusy {
 		d.closeRun()
 		return
 	}
 	if !d.inRun {
 		d.inRun = true
-		d.runStart = iv.From
+		d.runStart = from
 	}
-	d.runEnd = max(iv.To, iv.From)
+	d.runEnd = max(to, from)
 }
 
 // closeRun finishes the open request-free period, if any.
@@ -262,10 +266,12 @@ func (d *DiskTelemetry) Idle() IdleStats {
 	return st
 }
 
-// SimTelemetry is the IntervalSink that collects per-disk idle locality
-// for one simulation run. State is strictly per disk, so it meets the
-// sink's concurrency contract without locking. A nil SimTelemetry is a
-// valid no-op sink.
+// SimTelemetry collects per-disk idle locality for one simulation run:
+// the simulator folds it directly when it is sim.Config.Idle, and it is
+// also an IntervalSink that folds the same spans from the interval stream
+// (the oracle the direct fold is tested against). State is strictly per
+// disk, so it meets the sink's concurrency contract without locking. A nil
+// SimTelemetry is a valid no-op sink.
 type SimTelemetry struct {
 	Disks []DiskTelemetry
 }
@@ -293,7 +299,7 @@ func (t *SimTelemetry) Observe(iv Interval) {
 	if t == nil || iv.Disk < 0 || iv.Disk >= len(t.Disks) {
 		return
 	}
-	t.Disks[iv.Disk].observe(iv)
+	t.Disks[iv.Disk].Observe(iv.State, iv.From, iv.To)
 }
 
 // Finish closes any still-open request-free periods (the tail idleness

@@ -24,6 +24,11 @@ import (
 // it emits — and the single place energy is computed, so the accounting
 // identity (energy = Σ state power × state time + Σ transition energies)
 // holds by construction and is checkable in tests.
+//
+// A disk has a handful of speeds and changes them rarely, so the meter
+// caches the idle and servicing power of the last speed it charged,
+// computed by IdlePowerAt's and ActivePowerAt's own expressions, so
+// energies keep their bits. Make a Meter with NewMeter; M must not change.
 type Meter struct {
 	M disk.Model
 
@@ -44,11 +49,25 @@ type Meter struct {
 	// before the first): the speed a transition is classified and priced
 	// from.
 	spindle int
+
+	// priced is the speed idleW and activeW are the idle and servicing
+	// power at.
+	priced         int
+	idleW, activeW float64
 }
 
 // NewMeter returns a Meter for the given disk model, spinning at full
 // speed.
-func NewMeter(m disk.Model) *Meter { return &Meter{M: m, spindle: m.RPMMax} }
+func NewMeter(m disk.Model) *Meter {
+	e := &Meter{M: m, spindle: m.RPMMax}
+	e.price(m.RPMMax)
+	return e
+}
+
+// price caches the idle and servicing power at rpm.
+func (e *Meter) price(rpm int) {
+	e.priced, e.idleW, e.activeW = rpm, idlePower(&e.M, rpm), activePower(&e.M, rpm)
+}
 
 // IdlePowerAt returns the idle (spinning, not servicing) power at rpm.
 func IdlePowerAt(m disk.Model, rpm int) float64 { return idlePower(&m, rpm) }
@@ -109,7 +128,8 @@ func abs(x int) int {
 
 // Charge folds one span of the disk's interval stream: dt seconds in
 // state at rpm. Busy, idle and standby time is priced at the state's power
-// for rpm; a non-positive span charges nothing. A transition, classified
+// for rpm (busy and idle power from the meter's one-speed cache); a
+// non-positive span charges nothing. A transition, classified
 // by obs.ClassifyTransition from the spindle speed the meter last saw,
 // costs the full spin-down or spin-up energy, or ShiftEnergy from that
 // speed to rpm. dt must be the duration the simulator accounted, never an
@@ -134,13 +154,16 @@ func (e *Meter) Charge(state obs.DiskState, dt float64, rpm int) {
 	if dt <= 0 {
 		return
 	}
+	if rpm != e.priced && state != obs.DiskStandby {
+		e.price(rpm)
+	}
 	switch state {
 	case obs.DiskBusy:
 		e.ActiveTime += dt
-		e.ActiveEnergy += activePower(&e.M, rpm) * dt
+		e.ActiveEnergy += e.activeW * dt
 	case obs.DiskIdle:
 		e.IdleTime += dt
-		e.IdleEnergy += idlePower(&e.M, rpm) * dt
+		e.IdleEnergy += e.idleW * dt
 	case obs.DiskStandby:
 		e.StandbyTime += dt
 		e.StandbyEnergy += e.M.PowerStandby * dt

@@ -255,3 +255,73 @@ func TestMeterSpinUpAfterSpinDown(t *testing.T) {
 		t.Errorf("transition time %g energy %g", e.TransitionTime, e.TransitionEnergy)
 	}
 }
+
+// TestMeterPriceCacheBitIdentical charges a random span sequence that
+// walks all five speed levels up and down, with rpm-0 idle spans (priced
+// at full speed), standby spans and transitions between them, and checks
+// the meter's cached per-speed prices against the uncached sums built
+// from IdlePowerAt and ActivePowerAt bit for bit — on the data-sheet model
+// and on one scaled for a two-disk RAID node as the simulator scales it.
+func TestMeterPriceCacheBitIdentical(t *testing.T) {
+	raid := disk.Ultrastar36Z15()
+	raid.PowerActive *= 2
+	raid.PowerIdle *= 2
+	raid.PowerStandby *= 2
+	raid.SpinDownEnergy *= 2
+	raid.SpinUpEnergy *= 2
+	for _, m := range []disk.Model{disk.Ultrastar36Z15(), raid} {
+		levels := append(m.Levels(), 0)
+		if len(levels) != 6 {
+			t.Fatalf("model has %d speed levels, want 5", len(levels)-1)
+		}
+		e := NewMeter(m)
+		var active, idle, standby, activeT, idleT, standbyT float64
+		seed := uint64(7)
+		rnd := func(n int) int {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			return int(seed >> 33 % uint64(n))
+		}
+		rpm, seen := m.RPMMax, map[int]bool{}
+		for i := 0; i < 5000; i++ {
+			// A random walk over the levels, with jumps, so the price
+			// changes both ways and repeats as often as it changes.
+			switch rnd(4) {
+			case 0:
+				rpm = levels[rnd(len(levels))]
+			case 1:
+				e.Charge(obs.DiskTransition, 0.5, rpm)
+			}
+			dt := float64(rnd(1000)+1) * 1e-3 / 3
+			switch rnd(3) {
+			case 0:
+				e.Charge(obs.DiskBusy, dt, rpm)
+				active += ActivePowerAt(m, rpm) * dt
+				activeT += dt
+			case 1:
+				e.Charge(obs.DiskIdle, dt, rpm)
+				idle += IdlePowerAt(m, rpm) * dt
+				idleT += dt
+				seen[rpm] = true
+			default:
+				e.Charge(obs.DiskStandby, dt, 0)
+				standby += m.PowerStandby * dt
+				standbyT += dt
+			}
+		}
+		if len(seen) != len(levels) {
+			t.Fatalf("idle spans covered %d of %d speeds", len(seen), len(levels))
+		}
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"ActiveEnergy", e.ActiveEnergy, active}, {"IdleEnergy", e.IdleEnergy, idle},
+			{"StandbyEnergy", e.StandbyEnergy, standby}, {"ActiveTime", e.ActiveTime, activeT},
+			{"IdleTime", e.IdleTime, idleT}, {"StandbyTime", e.StandbyTime, standbyT},
+		} {
+			if c.got != c.want {
+				t.Errorf("PowerIdle %v: %s = %v, uncached sum %v (differ by %g)", m.PowerIdle, c.name, c.got, c.want, c.got-c.want)
+			}
+		}
+	}
+}

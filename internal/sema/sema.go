@@ -174,6 +174,15 @@ type LoopBound struct {
 	Step   int64
 }
 
+// Trips returns the level's first value and trip count under the
+// enclosing iteration vector iv. Every enumerator runs a level for n
+// trips, its value at trip t being lo + t·Step in wrapping arithmetic, so
+// a level ending near math.MaxInt64 stops instead of wrapping past it.
+func (b LoopBound) Trips(iv []int64) (lo int64, n uint64) {
+	lo = b.Lo.EvalVec(iv)
+	return lo, tripCount(lo, b.Hi.EvalVec(iv), b.Step)
+}
+
 // Bounds compiles every loop level's bounds against the nest's iterator
 // order (affine.VecExpr). It is the lowered form both the tree-walk
 // enumerator below and interp's compiled iteration kernels consume.
@@ -200,10 +209,9 @@ func enumerate(level int, iv affine.Vector, bounds []LoopBound, fn func(affine.V
 		return
 	}
 	b := bounds[level]
-	lo := b.Lo.EvalVec(iv)
-	hi := b.Hi.EvalVec(iv)
-	for v := lo; v <= hi; v += b.Step {
-		iv[level] = v
+	lo, n := b.Trips(iv)
+	for t := uint64(0); t < n; t++ {
+		iv[level] = lo + int64(t*uint64(b.Step))
 		enumerate(level+1, iv, bounds, fn)
 	}
 }
@@ -222,26 +230,24 @@ func (n *Nest) IterationCount() int64 {
 // the total passes budget, so a bound like "for i = 0 to 10^18" is
 // refused without being walked. ok reports whether the total stays within
 // budget; when it does not, steps is the count at which counting gave up.
+// iters[i] is nest i's iteration count (its innermost steps), complete
+// when ok, so a caller that admits the program need not count again.
 //
 // A level's trip count is computed in unsigned arithmetic and its values
 // are stepped by trip index, so a span wider than int64 counts as over any
 // budget instead of wrapping.
-func (p *Program) LoopSteps(budget int64) (steps int64, ok bool) {
+func (p *Program) LoopSteps(budget int64) (steps int64, iters []int64, ok bool) {
 	c := stepCounter{budget: uint64(max(budget, 0))}
-	for _, n := range p.Nests {
-		if !c.nest(n) {
+	iters = make([]int64, len(p.Nests))
+	for i, n := range p.Nests {
+		c.iters = 0
+		done := c.nest(n)
+		iters[i] = int64(c.iters)
+		if !done {
 			break
 		}
 	}
-	return int64(min(c.steps, math.MaxInt64)), c.steps <= c.budget
-}
-
-// LoopSteps is Program.LoopSteps over one nest; iters is the nest's
-// iteration count (its innermost steps).
-func (n *Nest) LoopSteps(budget int64) (steps, iters int64, ok bool) {
-	c := stepCounter{budget: uint64(max(budget, 0))}
-	c.nest(n)
-	return int64(min(c.steps, math.MaxInt64)), int64(c.iters), c.steps <= c.budget
+	return int64(min(c.steps, math.MaxInt64)), iters, c.steps <= c.budget
 }
 
 // stepCounter is LoopSteps' walk over the outer levels. While counting
@@ -261,8 +267,7 @@ func (c *stepCounter) nest(n *Nest) bool {
 
 func (c *stepCounter) level(l int) bool {
 	b := c.bounds[l]
-	lo, hi := b.Lo.EvalVec(c.iv), b.Hi.EvalVec(c.iv)
-	n := tripCount(lo, hi, b.Step)
+	lo, n := b.Trips(c.iv)
 	if n > c.budget-c.steps {
 		// Every value of this level is a step of its own, so the level
 		// alone passes the budget, whatever lies inside it.

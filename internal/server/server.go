@@ -182,7 +182,7 @@ func (s *Server) admit(cr *CompileRequest) (*compiled, error) {
 	if err != nil {
 		return nil, errUnprocessable(CodeCompileFailed, "%s", err.Error())
 	}
-	if n, ok := p.LoopSteps(s.cfg.MaxIterations); !ok {
+	if n, _, ok := p.LoopSteps(s.cfg.MaxIterations); !ok {
 		return nil, errUnprocessable(CodeTooManyIters,
 			"program exceeds the %d-iteration budget (counted %d loop steps before giving up)", s.cfg.MaxIterations, n)
 	}

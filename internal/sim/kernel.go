@@ -27,7 +27,8 @@ import (
 // diskSim.service, which also folds the response time and makespan. The
 // fold fixes the float summation order, so results are bit-identical at
 // every worker count and every chunking. Intervals bypass the fold: each
-// disk's worker feeds them straight to the per-disk Config.Sink.
+// disk's worker feeds them straight to its disk's Config.Idle fold and to
+// the per-disk Config.Sink.
 
 // minParallelRequests is the auto-mode (Jobs 0) cutoff below which a
 // replay pass stays serial: spawning a worker per disk costs more than
@@ -120,7 +121,8 @@ type reqFold struct {
 // node's meter accounts for all of its physical disks (the RAID-level
 // striping of Fig. 1), so power draws and transition energies scale with
 // cfg.RAIDWidth while the timing model stays per physical disk. Every
-// disk emits to cfg.Sink teed with the live metrics.
+// disk emits to cfg.Sink teed with the live metrics, and folds its idle
+// locality into its own entry of cfg.Idle.
 func newReducers(cfg Config) []diskReducer {
 	meterModel := cfg.Model
 	if w := float64(cfg.RAIDWidth); w > 1 {
@@ -142,6 +144,9 @@ func newReducers(cfg Config) []diskReducer {
 		r.ds.id = d
 		r.ds.lm = lm
 		r.ds.sink = sink
+		if cfg.Idle != nil {
+			r.ds.idle = &cfg.Idle.Disks[d]
+		}
 		r.st.Meter = *power.NewMeter(meterModel)
 	}
 	for _, h := range cfg.Hints {
@@ -241,7 +246,8 @@ func replayPass(cfg *Config, reds []diskReducer, cols *columns, perDisk [][]int3
 // sums and makespans — then runs the finish tail: every disk stays powered
 // until the last request completes, with the policy applied to the final
 // gap (no spin-up at the end), and the per-disk stats and energies fold
-// into res. The sink finishes last.
+// into res. The idle fold's tail periods close, and the sink finishes,
+// last.
 func foldDisks(cfg *Config, reds []diskReducer, res *Result) {
 	for d := range reds {
 		r := &reds[d]
@@ -261,6 +267,7 @@ func foldDisks(cfg *Config, reds []diskReducer, res *Result) {
 	if len(reds) > 0 && reds[0].ds.lm != nil {
 		reds[0].ds.lm.energy.Set(res.Energy)
 	}
+	cfg.Idle.Finish()
 	if cfg.Sink != nil {
 		cfg.Sink.Finish()
 	}

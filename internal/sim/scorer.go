@@ -106,9 +106,9 @@ const scorerCacheBytes = 64 << 20
 // size bytes each, arriving at arrival[i] in arrival order (the order
 // trace.SortedByArrival checks). arrival is aliased, never mutated.
 // cfg.NumDisks is ignored (each Score call supplies its own disk count);
-// features that observe per-request events — Sink, Attribution, Hints,
-// Span, Metrics — must be off, since memoized replays are skipped, not
-// re-observed.
+// features that observe per-request events — Sink, Idle, Attribution,
+// Hints, Span, Metrics — must be off, since memoized replays are skipped,
+// not re-observed; so a scorer's reducers carry no idle fold.
 func NewEnergyScorer(arrival []float64, size int64, cfg Config) (*EnergyScorer, error) {
 	for i := 1; i < len(arrival); i++ {
 		if arrival[i] < arrival[i-1] {
@@ -118,8 +118,8 @@ func NewEnergyScorer(arrival []float64, size int64, cfg Config) (*EnergyScorer, 
 	if size <= 0 {
 		return nil, fmt.Errorf("sim: EnergyScorer request size %d must be positive", size)
 	}
-	if cfg.Sink != nil || cfg.Attribution != nil || cfg.Span != nil || cfg.Metrics != nil || len(cfg.Hints) > 0 {
-		return nil, fmt.Errorf("sim: EnergyScorer cannot drive per-request observers (Sink/Attribution/Span/Metrics/Hints)")
+	if cfg.Sink != nil || cfg.Idle != nil || cfg.Attribution != nil || cfg.Span != nil || cfg.Metrics != nil || len(cfg.Hints) > 0 {
+		return nil, fmt.Errorf("sim: EnergyScorer cannot drive per-request observers (Sink/Idle/Attribution/Span/Metrics/Hints)")
 	}
 	cfg.NumDisks = 0
 	norm, err := cfg.normalize(1)

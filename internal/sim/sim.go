@@ -67,8 +67,16 @@ type Config struct {
 	// must be sized for the run's disk count. The replay feeds it straight
 	// from the sharded per-disk workers, each disk's intervals in time
 	// order, so what a per-disk sink accumulates is identical at every Jobs
-	// value. Compose several sinks with obs.Tee.
+	// value. Compose several sinks with obs.Tee. A record's idle locality
+	// goes to Idle instead, which needs no interface call.
 	Sink obs.IntervalSink
+
+	// Idle, when non-nil, folds each disk's idle locality (what
+	// Result.Record reads) straight from the replay: each disk's worker
+	// feeds its non-empty spans to Idle.Disks[d], and the run closes the
+	// tail periods at the end. It must be sized for the run's disk count,
+	// and equals an obs.SimTelemetry fed through Sink: never give one to both.
+	Idle *obs.SimTelemetry
 
 	// Span, when non-nil, receives one "disk-replay" child span per disk
 	// of an in-memory replay, so a trace export shows the simulator's
@@ -201,7 +209,8 @@ type Result struct {
 
 // Record builds the run's measurement record: the totals, the per-disk
 // spin-up and speed-shift sums, and tel's idle locality and trimmed
-// idle-period histogram (tel must be the telemetry sink the run fed). The
+// idle-period histogram (tel must be the telemetry the run fed, as
+// Config.Idle or through Config.Sink). The
 // caller fills the labels (App, Version, Procs), DiskRuns, and the
 // baseline-relative fields (obs.Normalize).
 func (r *Result) Record(tel *obs.SimTelemetry) obs.RunResult {
@@ -302,6 +311,9 @@ func (cfg Config) normalize(traceDisks int) (Config, error) {
 	if cfg.Sink != nil && cfg.Sink.NumDisks() != cfg.NumDisks {
 		return cfg, fmt.Errorf("sim: Sink sized for %d disks but the run has %d (size every teed sink for NumDisks)", cfg.Sink.NumDisks(), cfg.NumDisks)
 	}
+	if cfg.Idle != nil && cfg.Idle.NumDisks() != cfg.NumDisks {
+		return cfg, fmt.Errorf("sim: Idle sized for %d disks but the run has %d (size it with obs.NewSimTelemetry(NumDisks))", cfg.Idle.NumDisks(), cfg.NumDisks)
+	}
 	if cfg.Attribution != nil && cfg.Attribution.NumDisks() != cfg.NumDisks {
 		return cfg, fmt.Errorf("sim: Attribution sized for %d disks but the run has %d (size it with obs.NewProcAttribution(NumDisks, NumProcs))", cfg.Attribution.NumDisks(), cfg.NumDisks)
 	}
@@ -345,15 +357,21 @@ func (cfg Config) normalize(traceDisks int) (Config, error) {
 // diskSim simulates one disk.
 type diskSim struct {
 	cfg   Config
-	sink  obs.IntervalSink // Config.Sink teed with the live metrics; nil when both are off
-	lm    *liveMetrics     // live request counter and energy gauge; nil when disabled
+	sink  obs.IntervalSink   // Config.Sink teed with the live metrics; nil when both are off
+	idle  *obs.DiskTelemetry // this disk's Config.Idle fold; nil when off
+	lm    *liveMetrics       // live request counter and energy gauge; nil when disabled
 	m     disk.Model
 	clock float64 // completion time of the last serviced request
 
-	rpm        int               // current rotational speed; set through setRPM
-	svc        disk.ServiceTerms // service terms at rpm
-	full       disk.ServiceTerms // service terms at RPMMax
-	target     int               // DRPM controller's chosen operating speed
+	rpm  int               // current rotational speed; set through setRPM
+	svc  disk.ServiceTerms // service terms at rpm
+	full disk.ServiceTerms // service terms at RPMMax
+	// size is the last request size priced; svcTime and fullTime are its
+	// service times at rpm and at RPMMax (see times).
+	size              int64
+	svcTime, fullTime float64
+
+	target     int // DRPM controller's chosen operating speed
 	winCount   int
 	winResp    float64
 	winFullEst float64
@@ -378,15 +396,30 @@ func newDiskSim(cfg Config) diskSim {
 		full:   cfg.Model.Terms(cfg.Model.RPMMax),
 		sub:    make([]float64, cfg.RAIDWidth),
 	}
+	ds.fullTime = ds.full.Time(ds.size)
 	ds.setRPM(cfg.Model.RPMMax)
 	return ds
 }
 
 // setRPM moves the spindle's speed to rpm and recomputes the service terms
-// at it, so service pays for the speed only when it changes.
+// at it, and the cached size's service time with them, so service pays for
+// the speed only when it changes.
 func (ds *diskSim) setRPM(rpm int) {
 	ds.rpm = rpm
 	ds.svc = ds.m.Terms(rpm)
+	ds.svcTime = ds.svc.Time(ds.size)
+}
+
+// times returns the service time of a request of size bytes at the
+// current speed and at full speed, recomputed only when the size differs
+// from the last request's (the paper apps' requests are all one page).
+func (ds *diskSim) times(size int64) (svc, full float64) {
+	if size != ds.size {
+		ds.size = size
+		ds.svcTime = ds.svc.Time(size)
+		ds.fullTime = ds.full.Time(size)
+	}
+	return ds.svcTime, ds.fullTime
 }
 
 // syncSubs clamps every physical disk's busy-until time up to the node
@@ -400,13 +433,19 @@ func (ds *diskSim) syncSubs() {
 }
 
 // emit accounts one span of the disk's state — dt seconds in state at rpm,
-// starting at from: it forwards the span to the sink when there is one
-// and the span is not empty, and charges it to the energy meter. The meter
-// gets dt itself, never (from+dt)-from, which can differ in the last bit.
-// The meter goes last so that nothing stays live across its call.
+// starting at from: when the span is not empty it folds it into the idle
+// locality and forwards it to the sink, each when there is one, and it
+// charges the span to the energy meter. The meter gets dt itself, never
+// (from+dt)-from, which can differ in the last bit. The meter goes last so
+// that nothing stays live across its call.
 func (ds *diskSim) emit(st *DiskStats, state obs.DiskState, from, dt float64, rpm int) {
-	if to := from + dt; ds.sink != nil && to > from {
-		ds.sink.Observe(obs.Interval{Disk: ds.id, From: from, To: to, State: state, RPM: rpm})
+	if to := from + dt; to > from {
+		if ds.idle != nil {
+			ds.idle.Observe(state, from, to)
+		}
+		if ds.sink != nil {
+			ds.sink.Observe(obs.Interval{Disk: ds.id, From: from, To: to, State: state, RPM: rpm})
+		}
 	}
 	st.Meter.Charge(state, dt, rpm)
 }
@@ -454,20 +493,22 @@ func (ds *diskSim) service(issue float64, size int64, st *DiskStats, acc *reqFol
 	// have suffered; the DRPM controller compares against it so it reacts
 	// to its own slowdown, not to offered load.
 	loadWait := dispatch - issue
+	svc, full := ds.times(size)
 	// DRPM queue-pressure ramp: a request that has waited many service
 	// times in the queue means the disk is far too slow for the offered
 	// load — ramp straight to full speed (the watermark mechanism of [13])
-	// instead of waiting out the response-time window.
+	// instead of waiting out the response-time window. The shift reprices
+	// the service time.
 	if ds.cfg.Policy == DRPM && ds.rpm < ds.m.RPMMax {
-		if loadWait > queuePressureFactor*ds.full.Time(size) {
+		if loadWait > queuePressureFactor*full {
 			ds.target = ds.m.RPMMax
 			ds.shiftTo(st, ds.m.RPMMax)
 			if ds.sub[k] > dispatch {
 				dispatch = ds.sub[k]
 			}
+			svc = ds.svcTime
 		}
 	}
-	svc := ds.svc.Time(size)
 	ds.emit(st, obs.DiskBusy, dispatch, svc, ds.rpm)
 	completion := dispatch + svc // the data is ready for the processor here
 	ds.sub[k] = completion
@@ -482,7 +523,7 @@ func (ds *diskSim) service(issue float64, size int64, st *DiskStats, acc *reqFol
 	st.BusyTime += svc
 	st.ResponseTime += resp
 	st.LastCompletion = ds.clock
-	ds.observe(resp, loadWait, size)
+	ds.observe(resp, loadWait, full)
 	// A DRPM disk running below the controller's operating point recovers
 	// one level after servicing (a sustained burst keeps pulling it up);
 	// the shift occupies the disk but the already-delivered data does not
@@ -614,13 +655,14 @@ func (ds *diskSim) advanceGap(gap float64, st *DiskStats, tail bool) float64 {
 // moves the operating speed one level: up when the degradation exceeds
 // DRPMRaise (perf suffering: recover speed immediately), down when it is
 // below DRPMLower (slack available: trade speed for quadratic power).
-func (ds *diskSim) observe(resp, loadWait float64, size int64) {
+// full is the request's full-speed service time.
+func (ds *diskSim) observe(resp, loadWait, full float64) {
 	if ds.cfg.Policy != DRPM {
 		return
 	}
 	ds.winCount++
 	ds.winResp += resp
-	ds.winFullEst += loadWait + ds.full.Time(size)
+	ds.winFullEst += loadWait + full
 	if ds.winCount < ds.cfg.DRPMWindow {
 		return
 	}
