@@ -136,8 +136,15 @@ func TestReattributedScorerFaster(t *testing.T) {
 		t.Fatal("no non-primary array to vary")
 	}
 	base := Uniform(e.NumArrays(), Candidate{Unit: 32 << 10, Factor: 4, Start: 0})
-	if _, err := e.ScoreLite(WholeProgram, base); err != nil {
-		t.Fatal(err) // warms the schedule memo
+	// The memo admits a schedule on its key's second sighting, so the warm
+	// up sights base's schedule twice: base itself, then base with the
+	// free array re-striped (a score-cache miss on the same schedule key).
+	warm := base.Clone()
+	warm[free].Unit = 64 << 10
+	for _, specs := range []Assignment{base, warm} {
+		if _, err := e.ScoreLite(WholeProgram, specs); err != nil {
+			t.Fatal(err) // warms the schedule memo
+		}
 	}
 	// The two sides are timed in interleaved rounds, each timed loop after
 	// a forced collection, and each side keeps its minimum over all rounds:

@@ -2,6 +2,7 @@ package layoutopt
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"slices"
 	"strings"
@@ -83,7 +84,7 @@ func (s *Score) Best() float64 {
 // WholeProgram is the phase argument selecting the full iteration space.
 const WholeProgram = -1
 
-// schedEntry memoizes everything downstream of one restructured schedule:
+// schedEntry holds everything downstream of one restructured schedule:
 // the two columns of the request trace trace.Generator produces for it over
 // the declared layout that scoring reads — 12 bytes per request. arrival
 // is what the energy replay reads (every request is one page, the layout's
@@ -91,33 +92,101 @@ const WholeProgram = -1
 // candidate re-derives through Engine.diskOf. Distinct assignments can
 // share a schedule — the primary vector only sees arrays that ever come
 // first in an iteration — so the entry is keyed by the primary-relevant
-// sub-key and reused across them. On a beam search they rarely do (FFT's
-// default search builds 55 entries for 54 candidates), so an entry's
-// scorers mostly see each per-disk subsequence once and cache only those
-// that come back. The per-policy scorer pools hand each concurrent score
-// its own scratch over the shared immutable columns.
+// sub-key. On a beam search they rarely do (FFT's default search sights
+// 54 schedule keys for 54 candidates, none twice), so the memo admits a
+// schedule only when its key comes back (Engine.schedule): a first
+// sighting is built into a pooled coldScratch's columns, scored, and
+// dropped. Only admitted entries and the original-order entries, which
+// every survivor's Base backfill reads, own their columns, at exact length.
 type schedEntry struct {
 	arrival []float64
 	page    []uint32
 	runs    int
 
-	// scorers pools per-policy memoizing EnergyScorers over arrival; index
-	// is the sim.Policy value. Scorers are single-goroutine, so each
-	// concurrent score borrows one (with its per-disk replay cache and
-	// remembered hashes) and returns it.
+	// scorers pools per-policy memoizing EnergyScorers over arrival, for
+	// the policies the entry's role reads (see origPolicies and
+	// schedPolicies); index is the sim.Policy value. Scorers are
+	// single-goroutine, so each concurrent score of a memo entry borrows
+	// one (with its per-disk replay cache and remembered hashes) and
+	// returns it. A first-sight entry has one caller and scratch columns,
+	// so it keeps its scorers in first instead, and nothing is pooled.
 	scorers [3]sync.Pool
+	first   [3]*sim.EnergyScorer
 }
+
+// score replays att under pol on one of the entry's scorers and returns
+// the energy.
+func (en *schedEntry) score(pol sim.Policy, att *sim.Attribution) (float64, error) {
+	es := en.first[pol]
+	if es == nil {
+		es = en.scorers[pol].Get().(*sim.EnergyScorer)
+		defer en.scorers[pol].Put(es)
+	}
+	sum, err := es.ScoreAttribution(att)
+	return sum.Energy, err
+}
+
+// The policies each entry role is scored under: an original-order entry
+// feeds only the Base (NoPM) backfill, a restructured schedule only the
+// TPM and DRPM ranking energies.
+var (
+	origPolicies  = []sim.Policy{sim.NoPM}
+	schedPolicies = []sim.Policy{sim.TPM, sim.DRPM}
+)
 
 // coldScratch is the iteration-sized scratch one schedule-entry build
 // uses: the generator's working buffers, the Fig. 3 scheduler, its output
-// schedule, and the phase's id list and primary vector. The generator
-// consumes the schedule's order before the scratch goes back to the pool.
+// schedule, the phase's id list and primary vector, and the arrival and
+// page columns a first-sight entry is scored from. The generator consumes
+// the schedule's order before the scratch goes back to the pool, and a
+// first-sight entry's scores finish before it does.
 type coldScratch struct {
 	gen     trace.Generator
 	sch     *core.Scheduler
 	sched   core.Schedule
 	ids     []int
 	primary []int
+	arrival []float64
+	page    []uint32
+}
+
+// buildFunc produces the execution order of a phase's iterations, and the
+// schedule's run count, on the scratch it is handed.
+type buildFunc func(s *coldScratch) (order []int, runs int, err error)
+
+// sightings remembers, as hashes, the schedule keys sighted so far, so
+// the memo admits a schedule only when its key comes back. It holds at
+// most bound hashes and is flushed wholesale past that, as the
+// scorers' caches are. A hash collision only admits a schedule early: the
+// memo stays keyed by the full key, so no score can change.
+type sightings struct {
+	mu    sync.Mutex
+	seed  maphash.Seed
+	bound int
+	seen  map[uint64]struct{}
+}
+
+// maxSightings bounds the remembered schedule-key hashes; the six apps'
+// default searches sight 28–88 keys each.
+const maxSightings = 1 << 14
+
+func newSightings(bound int) *sightings {
+	return &sightings{seed: maphash.MakeSeed(), bound: bound, seen: make(map[uint64]struct{})}
+}
+
+// again reports whether key was sighted before, remembering it if not.
+func (s *sightings) again(key string) bool {
+	h := maphash.String(s.seed, key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.seen[h]; ok {
+		return true
+	}
+	if len(s.seen) >= s.bound {
+		s.seen = make(map[uint64]struct{})
+	}
+	s.seen[h] = struct{}{}
+	return false
 }
 
 // Engine is the re-attribution-only layout scorer. It runs the front end
@@ -161,21 +230,26 @@ type Engine struct {
 
 	// Both memos are keyed by canonical layout text (canonKey, schedKey),
 	// so equivalent-but-differently-written layouts share one entry, and
-	// each key is built at most once however many workers ask for it.
-	scores *conc.Memo[*Score]      // canonical key -> score
-	scheds *conc.Memo[*schedEntry] // primary sub-key -> schedule entry
-	hits   atomic.Int64
-	misses atomic.Int64
+	// each key is built at most once however many workers ask for it. The
+	// schedule memo admits a key's second sighting (sighted).
+	scores  *conc.Memo[*Score]      // canonical key -> score
+	scheds  *conc.Memo[*schedEntry] // primary sub-key -> schedule entry
+	sighted *sightings
+	hits    atomic.Int64
+	misses  atomic.Int64
 
 	// attPool recycles per-candidate attribution scratch (one carve feeds
 	// both policy replays); Attribution.Build resizes across entries.
 	attPool sync.Pool
 	// coldPool recycles coldScratch, so schedule-entry builds share their
-	// iteration-sized buffers instead of allocating them each.
+	// iteration-sized buffers, and first-sight schedules their columns,
+	// instead of allocating them each.
 	coldPool sync.Pool
 }
 
-// DefaultCacheSize bounds the score LRU (and the schedule memo).
+// DefaultCacheSize bounds the score LRU. The schedule memo holds a quarter
+// as many entries (at least 64), admitted ones only: schedules whose key
+// came back, and the original-order entries.
 const DefaultCacheSize = 4096
 
 // NewEngine compiles the application once and builds the scorer.
@@ -217,6 +291,7 @@ func NewEngine(a apps.App, cacheSize int) (*Engine, error) {
 		numNests:  len(prog.Nests),
 		scores:    conc.NewMemo[*Score](cacheSize, nil),
 		scheds:    conc.NewMemo[*schedEntry](max(64, cacheSize/4), nil),
+		sighted:   newSightings(maxSightings),
 	}
 	e.attPool.New = func() any { return new(sim.Attribution) }
 	e.coldPool.New = func() any { return &coldScratch{sch: r.NewScheduler()} }
@@ -392,49 +467,90 @@ func (e *Engine) primaryVec(a Assignment, dst []int) []int {
 	return dst
 }
 
-// entryFor returns the memoized schedule entry for key, building it on
-// first use. build produces the execution order of the phase's iterations
-// (and the schedule's run count) on the pooled scratch when the entry is
-// new; the entry's columns are that order's trace on one processor.
-func (e *Engine) entryFor(key string, phase int, build func(s *coldScratch) (order []int, runs int, err error)) (*schedEntry, error) {
+// buildEntry builds a schedule entry on the scratch s, scored under pols:
+// build produces the phase's execution order, and the entry's columns are
+// that order's trace on one processor. A kept entry owns exact-length
+// columns; otherwise the columns are s's own, reused across builds, and
+// the entry lives only as long as s is held.
+func (e *Engine) buildEntry(s *coldScratch, phase int, build buildFunc, pols []sim.Policy, keep bool) (*schedEntry, error) {
+	order, runs, err := build(s)
+	if err != nil {
+		return nil, err
+	}
+	lo, hi := e.phaseRange(phase)
+	reqs, err := s.gen.ViewRange(e.R, []trace.Phase{{PerProc: [][]int{order}}}, e.gen, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	n := len(reqs)
+	en := &schedEntry{runs: runs}
+	if keep {
+		en.arrival, en.page = make([]float64, n), make([]uint32, n)
+	} else {
+		s.arrival, s.page = slices.Grow(s.arrival[:0], n)[:n], slices.Grow(s.page[:0], n)[:n]
+		en.arrival, en.page = s.arrival, s.page
+	}
+	for i := range reqs {
+		en.arrival[i], en.page[i] = reqs[i].Arrival, uint32(reqs[i].Block)
+	}
+	for _, pol := range pols {
+		sc, err := sim.NewEnergyScorer(en.arrival, e.pageSize, sim.Config{Model: e.Model, Policy: pol})
+		if err != nil {
+			return nil, err
+		}
+		if !keep {
+			en.first[pol] = sc
+			continue
+		}
+		pool := &en.scorers[pol]
+		pool.New = func() any { return sc.Clone() }
+		pool.Put(sc)
+	}
+	return en, nil
+}
+
+// entryFor returns the memoized schedule entry for key, scored under pols,
+// building it on pooled scratch on first use.
+func (e *Engine) entryFor(key string, phase int, build buildFunc, pols []sim.Policy) (*schedEntry, error) {
 	en, _, err := e.scheds.Get(key, func() (*schedEntry, error) {
 		s := e.coldPool.Get().(*coldScratch)
 		defer e.coldPool.Put(s)
-		order, runs, err := build(s)
-		if err != nil {
-			return nil, err
-		}
-		lo, hi := e.phaseRange(phase)
-		reqs, err := s.gen.ViewRange(e.R, []trace.Phase{{PerProc: [][]int{order}}}, e.gen, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		en := &schedEntry{arrival: make([]float64, len(reqs)), page: make([]uint32, len(reqs)), runs: runs}
-		for i := range reqs {
-			en.arrival[i], en.page[i] = reqs[i].Arrival, uint32(reqs[i].Block)
-		}
-		for _, pol := range []sim.Policy{sim.NoPM, sim.TPM, sim.DRPM} {
-			cfg := sim.Config{Model: e.Model, Policy: pol}
-			sc, err := sim.NewEnergyScorer(en.arrival, e.pageSize, cfg)
-			if err != nil {
-				return nil, err
-			}
-			pool := &en.scorers[pol]
-			pool.New = func() any { return sc.Clone() }
-			pool.Put(sc)
-		}
-		return en, nil
+		return e.buildEntry(s, phase, build, pols, true)
 	})
 	return en, err
 }
 
+// schedule returns the restructured schedule entry key names, and the
+// function that releases it once its scores are done. The memo admits a
+// schedule only when its key comes back: a key in the memo is served from
+// it; a key sighted before is built into it; a first sighting is built on
+// pooled scratch, and release returns the scratch to the pool, keeping
+// nothing. Either way the columns come from the same generator, so scores
+// are bit-identical.
+func (e *Engine) schedule(key string, phase int, build buildFunc) (en *schedEntry, release func(), err error) {
+	if en, ok := e.scheds.Lookup(key); ok {
+		return en, func() {}, nil
+	}
+	if e.sighted.again(key) {
+		en, err := e.entryFor(key, phase, build, schedPolicies)
+		return en, func() {}, err
+	}
+	s := e.coldPool.Get().(*coldScratch)
+	if en, err = e.buildEntry(s, phase, build, schedPolicies, false); err != nil {
+		e.coldPool.Put(s)
+		return nil, nil, err
+	}
+	return en, func() { e.coldPool.Put(s) }, nil
+}
+
 // origEntry returns the phase's original-program-order entry — the
-// layout-independent baseline trace Base energies replay against.
+// layout-independent baseline trace Base energies replay against. Every
+// survivor's backfill reads it, so it is always admitted.
 func (e *Engine) origEntry(phase int) (*schedEntry, error) {
 	key := fmt.Sprintf("p%d|orig", phase)
 	return e.entryFor(key, phase, func(s *coldScratch) ([]int, int, error) {
 		return e.phaseIDs(s, phase), 0, nil
-	})
+	}, origPolicies)
 }
 
 // ScoreIn scores an assignment over one phase (WholeProgram for the full
@@ -464,8 +580,8 @@ func (e *Engine) scoreIn(phase int, a Assignment, needBase bool) (*Score, error)
 	numDisks := a.NumDisks()
 
 	sc, st, err := e.scores.Get(key, func() (*Score, error) {
-		restr, err := e.entryFor(e.schedKey(phase, numDisks, a), phase, func(s *coldScratch) ([]int, int, error) {
-			// The primary vector is only needed when the schedule memo misses.
+		restr, release, err := e.schedule(e.schedKey(phase, numDisks, a), phase, func(s *coldScratch) ([]int, int, error) {
+			// The primary vector is only needed when the schedule is built.
 			s.primary = e.primaryVec(a, s.primary)
 			if err := s.sch.ScheduleInto(&s.sched, numDisks, s.primary, e.phaseIDs(s, phase)); err != nil {
 				return nil, 0, err
@@ -475,6 +591,7 @@ func (e *Engine) scoreIn(phase int, a Assignment, needBase bool) (*Score, error)
 		if err != nil {
 			return nil, err
 		}
+		defer release()
 		// One carve of the candidate's disks feeds both policy replays.
 		att := e.attPool.Get().(*sim.Attribution)
 		defer e.attPool.Put(att)
@@ -482,18 +599,11 @@ func (e *Engine) scoreIn(phase int, a Assignment, needBase bool) (*Score, error)
 			return nil, err
 		}
 		sc := &Score{Assignment: a.Clone(), Key: key, NumDisks: numDisks, Runs: restr.runs, BaseEnergy: math.NaN()}
-		for _, pol := range []sim.Policy{sim.TPM, sim.DRPM} {
-			es := restr.scorers[pol].Get().(*sim.EnergyScorer)
-			sum, err := es.ScoreAttribution(att)
-			restr.scorers[pol].Put(es)
-			if err != nil {
-				return nil, err
-			}
-			if pol == sim.TPM {
-				sc.TTPMEnergy = sum.Energy
-			} else {
-				sc.TDRPMEnergy = sum.Energy
-			}
+		if sc.TTPMEnergy, err = restr.score(sim.TPM, att); err != nil {
+			return nil, err
+		}
+		if sc.TDRPMEnergy, err = restr.score(sim.DRPM, att); err != nil {
+			return nil, err
 		}
 		return sc, nil
 	})

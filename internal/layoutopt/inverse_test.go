@@ -17,13 +17,19 @@ func TestDiskOfInvertsDeclaredLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := NewEngine(a, 0)
+		// A one-entry score cache sends the declared layout's second score
+		// back to the schedule memo, which admits its key's second
+		// sighting.
+		e, err := NewEngine(a, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		declared := e.Declared()
-		if _, err := e.Score(declared); err != nil {
-			t.Fatal(err)
+		other := Uniform(e.NumArrays(), Candidate{Unit: 64 << 10, Factor: 2})
+		for _, specs := range []Assignment{declared, other, declared} {
+			if _, err := e.Score(specs); err != nil {
+				t.Fatal(err)
+			}
 		}
 		orig, err := e.origEntry(WholeProgram)
 		if err != nil {
@@ -66,14 +72,18 @@ func TestScheduleMemoFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(a, 0)
+	// A one-entry score cache makes the second pass miss it, so every
+	// schedule key is sighted twice and admitted to the memo.
+	e, err := NewEngine(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for phase := WholeProgram; phase < e.NumPhases(); phase++ {
-		for _, c := range []Candidate{{Unit: 16 << 10, Factor: 2}, {Unit: 64 << 10, Factor: 4, Start: 1}} {
-			if _, err := e.ScoreIn(phase, Uniform(e.NumArrays(), c)); err != nil {
-				t.Fatal(err)
+	for pass := 0; pass < 2; pass++ {
+		for phase := WholeProgram; phase < e.NumPhases(); phase++ {
+			for _, c := range []Candidate{{Unit: 16 << 10, Factor: 2}, {Unit: 64 << 10, Factor: 4, Start: 1}} {
+				if _, err := e.ScoreIn(phase, Uniform(e.NumArrays(), c)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}

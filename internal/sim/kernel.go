@@ -122,8 +122,9 @@ type reqFold struct {
 // striping of Fig. 1), so power draws and transition energies scale with
 // cfg.RAIDWidth while the timing model stays per physical disk. Every
 // disk emits to cfg.Sink teed with the live metrics, and folds its idle
-// locality into its own entry of cfg.Idle.
-func newReducers(cfg Config) []diskReducer {
+// locality into its own entry of cfg.Idle. The reducers read cfg through
+// the pointer, so it must not change while they live.
+func newReducers(cfg *Config) []diskReducer {
 	meterModel := cfg.Model
 	if w := float64(cfg.RAIDWidth); w > 1 {
 		meterModel.PowerActive *= w

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"diskreuse/internal/obs"
 	"diskreuse/internal/trace"
@@ -74,5 +75,18 @@ func TestCarveRejectsOversizedTrace(t *testing.T) {
 	}, 1)
 	if err == nil || !strings.Contains(err.Error(), "exceed") {
 		t.Fatalf("oversized trace: err = %v", err)
+	}
+}
+
+// TestReducerSize pins the reducer's footprint: the memoizing scorer
+// copies whole reducers on every cache entry, hit and first-sight replay,
+// so a disk's replay state must not carry the run's configuration or a
+// second copy of the disk model. It measures 528 bytes on 64-bit hosts.
+func TestReducerSize(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("sized for 64-bit words")
+	}
+	if got := unsafe.Sizeof(diskReducer{}); got > 560 {
+		t.Errorf("diskReducer is %d bytes, want <= 560", got)
 	}
 }

@@ -85,7 +85,7 @@ type diskReplayEntry struct {
 // each worker its own via Clone (workers then build disjoint caches).
 type EnergyScorer struct {
 	cols columns // the stream: an arrival column and one size
-	cfg  Config  // normalized; NumDisks varies per Score call
+	cfg  *Config // normalized, shared with clones; NumDisks varies per Score call
 
 	entries map[uint64][]*diskReplayEntry
 	seen    map[uint64]struct{} // hashes sighted at least once
@@ -128,10 +128,10 @@ func NewEnergyScorer(arrival []float64, size int64, cfg Config) (*EnergyScorer, 
 	}
 	return &EnergyScorer{
 		cols:    columns{arrival: arrival, size: size},
-		cfg:     norm,
+		cfg:     &norm,
 		entries: make(map[uint64][]*diskReplayEntry),
 		seen:    make(map[uint64]struct{}),
-		empty:   &diskReplayEntry{red: newReducers(norm)[0]},
+		empty:   &diskReplayEntry{red: newReducers(&norm)[0]},
 	}, nil
 }
 
@@ -180,7 +180,7 @@ func (s *EnergyScorer) ScoreAttribution(att *Attribution) (EnergySummary, error)
 		s.lookupOrReplay(att.hashes[d], idx, &reds[d])
 	}
 	s.res = Result{PerDisk: s.res.PerDisk[:len(perDisk)]}
-	foldDisks(&s.cfg, reds, &s.res)
+	foldDisks(s.cfg, reds, &s.res)
 	return EnergySummary{
 		Energy:       s.res.Energy,
 		IOTime:       s.res.IOTime,

@@ -275,7 +275,7 @@ func TestEnergyScorerHashCollision(t *testing.T) {
 			if en != nil && !slices.Equal(en.idx, lists[k]) {
 				t.Fatalf("raid=%d step %d: served list %d's entry for the other list", raid, step, k)
 			}
-			got := foldOne(&sc.cfg, &dst)
+			got := foldOne(sc.cfg, &dst)
 			if got.Energy != want[k].Energy || got.IOTime != want[k].IOTime ||
 				got.ResponseTime != want[k].ResponseTime || got.Makespan != want[k].Makespan {
 				t.Fatalf("raid=%d step %d list %d: diverged\ngot  %+v\nwant %+v", raid, step, k, got, *want[k])

@@ -259,7 +259,7 @@ func RunPrepared(pt *PreparedTrace, cfg Config) (*Result, error) {
 		Requests: pt.Requests(),
 		Policy:   cfg.Policy,
 	}
-	reds := newReducers(cfg)
+	reds := newReducers(&cfg)
 	if err := replayPass(&cfg, reds, &pt.cols, pt.perDisk, cfg.Span); err != nil {
 		return nil, err
 	}
@@ -356,12 +356,11 @@ func (cfg Config) normalize(traceDisks int) (Config, error) {
 
 // diskSim simulates one disk.
 type diskSim struct {
-	cfg   Config
+	cfg   *Config            // the run's normalized configuration, shared by its disks; never written
 	sink  obs.IntervalSink   // Config.Sink teed with the live metrics; nil when both are off
 	idle  *obs.DiskTelemetry // this disk's Config.Idle fold; nil when off
 	lm    *liveMetrics       // live request counter and energy gauge; nil when disabled
-	m     disk.Model
-	clock float64 // completion time of the last serviced request
+	clock float64            // completion time of the last serviced request
 
 	rpm  int               // current rotational speed; set through setRPM
 	svc  disk.ServiceTerms // service terms at rpm
@@ -388,10 +387,9 @@ type diskSim struct {
 	sub []float64
 }
 
-func newDiskSim(cfg Config) diskSim {
+func newDiskSim(cfg *Config) diskSim {
 	ds := diskSim{
 		cfg:    cfg,
-		m:      cfg.Model,
 		target: cfg.Model.RPMMax,
 		full:   cfg.Model.Terms(cfg.Model.RPMMax),
 		sub:    make([]float64, cfg.RAIDWidth),
@@ -406,7 +404,7 @@ func newDiskSim(cfg Config) diskSim {
 // the speed only when it changes.
 func (ds *diskSim) setRPM(rpm int) {
 	ds.rpm = rpm
-	ds.svc = ds.m.Terms(rpm)
+	ds.svc = ds.cfg.Model.Terms(rpm)
 	ds.svcTime = ds.svc.Time(ds.size)
 }
 
@@ -453,7 +451,7 @@ func (ds *diskSim) emit(st *DiskStats, state obs.DiskState, from, dt float64, rp
 // shiftTo moves a DRPM spindle to rpm at the node clock, which the shift
 // stalls.
 func (ds *diskSim) shiftTo(st *DiskStats, rpm int) {
-	shift := power.ShiftTime(ds.m, ds.rpm, rpm)
+	shift := power.ShiftTime(ds.cfg.Model, ds.rpm, rpm)
 	ds.emit(st, obs.DiskTransition, ds.clock, shift, rpm)
 	ds.clock += shift
 	ds.syncSubs()
@@ -472,7 +470,7 @@ func (ds *diskSim) service(issue float64, size int64, st *DiskStats, acc *reqFol
 	nodeReady := issue
 	if issue > ds.clock {
 		gap := issue - ds.clock
-		if gap >= ds.m.BreakEven {
+		if gap >= ds.cfg.Model.BreakEven {
 			st.GapsOverBreakEven++
 		}
 		nodeReady = ds.advanceGap(gap, st, false)
@@ -499,10 +497,10 @@ func (ds *diskSim) service(issue float64, size int64, st *DiskStats, acc *reqFol
 	// load — ramp straight to full speed (the watermark mechanism of [13])
 	// instead of waiting out the response-time window. The shift reprices
 	// the service time.
-	if ds.cfg.Policy == DRPM && ds.rpm < ds.m.RPMMax {
+	if ds.cfg.Policy == DRPM && ds.rpm < ds.cfg.Model.RPMMax {
 		if loadWait > queuePressureFactor*full {
-			ds.target = ds.m.RPMMax
-			ds.shiftTo(st, ds.m.RPMMax)
+			ds.target = ds.cfg.Model.RPMMax
+			ds.shiftTo(st, ds.cfg.Model.RPMMax)
 			if ds.sub[k] > dispatch {
 				dispatch = ds.sub[k]
 			}
@@ -529,7 +527,7 @@ func (ds *diskSim) service(issue float64, size int64, st *DiskStats, acc *reqFol
 	// the shift occupies the disk but the already-delivered data does not
 	// wait for it.
 	if ds.cfg.Policy == DRPM && ds.rpm < ds.target {
-		ds.shiftTo(st, ds.m.ClampRPM(ds.rpm+ds.m.RPMStep))
+		ds.shiftTo(st, ds.cfg.Model.ClampRPM(ds.rpm+ds.cfg.Model.RPMStep))
 		st.LastCompletion = ds.clock
 	}
 	return resp
@@ -570,11 +568,11 @@ func (ds *diskSim) advanceGap(gap float64, st *DiskStats, tail bool) float64 {
 		// a proactive hint or the request itself triggers the spin-up;
 		// service starts once the spin-up completes (and never before the
 		// spin-down finished, for gaps barely over the threshold).
-		ds.emit(st, obs.DiskIdle, begin, thr, ds.m.RPMMax)
-		ds.emit(st, obs.DiskTransition, begin+thr, ds.m.SpinDownTime, 0)
-		spinDownDone := begin + thr + ds.m.SpinDownTime
+		ds.emit(st, obs.DiskIdle, begin, thr, ds.cfg.Model.RPMMax)
+		ds.emit(st, obs.DiskTransition, begin+thr, ds.cfg.Model.SpinDownTime, 0)
+		spinDownDone := begin + thr + ds.cfg.Model.SpinDownTime
 		if tail {
-			ds.emit(st, obs.DiskStandby, spinDownDone, gap-thr-ds.m.SpinDownTime, 0)
+			ds.emit(st, obs.DiskStandby, spinDownDone, gap-thr-ds.cfg.Model.SpinDownTime, 0)
 			return arrivalAt
 		}
 		wakeStart := arrivalAt
@@ -592,12 +590,12 @@ func (ds *diskSim) advanceGap(gap float64, st *DiskStats, tail bool) float64 {
 		// An empty standby span (a wake right at spinDownDone) charges
 		// and emits nothing.
 		ds.emit(st, obs.DiskStandby, spinDownDone, wakeStart-spinDownDone, 0)
-		ds.emit(st, obs.DiskTransition, wakeStart, ds.m.SpinUpTime, ds.m.RPMMax)
-		ready := wakeStart + ds.m.SpinUpTime
+		ds.emit(st, obs.DiskTransition, wakeStart, ds.cfg.Model.SpinUpTime, ds.cfg.Model.RPMMax)
+		ready := wakeStart + ds.cfg.Model.SpinUpTime
 		if ready < arrivalAt {
 			// The hint hid the whole wake-up: the disk idles, spinning,
 			// until the request arrives.
-			ds.emit(st, obs.DiskIdle, ready, arrivalAt-ready, ds.m.RPMMax)
+			ds.emit(st, obs.DiskIdle, ready, arrivalAt-ready, ds.cfg.Model.RPMMax)
 			ready = arrivalAt
 		}
 		return ready
@@ -616,9 +614,9 @@ func (ds *diskSim) advanceGap(gap float64, st *DiskStats, tail bool) float64 {
 			var dwell float64
 			switch {
 			case ds.rpm > ds.target: // settle down to the operating point
-				next = ds.m.ClampRPM(ds.rpm - ds.m.RPMStep)
-			case ds.rpm > ds.m.RPMMin: // coast below it after a dwell
-				next = ds.m.ClampRPM(ds.rpm - ds.m.RPMStep)
+				next = ds.cfg.Model.ClampRPM(ds.rpm - ds.cfg.Model.RPMStep)
+			case ds.rpm > ds.cfg.Model.RPMMin: // coast below it after a dwell
+				next = ds.cfg.Model.ClampRPM(ds.rpm - ds.cfg.Model.RPMStep)
 				dwell = drpmDwell
 			default:
 				// At or below both the operating point and the floor, or
@@ -627,7 +625,7 @@ func (ds *diskSim) advanceGap(gap float64, st *DiskStats, tail bool) float64 {
 				ds.emit(st, obs.DiskIdle, cursor, remaining, ds.rpm)
 				return begin + gap
 			}
-			shift := power.ShiftTime(ds.m, ds.rpm, next)
+			shift := power.ShiftTime(ds.cfg.Model, ds.rpm, next)
 			if remaining < dwell+shift {
 				ds.emit(st, obs.DiskIdle, cursor, remaining, ds.rpm)
 				return begin + gap
@@ -644,7 +642,7 @@ func (ds *diskSim) advanceGap(gap float64, st *DiskStats, tail bool) float64 {
 		}
 	}
 	// NoPM, and a TPM gap under the threshold: idle at full speed.
-	ds.emit(st, obs.DiskIdle, begin, gap, ds.m.RPMMax)
+	ds.emit(st, obs.DiskIdle, begin, gap, ds.cfg.Model.RPMMax)
 	return begin + gap
 }
 
@@ -671,9 +669,9 @@ func (ds *diskSim) observe(resp, loadWait, full float64) {
 	ds.winCount, ds.winResp, ds.winFullEst = 0, 0, 0
 	switch {
 	case avgResp > ds.cfg.DRPMRaise*avgFull:
-		ds.target = ds.m.ClampRPM(ds.target + ds.m.RPMStep)
+		ds.target = ds.cfg.Model.ClampRPM(ds.target + ds.cfg.Model.RPMStep)
 	case ds.cfg.DRPMLower > 0 && avgResp < ds.cfg.DRPMLower*avgFull:
-		ds.target = ds.m.ClampRPM(ds.target - ds.m.RPMStep)
+		ds.target = ds.cfg.Model.ClampRPM(ds.target - ds.cfg.Model.RPMStep)
 	}
 	// The spindle itself only moves during idleness (advanceGap), after a
 	// service (the recovery step in run), or under queue pressure.

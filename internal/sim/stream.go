@@ -37,7 +37,7 @@ func RunStream(src trace.Source, diskOf func(block int64) (int, error), cfg Conf
 	sp := cfg.Span.Child("stream-replay")
 	defer sp.End()
 
-	reds := newReducers(cfg)
+	reds := newReducers(&cfg)
 	attr := cfg.Attribution
 	var carve diskCarve
 	var cols columns // the replay reads each chunk's rows in place
